@@ -41,11 +41,12 @@
 //!   decodes allocate nothing but the returned track.
 //!
 //! The optimized decoder is kept *exactly* output-equivalent to the
-//! retained naive implementation, [`viterbi_reference`]: both perform
-//! identical floating-point operations per candidate in identical order
-//! and share one canonical beam total order (score descending, cell
-//! index ascending), so `tests/decoder_equivalence.rs` can assert
-//! bit-for-bit identical tracks. `cargo bench -p polardraw-bench
+//! retained naive implementation, [`viterbi_reference`]: every score it
+//! computes carries the reference's bits (work the reference repeats per
+//! candidate is done once where its result cannot differ — see
+//! `expand_f64`), and both share one canonical beam total order (score
+//! descending, cell index ascending), so `tests/decoder_equivalence.rs`
+//! can assert bit-for-bit identical tracks. `cargo bench -p polardraw-bench
 //! --bench decode` (or `scripts/bench.sh`) measures the speedup;
 //! DESIGN.md's "Decoder performance" section keeps the numbers.
 //!
@@ -230,7 +231,9 @@ impl Default for HmmConfig {
 /// `hypot(dx, dy)·cell`: actual centre differences deviate from the
 /// ideal by a few ULPs of the board coordinates (≪ 1e-12 m), never by
 /// this much. Offsets admitted by the prefilter still face the exact
-/// per-cell check, so the stencil only ever over-approximates.
+/// per-cell check, so the stencil only ever over-approximates. The
+/// exact kernel also skips that check for offsets whose ideal distance
+/// clears every bound by more than this margin (see [`StepOffset`]).
 const STENCIL_MARGIN_M: f64 = 1e-9;
 
 /// One candidate offset of an [`AnnulusStencil`].
@@ -602,11 +605,17 @@ impl DecodeArtifacts {
     }
 }
 
-/// The cell-centre x coordinates of every column, exactly as
-/// [`Grid::center`] computes them — the shared SoA input of the
-/// row-batched emission builds.
+/// Cell-centre coordinates along one axis (`min` that axis's board
+/// minimum, `n` its cell count), exactly as [`Grid::center`] computes
+/// them.
+fn centre_coords(min: f64, n: usize, cell_m: f64) -> impl Iterator<Item = f64> {
+    (0..n).map(move |i| min + (i as f64 + 0.5) * cell_m)
+}
+
+/// The cell-centre x coordinates of every column — the shared SoA
+/// input of the row-batched emission builds.
 fn grid_xs(grid: &Grid) -> Vec<f64> {
-    (0..grid.nx).map(|ix| grid.min.x + (ix as f64 + 0.5) * grid.cell_m).collect()
+    centre_coords(grid.min.x, grid.nx, grid.cell_m).collect()
 }
 
 /// Cells below which the row-parallel emission build cannot amortize
@@ -753,8 +762,10 @@ const STENCIL_CACHE_CAP: usize = 64;
 /// Numeric precision of the beam kernel's inner loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPrecision {
-    /// The bit-exact kernel: per-candidate `f64` scoring identical to
-    /// [`viterbi_reference`], operation for operation. The default.
+    /// The bit-exact kernel: every per-candidate `f64` score and work
+    /// counter identical to [`viterbi_reference`]'s; the per-cell
+    /// hyperbola term is computed once per step and distance tests the
+    /// stencil already decides skip the `hypot`. The default.
     F64Exact,
     /// The fused `f32` kernel: per-step transition scores are
     /// precomputed per stencil offset in `f64` and cast once (they
@@ -845,6 +856,80 @@ impl KernelOptions {
     }
 }
 
+/// Where a stencil offset falls against one step's distance bounds:
+/// beyond the exact reach, inside the annulus hard lower bound, or
+/// scored. The order of the two tests is the kernels' order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OffsetClass {
+    Beyond,
+    BelowMin,
+    Scored,
+}
+
+impl OffsetClass {
+    #[inline]
+    fn of(d: f64, exact_reach: f64, hard_min: f64) -> OffsetClass {
+        if d > exact_reach {
+            OffsetClass::Beyond
+        } else if d < hard_min {
+            OffsetClass::BelowMin
+        } else {
+            OffsetClass::Scored
+        }
+    }
+}
+
+/// One prefilter-trimmed stencil offset, classified once per step on
+/// its ideal distance. Both precisions read the class: the f32 plan
+/// takes it as the answer, and the exact kernel takes it whenever
+/// `settled` says the actual centre distance must land in the same
+/// class.
+#[derive(Debug, Clone, Copy)]
+struct StepOffset {
+    dx: i32,
+    dy: i32,
+    ideal_dist_m: f64,
+    class: OffsetClass,
+    /// The ideal distance lies more than [`STENCIL_MARGIN_M`] from both
+    /// bounds and from the `d > 1e-12` direction-term threshold (or is
+    /// exactly 0, the zero offset, whose actual distance is exactly 0
+    /// too), and the step is directional, so nothing else reads `d`.
+    /// Actual centre distances deviate from the ideal by far less than
+    /// the margin, so every test on the actual `d` is already decided
+    /// and the exact kernel skips the `hypot`.
+    settled: bool,
+}
+
+/// Trim `stencil` to the step's `prefilter_reach` and classify each
+/// surviving offset against `exact_reach`/`hard_min` (see
+/// [`StepOffset`]). Offsets settle only when `settle` is set: the
+/// step is directional (on still steps `d` is the distance term
+/// itself) and the board is small enough for the margin argument.
+fn classify_offsets(
+    stencil: &AnnulusStencil,
+    prefilter_reach: f64,
+    exact_reach: f64,
+    hard_min: f64,
+    settle: bool,
+    out: &mut Vec<StepOffset>,
+) {
+    out.clear();
+    out.extend(stencil.offsets().iter().filter(|o| o.ideal_dist_m <= prefilter_reach).map(|o| {
+        let d = o.ideal_dist_m;
+        let clear = |bound: f64| (d - bound).abs() > STENCIL_MARGIN_M;
+        StepOffset {
+            dx: o.dx,
+            dy: o.dy,
+            ideal_dist_m: d,
+            class: OffsetClass::of(d, exact_reach, hard_min),
+            settled: settle
+                && clear(exact_reach)
+                && clear(hard_min)
+                && (d == 0.0 || d > 1e-12 + STENCIL_MARGIN_M),
+        }
+    }));
+}
+
 /// One stencil offset of the f32 kernel's per-step plan: everything
 /// about the transition score that does not depend on the frontier cell
 /// — the distance-consistency term, the direction-line term, and the
@@ -886,6 +971,7 @@ struct ChunkScratch {
     scores: Vec<f64>,
     scores32: Vec<f32>,
     preds: Vec<u32>,
+    hyper: Vec<f64>,
     touched: Vec<u32>,
     expansions: u64,
     pruned_below_min: u64,
@@ -904,10 +990,20 @@ struct KernelScratch {
     scores32: Vec<f32>,
     /// Dense per-cell best predecessor this step.
     preds: Vec<u32>,
+    /// Dense per-cell hyperbola term this step (`F64Exact`), written
+    /// when a cell is first scored; valid exactly where `scores` is not
+    /// `NEG_INFINITY`, so the `scores` reset retires it too.
+    hyper: Vec<f64>,
     /// Cells written this step (the reset list).
     touched: Vec<u32>,
-    /// Stencil offsets trimmed to the current step's radius.
-    step_offsets: Vec<StencilOffset>,
+    /// Stencil offsets trimmed to the current step's radius and
+    /// classified against its bounds.
+    step_offsets: Vec<StepOffset>,
+    /// Cell-centre x of every column and y of every row (the
+    /// [`Grid::center`] formula, evaluated once per step instead of
+    /// twice per candidate).
+    xs: Vec<f64>,
+    ys: Vec<f64>,
     /// Fused per-offset transition scores of the f32 step plan.
     trans32: Vec<TransOffset32>,
     /// Offsets inside the annulus hard lower bound (f32 plan), kept so
@@ -1088,13 +1184,13 @@ pub fn viterbi_with_kernel(
     })
 }
 
-/// The optimized decoder core. Performs, per candidate, the *same*
-/// floating-point operations in the *same* order as
-/// [`viterbi_reference`] (the emission lookup returns the exact bits the
-/// reference recomputes), processes frontiers in the same canonical
-/// order, and applies the same membership/pruning rules — so its output
-/// is bit-for-bit identical; only the bookkeeping around the arithmetic
-/// differs.
+/// The optimized decoder core. Computes every candidate score with the
+/// bits [`viterbi_reference`] gets (the emission lookup returns the
+/// exact bits the reference recomputes; see `expand_f64` for the work
+/// it skips without changing a bit), processes frontiers in the same
+/// canonical order, and applies the same membership/pruning rules — so
+/// its output is bit-for-bit identical; only the bookkeeping around the
+/// arithmetic differs.
 #[allow(clippy::too_many_arguments)]
 fn decode_optimized(
     grid: &Grid,
@@ -1211,25 +1307,45 @@ struct StepCtx<'a> {
     config: &'a HmmConfig,
     obs: &'a StepObservation,
     emission: Option<&'a EmissionTable>,
+    /// Cell-centre x of every column and y of every row.
+    xs: &'a [f64],
+    ys: &'a [f64],
     exact_reach: f64,
     hard_min: f64,
     target: f64,
     dmax: f64,
 }
 
-/// The bit-exact `f64` expansion of one contiguous frontier range:
-/// per-candidate arithmetic identical to [`viterbi_reference`],
-/// operation for operation, writing dense maps under the first-wins
-/// strict-improvement rule. Runs over the whole frontier (sequential)
-/// or one chunk's range with chunk-local maps (parallel).
+/// The bit-exact `f64` expansion of one contiguous frontier range,
+/// writing dense maps under the first-wins strict-improvement rule.
+/// Runs over the whole frontier (sequential) or one chunk's range with
+/// chunk-local maps (parallel).
+///
+/// Every score and counter has the bits [`viterbi_reference`] computes,
+/// but two of its per-candidate libm calls are gone:
+///
+/// * the hyperbola term `w·|wrap_pi(meas − expected(to))|/π` depends on
+///   the target cell alone, so it is evaluated once, when `to` is first
+///   scored this step, into the `hyper` lane; later candidates for `to`
+///   read the same value back instead of redoing the `fmod`;
+/// * the distance tests take the step's per-offset classification
+///   whenever it has [`settled`](StepOffset::settled) the offset: an
+///   actual centre distance differs from the ideal one by far less than
+///   [`STENCIL_MARGIN_M`], so an ideal distance farther than that from
+///   every threshold decides each test the actual `d` would, and on
+///   directional steps nothing else reads `d` — no `hypot`. Still steps
+///   and offsets near a bound take the `hypot` as before.
+///
+/// All other arithmetic is the reference's, operation for operation.
 #[allow(clippy::too_many_arguments)]
 fn expand_f64(
     ctx: &StepCtx<'_>,
-    step_offsets: &[StencilOffset],
+    step_offsets: &[StepOffset],
     frontier_cells: &[u32],
     frontier_scores: &[f64],
     scores: &mut [f64],
     preds: &mut [u32],
+    hyper: &mut [f64],
     touched: &mut Vec<u32>,
     expansions: &mut u64,
     pruned_below_min: &mut u64,
@@ -1242,44 +1358,57 @@ fn expand_f64(
     for (i, &from) in frontier_cells.iter().enumerate() {
         let s_from = frontier_scores[i];
         let from_us = from as usize;
-        let ix0 = (from_us % grid.nx) as i64;
-        let iy0 = (from_us / grid.nx) as i64;
-        // Same formula `Grid::center` uses, with the (ix, iy) we
-        // already hold — identical bits, no div/mod per pair.
-        let c_from = Vec2::new(
-            grid.min.x + (ix0 as f64 + 0.5) * grid.cell_m,
-            grid.min.y + (iy0 as f64 + 0.5) * grid.cell_m,
-        );
+        let ix0 = from_us % grid.nx;
+        let iy0 = from_us / grid.nx;
+        let (x0, y0) = (ctx.xs[ix0], ctx.ys[iy0]);
         for off in step_offsets.iter() {
-            let ix = ix0 + off.dx as i64;
-            let iy = iy0 + off.dy as i64;
+            let ix = ix0 as i64 + off.dx as i64;
+            let iy = iy0 as i64 + off.dy as i64;
             if ix < 0 || iy < 0 || ix >= nx || iy >= ny {
                 continue;
             }
-            let to = iy as usize * grid.nx + ix as usize;
-            let c_to = Vec2::new(
-                grid.min.x + (ix as f64 + 0.5) * grid.cell_m,
-                grid.min.y + (iy as f64 + 0.5) * grid.cell_m,
-            );
-            let delta = c_to - c_from;
-            let d = delta.norm();
-            if d > ctx.exact_reach {
-                continue;
+            let (ix, iy) = (ix as usize, iy as usize);
+            let to = iy * grid.nx + ix;
+            // `c_to − c_from` on the centre bits `Grid::center` gives.
+            let delta = Vec2::new(ctx.xs[ix] - x0, ctx.ys[iy] - y0);
+            let (d, class) = if off.settled {
+                (off.ideal_dist_m, off.class)
+            } else {
+                let d = delta.norm();
+                (d, OffsetClass::of(d, ctx.exact_reach, ctx.hard_min))
+            };
+            match class {
+                OffsetClass::Beyond => continue,
+                OffsetClass::BelowMin => {
+                    *expansions += 1;
+                    *pruned_below_min += 1;
+                    continue;
+                }
+                OffsetClass::Scored => *expansions += 1,
             }
-            *expansions += 1;
-            if d < ctx.hard_min {
-                *pruned_below_min += 1;
-                continue;
+            // Scores are always finite, so NEG_INFINITY marks
+            // "untouched" on its own (same outcome as the
+            // reference's joint (score, pred) sentinel check).
+            let first = scores[to] == f64::NEG_INFINITY;
+            if first {
+                touched.push(to as u32);
             }
             let mut s = s_from;
             // Hyperbola term (Fig. 12(c)).
             if let Some(meas) = obs.dtheta21 {
-                let expected = match ctx.emission {
-                    Some(table) => table.expected(to),
-                    None => expected_dtheta21(c_to, ctx.antennas, config.wavelength_m),
-                };
-                let err = wrap_pi(meas - expected).abs() / std::f64::consts::PI;
-                s -= config.hyperbola_weight * err;
+                if first {
+                    let expected = match ctx.emission {
+                        Some(table) => table.expected(to),
+                        None => expected_dtheta21(
+                            Vec2::new(ctx.xs[ix], ctx.ys[iy]),
+                            ctx.antennas,
+                            config.wavelength_m,
+                        ),
+                    };
+                    let err = wrap_pi(meas - expected).abs() / std::f64::consts::PI;
+                    hyper[to] = config.hyperbola_weight * err;
+                }
+                s -= hyper[to];
             }
             // Distance-consistency term: decoded step length should
             // match the phase-measured displacement.
@@ -1298,13 +1427,7 @@ fn expand_f64(
                     }
                 }
             }
-            // Scores are always finite, so NEG_INFINITY marks
-            // "untouched" on its own (same outcome as the
-            // reference's joint (score, pred) sentinel check).
             let best = &mut scores[to];
-            if *best == f64::NEG_INFINITY {
-                touched.push(to as u32);
-            }
             if s > *best {
                 *best = s;
                 preds[to] = from;
@@ -1313,21 +1436,19 @@ fn expand_f64(
     }
 }
 
-/// Build the f32 kernel's per-step plan: for each prefilter-trimmed
-/// stencil offset, either the fused transition score (distance +
-/// direction + backward terms, none of which depend on the frontier
-/// cell — computed once in `f64` on the *ideal* offset geometry, cast
-/// once) or a rejection entry for offsets inside the annulus hard
-/// lower bound. Offsets beyond the step's reach are dropped entirely,
-/// mirroring the exact kernel's pre-count skip.
+/// Build the f32 kernel's per-step plan from the step's offset
+/// classification: each scored offset gets its fused transition score
+/// (distance + direction + backward terms, none of which depend on the
+/// frontier cell — computed once in `f64` on the *ideal* offset
+/// geometry, cast once), each offset inside the annulus hard lower
+/// bound a rejection entry, and offsets beyond the step's reach are
+/// dropped, mirroring the exact kernel's pre-count skip.
 #[allow(clippy::too_many_arguments)]
 fn build_f32_plan(
     config: &HmmConfig,
     obs: &StepObservation,
     cell_m: f64,
-    step_offsets: &[StencilOffset],
-    exact_reach: f64,
-    hard_min: f64,
+    step_offsets: &[StepOffset],
     target: f64,
     dmax: f64,
     trans32: &mut Vec<TransOffset32>,
@@ -1336,14 +1457,15 @@ fn build_f32_plan(
     trans32.clear();
     rejected32.clear();
     for off in step_offsets.iter() {
+        match off.class {
+            OffsetClass::Beyond => continue,
+            OffsetClass::BelowMin => {
+                rejected32.push((off.dx, off.dy));
+                continue;
+            }
+            OffsetClass::Scored => {}
+        }
         let d = off.ideal_dist_m;
-        if d > exact_reach {
-            continue;
-        }
-        if d < hard_min {
-            rejected32.push((off.dx, off.dy));
-            continue;
-        }
         let delta = Vec2::new(off.dx as f64 * cell_m, off.dy as f64 * cell_m);
         let mut s = 0.0f64;
         let (d_along, w_dist) = match obs.direction {
@@ -1429,6 +1551,15 @@ fn expand_f32(
     }
 }
 
+/// Grow a hyperbola-memo lane to `n` cells. An entry is only read after
+/// the same step wrote it, so the lane needs no initial value: a fresh
+/// zeroed allocation leaves its pages untouched until cells are scored.
+fn grow_hyper_lane(lane: &mut Vec<f64>, n: usize) {
+    if lane.len() < n {
+        *lane = vec![0.0; n];
+    }
+}
+
 /// One Viterbi step over the sparse beam frontier: scores every
 /// (frontier × stencil) candidate under the selected
 /// [`KernelOptions`], truncates to the (possibly adaptive) beam under
@@ -1471,8 +1602,11 @@ fn advance_frontier(
         scores,
         scores32,
         preds,
+        hyper,
         touched,
         step_offsets,
+        xs,
+        ys,
         trans32,
         rejected32,
         next_cells,
@@ -1496,26 +1630,22 @@ fn advance_frontier(
     let prefilter_reach = exact_reach + STENCIL_MARGIN_M;
 
     let si = cached_stencil(stencils, grid.cell_m, grid.radius_cells(max_r));
-    // Trim the stencil to this step's radius once, so the per-pair
-    // loop carries no prefilter branch.
-    step_offsets.clear();
-    step_offsets
-        .extend(stencils[si].offsets().iter().filter(|o| o.ideal_dist_m <= prefilter_reach));
+    // Trim the stencil to this step's radius and classify it once, so
+    // the per-pair loop carries no prefilter branch and both precisions
+    // read one classification.
+    // Settling trusts actual centre distances to stay within the margin
+    // of the ideal ones. Their error is a few ULPs of the board
+    // coordinates, so this holds for any board within tens of
+    // kilometres of the origin; checked here rather than assumed.
+    let coord_scale = grid.min.x.abs().max(grid.min.y.abs())
+        + (grid.nx.max(grid.ny) as f64 + 1.0) * grid.cell_m;
+    let settle = obs.direction.is_some()
+        && coord_scale * 64.0 * f64::EPSILON < STENCIL_MARGIN_M;
+    classify_offsets(&stencils[si], prefilter_reach, exact_reach, hard_min, settle, step_offsets);
 
     let f32_kernel = kernel.precision == KernelPrecision::F32Tolerance;
     let hyper32 = if f32_kernel {
-        build_f32_plan(
-            config,
-            obs,
-            grid.cell_m,
-            step_offsets,
-            exact_reach,
-            hard_min,
-            target,
-            dmax,
-            trans32,
-            rejected32,
-        );
+        build_f32_plan(config, obs, grid.cell_m, step_offsets, target, dmax, trans32, rejected32);
         obs.dtheta21.map(|m| {
             let table = emission32
                 .expect("f32 kernel callers resolve the cast emission table for hyperbola steps");
@@ -1524,12 +1654,20 @@ fn advance_frontier(
     } else {
         None
     };
+    if !f32_kernel {
+        xs.clear();
+        xs.extend(centre_coords(grid.min.x, grid.nx, grid.cell_m));
+        ys.clear();
+        ys.extend(centre_coords(grid.min.y, grid.ny, grid.cell_m));
+    }
     let ctx = StepCtx {
         grid,
         antennas,
         config,
         obs,
         emission,
+        xs,
+        ys,
         exact_reach,
         hard_min,
         target,
@@ -1541,8 +1679,13 @@ fn advance_frontier(
         if scores32.len() < n {
             scores32.resize(n, f32::NEG_INFINITY);
         }
-    } else if scores.len() < n {
-        scores.resize(n, f64::NEG_INFINITY);
+    } else {
+        if scores.len() < n {
+            scores.resize(n, f64::NEG_INFINITY);
+        }
+        if obs.dtheta21.is_some() {
+            grow_hyper_lane(hyper, n);
+        }
     }
     if preds.len() < n {
         preds.resize(n, u32::MAX);
@@ -1564,8 +1707,13 @@ fn advance_frontier(
                 if chunk.scores32.len() < n {
                     chunk.scores32.resize(n, f32::NEG_INFINITY);
                 }
-            } else if chunk.scores.len() < n {
-                chunk.scores.resize(n, f64::NEG_INFINITY);
+            } else {
+                if chunk.scores.len() < n {
+                    chunk.scores.resize(n, f64::NEG_INFINITY);
+                }
+                if obs.dtheta21.is_some() {
+                    grow_hyper_lane(&mut chunk.hyper, n);
+                }
             }
             if chunk.preds.len() < n {
                 chunk.preds.resize(n, u32::MAX);
@@ -1574,7 +1722,7 @@ fn advance_frontier(
         {
             let fc: &[u32] = frontier_cells;
             let fs: &[f64] = frontier_scores;
-            let so: &[StencilOffset] = step_offsets;
+            let so: &[StepOffset] = step_offsets;
             let t32: &[TransOffset32] = trans32;
             let r32: &[(i32, i32)] = rejected32;
             rf_core::parallel_for_each_mut(&mut chunks[..workers], workers, |chunk| {
@@ -1602,6 +1750,7 @@ fn advance_frontier(
                         cell_scores,
                         &mut chunk.scores,
                         &mut chunk.preds,
+                        &mut chunk.hyper,
                         &mut chunk.touched,
                         &mut chunk.expansions,
                         &mut chunk.pruned_below_min,
@@ -1673,6 +1822,7 @@ fn advance_frontier(
             frontier_scores,
             scores,
             preds,
+            hyper,
             touched,
             &mut stats.expansions,
             &mut stats.pruned_below_min,

@@ -59,11 +59,11 @@ pub struct PolarDrawConfig {
     pub smooth_output: bool,
     /// Smoother tuning.
     pub smoother: crate::smoother::SmootherConfig,
-    /// Extension (on by default; not in the paper): refine translational
+    /// Extension (off by default; not in the paper): refine translational
     /// direction by least-squares over both antennas' range rates
-    /// instead of snapping to the four Table 4 cardinals. Set `false`
-    /// for the strictly paper-faithful coarse-direction behaviour (the
-    /// ablation benches sweep this).
+    /// instead of snapping to the four Table 4 cardinals. The default
+    /// `false` is the strictly paper-faithful coarse-direction behaviour
+    /// (the ablation benches sweep this).
     pub refine_translation: bool,
     /// Gap bridging: an interior run of at least this many consecutive
     /// completely-empty windows (no reads on either antenna — a total

@@ -32,6 +32,14 @@ cargo build --release --offline --workspace --benches
 echo "== verify: offline test suite =="
 cargo test -q --offline --workspace --release
 
+echo "== verify: benchmark unit tests =="
+# e2e-bench is a package of its own (empty [workspace]), so the
+# workspace suite above never reaches it. Its unit tests pin the
+# percentile rule, open-loop pacing, span self-time accounting, the
+# recorded expected tables, and that its metric lists stay in sync
+# with BENCHMARK.json.
+cargo test -q --release --offline --manifest-path e2e-bench/Cargo.toml
+
 echo "== verify: golden traces + fault layer =="
 # Explicit tier-1 gates for the robustness layer (also part of the
 # workspace suite above; named here so a failure is unmissable and so
@@ -46,7 +54,9 @@ cargo test -q --offline --release -p rfid-sim faults
 echo "== verify: decode kernel equivalence =="
 # Explicit tier-1 gates for the vectorized beam kernels:
 # - tests/kernel_equivalence.rs pins the two precision contracts: the
-#   f64 SoA path bit-identical to viterbi_reference at threads 1/2/8,
+#   f64 SoA path bit-identical to viterbi_reference at threads 1/2/8
+#   (random scenarios, plus steps whose bounds land exactly on stencil
+#   distances, where scores and DecodeStats are pinned per step),
 #   and the f32 fast path inside the quantitative tolerance oracle
 #   (per-step best scores, glyph-trail Procrustes < 1 cm, fig13
 #   reduced-config letter-accuracy parity),

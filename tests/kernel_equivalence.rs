@@ -27,8 +27,8 @@
 use experiments::setup::{polardraw_config_for, simulate_reports, TrialSetup};
 use polardraw_core::distance::{expected_dtheta21, FeasibleRegion};
 use polardraw_core::hmm::{
-    viterbi_reference, viterbi_with_kernel, FixedLagDecoder, Grid, HmmConfig, KernelOptions,
-    KernelPrecision, StepObservation,
+    viterbi_reference, viterbi_with_kernel, DecodeStats, FixedLagDecoder, Grid, HmmConfig,
+    KernelOptions, KernelPrecision, StepObservation,
 };
 use polardraw_core::{OnlineOptions, OnlineTracker};
 use recognition::{procrustes_distance, LetterRecognizer};
@@ -135,6 +135,189 @@ fn exact_kernel_is_bit_identical_to_reference_across_threads() {
             assert_tracks_identical(&got, &want, &format!("{ctx} threads {threads}"));
         }
     });
+}
+
+/// Observations whose distance bounds land exactly on stencil
+/// distances. The exact kernel decides a candidate's distance tests
+/// from its offset's ideal distance unless that distance lies within
+/// the stencil margin of a bound, so these are the steps where a wrong
+/// margin would change which candidates are counted, pruned, or scored.
+/// Random bounds never come within 1e-9 of a stencil distance.
+fn bound_landing_steps(
+    grid: &Grid,
+    antennas: [Vec3; 2],
+    wavelength_m: f64,
+) -> Vec<StepObservation> {
+    let cell = grid.cell_m;
+    // The stencil's own ideal-distance formula.
+    let ideal = |dx: f64, dy: f64| f64::hypot(dx, dy) * cell;
+    let mut reaches = vec![
+        cell,
+        2.0 * cell,
+        3.0 * cell,
+        ideal(1.0, 1.0),
+        ideal(2.0, 1.0),
+        5.0 * cell,
+        ideal(3.0, 4.0),
+        // Below one cell: clamped to `max_r = cell`.
+        0.4 * cell,
+    ];
+    // Reaches whose exact membership bound `max_dist + 1e-12` lands on
+    // the stencil distance itself, not 1e-12 beyond it.
+    for k in [1.0, 2.0] {
+        reaches.push(k * cell - 1e-12);
+    }
+    reaches.push(ideal(1.0, 1.0) - 1e-12);
+    reaches.push(ideal(3.0, 4.0) - 1e-12);
+
+    let directions = [None, Some(Vec2::new(1.0, 0.0)), Some(Vec2::from_angle(2.3))];
+    let meas = Some(expected_dtheta21(grid.center(grid.len() / 3), antennas, wavelength_m));
+    let mut steps = Vec::new();
+    let mut k = 0usize;
+    let mut push = |steps: &mut Vec<StepObservation>, min_dist: f64, max_dist: f64| {
+        for direction in directions {
+            steps.push(StepObservation {
+                region: FeasibleRegion { min_dist, max_dist },
+                direction,
+                dtheta21: if k % 2 == 0 { meas } else { None },
+                target_dist: max_dist * [0.0, 0.5, 1.0][k % 3],
+            });
+            k += 1;
+        }
+    };
+    for &r in &reaches {
+        push(&mut steps, 0.0, r);
+    }
+    // Hard lower bounds `min_dist − 2·cell` on a stencil distance.
+    for (dx, dy) in [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (2.0, 0.0), (2.0, 1.0), (3.0, 4.0)] {
+        let d = ideal(dx, dy);
+        push(&mut steps, d + 2.0 * cell, d + cell);
+    }
+    steps
+}
+
+/// Pins the exact kernel on [`bound_landing_steps`] at threads 1/2/8:
+/// batch tracks bit-for-bit against `viterbi_reference`, and a
+/// `FixedLagDecoder` at infinite lag replayed step by step against
+/// [`replay_against_reference`] — every frontier score and every
+/// `DecodeStats` counter — with its tracks and counters equal to the
+/// batch decode's. Three boards (the paper's 2.5 mm cell at its board
+/// corner, and two off-grid cell sizes and origins), each started at an
+/// interior cell and at both board corners so candidates clip at every
+/// edge.
+#[test]
+fn exact_kernel_is_bit_identical_when_bounds_land_on_stencil_distances() {
+    let antennas = [Vec3::new(-0.25, 0.1, 0.6), Vec3::new(0.25, 0.1, 0.6)];
+    let boards = [
+        (Vec2::new(-0.45, 0.35), 0.0025),
+        (Vec2::new(-0.3137, 0.4219), 0.004),
+        (Vec2::new(0.0123, 0.3), 0.0071),
+    ];
+    for (min, cell) in boards {
+        let grid = Grid::covering(min, min + Vec2::new(32.0 * cell, 24.0 * cell), cell);
+        let config = HmmConfig { cell_m: cell, ..HmmConfig::default() };
+        let steps = bound_landing_steps(&grid, antennas, config.wavelength_m);
+        let corner = grid.center(grid.len() - 1);
+        for start in [grid.center(grid.len() / 2 + grid.nx / 3), grid.min, corner] {
+            for beam in [8usize, 2500] {
+                let want = viterbi_reference(&grid, antennas, start, &steps, &config, beam);
+                for threads in [1usize, 2, 8] {
+                    let ctx = format!("cell {cell} start {start:?} beam {beam} threads {threads}");
+                    let kernel = KernelOptions::exact().with_threads(threads);
+                    let (got, stats) =
+                        viterbi_with_kernel(&grid, antennas, start, &steps, &config, beam, kernel);
+                    assert_tracks_identical(&got, &want, &format!("{ctx} batch"));
+                    let mut dec =
+                        FixedLagDecoder::new(grid, antennas, start, config, beam, usize::MAX);
+                    dec.set_kernel(kernel);
+                    replay_against_reference(&mut dec, &grid, antennas, &config, &steps, &ctx);
+                    assert_eq!(dec.stats(), stats, "{ctx}: fixed-lag vs batch stats");
+                    assert_tracks_identical(&dec.finish(), &want, &format!("{ctx} fixed-lag"));
+                }
+            }
+        }
+    }
+}
+
+/// Steps `dec` through `steps`, checking each step against a brute-force
+/// rescoring of the decoder's own previous frontier with the
+/// reference's arithmetic: `Grid::neighbourhood` membership, an actual
+/// centre-distance `hypot` per candidate, the hyperbola term
+/// recomputed per candidate, no stencil classification. Every kept
+/// cell's score must match the best rescored candidate bit for bit,
+/// and every `DecodeStats` counter must match the recount.
+fn replay_against_reference(
+    dec: &mut FixedLagDecoder,
+    grid: &Grid,
+    antennas: [Vec3; 2],
+    config: &HmmConfig,
+    steps: &[StepObservation],
+    ctx: &str,
+) {
+    let mut want = dec.stats();
+    for (k, obs) in steps.iter().enumerate() {
+        let frontier = dec.frontier();
+        want.steps += 1;
+        want.total_frontier += frontier.len() as u64;
+        want.max_frontier = want.max_frontier.max(frontier.len());
+        let max_r = obs.region.max_dist.max(grid.cell_m);
+        let target = obs.target_dist.min(obs.region.max_dist);
+        let hard_min = obs.region.min_dist - 2.0 * grid.cell_m;
+        let mut best = std::collections::BTreeMap::new();
+        for &(from, s_from) in &frontier {
+            let c_from = grid.center(from as usize);
+            for to in grid.neighbourhood(from as usize, max_r) {
+                want.expansions += 1;
+                let c_to = grid.center(to);
+                let delta = c_to - c_from;
+                let d = delta.norm();
+                if d < hard_min {
+                    want.pruned_below_min += 1;
+                    continue;
+                }
+                let mut s = s_from;
+                if let Some(meas) = obs.dtheta21 {
+                    let expected = expected_dtheta21(c_to, antennas, config.wavelength_m);
+                    let err = rf_core::wrap_pi(meas - expected).abs() / std::f64::consts::PI;
+                    s -= config.hyperbola_weight * err;
+                }
+                let (d_along, w_dist) = match obs.direction {
+                    Some(dir) => (dir.dot(delta), config.distance_weight),
+                    None => (d, config.distance_weight_still),
+                };
+                s -= w_dist * ((d_along - target).abs() / max_r).min(2.0);
+                if let Some(dir) = obs.direction {
+                    if d > 1e-12 {
+                        s -= config.direction_weight * (dir.cross(delta).abs() / max_r).min(2.0);
+                        if dir.dot(delta) < 0.0 {
+                            s -= config.backward_penalty;
+                        }
+                    }
+                }
+                let e = best.entry(to as u32).or_insert(f64::NEG_INFINITY);
+                if s > *e {
+                    *e = s;
+                }
+            }
+        }
+        if best.is_empty() {
+            want.carried_steps += 1;
+        } else {
+            want.touched_cells += best.len() as u64;
+            want.pruned_beam += best.len().saturating_sub(dec.beam_width()) as u64;
+        }
+        dec.step(obs);
+        if !best.is_empty() {
+            for (cell, score) in dec.frontier() {
+                assert_eq!(
+                    score.to_bits(),
+                    best[&cell].to_bits(),
+                    "{ctx}: step {k} cell {cell} score differs from the rescored reference"
+                );
+            }
+        }
+        assert_eq!(dec.stats(), want, "{ctx}: step {k} stats differ from the recount");
+    }
 }
 
 // ---------------------------------------------------------------------
