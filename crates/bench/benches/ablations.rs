@@ -43,7 +43,7 @@ fn main() {
         });
     }
 
-    // Beam width is exercised through `viterbi_beam` in the components
+    // Beam width is exercised through `hmm::decode` in the decode
     // bench; assert here (cheaply, once) that the default stays within
     // the range the accuracy sweeps were tuned for.
     assert!((500..=10_000).contains(&DEFAULT_BEAM_WIDTH));

@@ -77,7 +77,7 @@ fn main() {
             per_link_emission(&grid, cfg.antennas, lambda)
         });
         bench.bench(&format!("channel/emission/batch/{cell_label}"), || {
-            EmissionTable::build(&grid, cfg.antennas, lambda)
+            EmissionTable::build(&grid, cfg.antennas, lambda, 1)
         });
         bench.bench(&format!("channel/emission/batch_f32/{cell_label}"), || {
             EmissionTableF32::build_direct(&grid, cfg.antennas, lambda, 1)

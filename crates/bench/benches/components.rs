@@ -4,7 +4,9 @@
 
 use polardraw_bench::harness::Bench;
 use polardraw_bench::letter_reports;
-use polardraw_core::hmm::{viterbi, Grid, HmmConfig, StepObservation};
+use polardraw_core::hmm::{
+    decode, Grid, HmmConfig, KernelOptions, StepObservation, DEFAULT_BEAM_WIDTH,
+};
 use polardraw_core::preprocess::{preprocess, PreprocessConfig};
 use rf_core::{Vec2, Vec3};
 use rf_physics::ChannelModel;
@@ -62,7 +64,9 @@ fn main() {
         })
         .collect();
     bench.bench("polardraw/viterbi_100_steps", || {
-        viterbi(&grid, rig, Vec2::new(0.0, 0.7), &steps, &HmmConfig::default())
+        let cfg = HmmConfig::default();
+        let start = Vec2::new(0.0, 0.7);
+        decode(&grid, rig, start, &steps, &cfg, DEFAULT_BEAM_WIDTH, KernelOptions::exact())
     });
 
     bench.bench("rfid/inventory_one_letter_session", || letter_reports('I', 9));

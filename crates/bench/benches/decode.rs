@@ -1,4 +1,4 @@
-//! Viterbi decode throughput: the optimized beam decoder across a
+//! Viterbi decode throughput: the beam decoder (`hmm::decode`) across a
 //! (cell size × beam width × step count) matrix, plus the retained
 //! naive reference at matching workloads so the speedup is measured,
 //! not asserted.
@@ -25,8 +25,7 @@
 use polardraw_bench::harness::Bench;
 use polardraw_core::distance::FeasibleRegion;
 use polardraw_core::hmm::{
-    viterbi_beam, viterbi_reference, viterbi_with_kernel, viterbi_with_stats, FixedLagDecoder,
-    Grid, HmmConfig, KernelOptions, StepObservation,
+    decode, viterbi_reference, FixedLagDecoder, Grid, HmmConfig, KernelOptions, StepObservation,
 };
 use polardraw_core::PolarDrawConfig;
 use rf_core::Vec2;
@@ -59,7 +58,7 @@ fn main() {
         let config = HmmConfig { cell_m, ..hmm };
         for beam in [500usize, 2500] {
             bench.bench(&format!("decode/opt/{cell_label}/beam{beam}/steps100"), || {
-                viterbi_with_kernel(
+                decode(
                     &grid,
                     cfg.antennas,
                     cfg.start_hint,
@@ -80,11 +79,19 @@ fn main() {
         let grid = Grid::covering(cfg.board_min, cfg.board_max, 0.0025);
         let config = HmmConfig { cell_m: 0.0025, ..hmm };
         bench.bench("decode/exact/cell2.5mm/beam2500/steps100", || {
-            viterbi_beam(&grid, cfg.antennas, cfg.start_hint, &steps100, &config, 2500)
+            decode(
+                &grid,
+                cfg.antennas,
+                cfg.start_hint,
+                &steps100,
+                &config,
+                2500,
+                KernelOptions::exact(),
+            )
         });
         let f32_only = KernelOptions::fast().with_adaptive(None);
         bench.bench("decode/f32/cell2.5mm/beam2500/steps100", || {
-            viterbi_with_kernel(
+            decode(
                 &grid,
                 cfg.antennas,
                 cfg.start_hint,
@@ -104,7 +111,7 @@ fn main() {
         for n in [25usize, 400] {
             let steps = make_steps(n);
             bench.bench(&format!("decode/opt/cell5mm/beam2500/steps{n}"), || {
-                viterbi_with_kernel(
+                decode(
                     &grid,
                     cfg.antennas,
                     cfg.start_hint,
@@ -164,8 +171,15 @@ fn main() {
     // just how long it took.
     {
         let grid = Grid::covering(cfg.board_min, cfg.board_max, 0.0025);
-        let (_, stats) =
-            viterbi_with_stats(&grid, cfg.antennas, cfg.start_hint, &steps100, &hmm, 2500);
+        let (_, stats) = decode(
+            &grid,
+            cfg.antennas,
+            cfg.start_hint,
+            &steps100,
+            &hmm,
+            2500,
+            KernelOptions::exact(),
+        );
         bench.note(format!(
             "decode/exact/cell2.5mm/beam2500/steps100 work: {} expansions, {} touched cells, \
              {} beam-pruned, {} below-min, mean frontier {:.0}, max frontier {}, \
@@ -179,7 +193,7 @@ fn main() {
             stats.carried_steps,
             stats.steps,
         ));
-        let (_, fstats) = viterbi_with_kernel(
+        let (_, fstats) = decode(
             &grid,
             cfg.antennas,
             cfg.start_hint,

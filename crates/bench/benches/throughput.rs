@@ -27,7 +27,8 @@
 //! * `serve/coldstart/emission_*` — the shared-artifact build a
 //!   fleet's FIRST session pays (everyone after gets the cached
 //!   `Arc`): the ~33k-cell paper-fidelity emission table, sequential
-//!   vs `EmissionTable::build_parallel` at 2 and 8 threads.
+//!   vs `EmissionTable::build` on exactly 2 and 8 row-band workers (no
+//!   host clamp, so the rows measure the fan-out itself).
 
 use experiments::setup::{polardraw_config_for, simulate_reports, TrialSetup};
 use polardraw_bench::harness::Bench;
@@ -136,11 +137,11 @@ fn main() {
     // pays; every later session on the rig shares the cached Arc.
     let grid = Grid::covering(cfg.board_min, cfg.board_max, cfg.hmm.cell_m);
     bench.bench("serve/coldstart/emission_seq", || {
-        EmissionTable::build(&grid, cfg.antennas, cfg.hmm.wavelength_m)
+        EmissionTable::build(&grid, cfg.antennas, cfg.hmm.wavelength_m, 1)
     });
     for threads in [2usize, 8] {
         bench.bench(&format!("serve/coldstart/emission_par{threads}"), || {
-            EmissionTable::build_parallel(&grid, cfg.antennas, cfg.hmm.wavelength_m, threads)
+            EmissionTable::build(&grid, cfg.antennas, cfg.hmm.wavelength_m, threads)
         });
     }
 

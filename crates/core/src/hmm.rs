@@ -34,14 +34,17 @@
 //!   [`Grid::neighbourhood`] `Vec` allocation with a radius-keyed table
 //!   of `(dx, dy, ideal distance)` offsets; boundary clipping is pure
 //!   index arithmetic.
-//! * Backpointers live in flat `Vec<u32>` frames instead of a per-step
-//!   `HashMap`, beam truncation uses `select_nth_unstable_by` instead of
-//!   a full sort, and every buffer lives in a reusable
-//!   [`DecoderScratch`] (one per thread by default) so steady-state
-//!   decodes allocate nothing but the returned track.
+//! * Backpointers live in flat per-step [`BeamFrame`]s instead of a
+//!   per-step `HashMap`, beam truncation uses `select_nth_unstable_by`
+//!   instead of a full sort, and the dense per-cell lanes live in the
+//!   decoder and are reset through a touched list, so once they have
+//!   grown a step allocates nothing but its frame (recycled from a pool
+//!   once the lag starts committing).
 //!
-//! The optimized decoder is kept *exactly* output-equivalent to the
-//! retained naive implementation, [`viterbi_reference`]: every score it
+//! There is one driver, [`FixedLagDecoder`]; the batch entry [`decode`]
+//! is that decoder run with unbounded lag. It is kept *exactly*
+//! output-equivalent to the retained naive implementation,
+//! [`viterbi_reference`]: every score it
 //! computes carries the reference's bits (work the reference repeats per
 //! candidate is done once where its result cannot differ — see
 //! `expand_f64`), and both share one canonical beam total order (score
@@ -66,7 +69,6 @@
 
 use crate::distance::{expected_dtheta21, DthetaRowKernel, DthetaRowKernelF32, FeasibleRegion};
 use rf_core::{wrap_pi, Vec2, Vec3};
-use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -138,8 +140,8 @@ impl Grid {
     /// extra ring that could never pass the distance check), in the same
     /// row-major order, with the same `≤ radius + 1e-12` membership
     /// rule — so results are identical, minus the redundant ring. The
-    /// decoder hot path uses cached stencils via [`DecoderScratch`]
-    /// instead of this allocating convenience method.
+    /// decoder hot path reads [`shared_stencil`]s instead of this
+    /// allocating convenience method.
     pub fn neighbourhood(&self, from: usize, radius: f64) -> Vec<usize> {
         let stencil = AnnulusStencil::new(self.cell_m, self.radius_cells(radius));
         let c = self.center(from);
@@ -209,7 +211,7 @@ pub struct HmmConfig {
     pub distance_weight_still: f64,
 }
 
-/// Beam width for the sparse Viterbi frontier (see [`viterbi`]).
+/// Beam width for the sparse Viterbi frontier (see [`decode`]).
 pub const DEFAULT_BEAM_WIDTH: usize = 2500;
 
 impl Default for HmmConfig {
@@ -300,118 +302,39 @@ impl AnnulusStencil {
 /// term depends only on the cell centre, the antenna positions, and the
 /// wavelength, so one table (two 3-D norms per cell, built once) serves
 /// every (frontier × candidate) pair of every decode on the same rig.
-/// Values are the *exact* bits `expected_dtheta21` returns.
+/// Values are the *exact* bits `expected_dtheta21` returns. The rig key
+/// lives in the [`DecodeArtifacts`] entry that owns the table.
 #[derive(Debug, Clone)]
 pub struct EmissionTable {
-    grid: Grid,
-    antennas: [Vec3; 2],
-    wavelength_m: f64,
     values: Vec<f64>,
 }
 
 impl EmissionTable {
-    /// Precompute the expected Δθ²¹ for every cell of `grid`.
+    /// Precompute the expected Δθ²¹ for every cell of `grid`, on
+    /// `workers` contiguous row bands (clamped to the row count).
     ///
     /// Runs row-batched over the SoA distance kernels
     /// ([`DthetaRowKernel`]): the cell-centre x coordinates are
     /// materialized once, each row hoists its `Δy²`/`Δz²` terms, and
     /// the per-cell `idx → (ix, iy)` divmod of [`Grid::center`]
-    /// disappears entirely. Every cell's value is still **bit-identical**
-    /// to `expected_dtheta21(grid.center(idx), …)` — the row kernel's
-    /// contract, pinned by `emission_table_matches_direct_computation`
-    /// below and `tests/channel_batch.rs`.
-    pub fn build(grid: &Grid, antennas: [Vec3; 2], wavelength_m: f64) -> EmissionTable {
-        let mut values = vec![0.0; grid.len()];
-        if grid.nx > 0 {
-            let xs = grid_xs(grid);
-            let mut kernel = DthetaRowKernel::new();
-            for (iy, row) in values.chunks_mut(grid.nx).enumerate() {
-                let y = grid.min.y + (iy as f64 + 0.5) * grid.cell_m;
-                kernel.row(&xs, y, antennas, wavelength_m, row);
-            }
-        }
-        EmissionTable { grid: *grid, antennas, wavelength_m, values }
-    }
-
-    /// [`build`](Self::build) with the per-cell trig fanned out across
-    /// grid rows on up to `threads` scoped workers
-    /// ([`rf_core::parallel_map`]). Every cell's value is computed by
-    /// the same call on the same inputs and rows are merged back in
-    /// row-major order, so the result is **bit-for-bit identical** to
-    /// the sequential build at any thread count — only the first
-    /// session's cold-start wall time changes.
-    ///
-    /// The requested worker count is a *ceiling*, not a contract: it is
-    /// clamped through [`build_threads_for`], so on a low-core host (or
-    /// for a table too small to amortize thread spawns) the build falls
-    /// back to the plain sequential loop instead of paying scope-spawn
-    /// overhead for no parallelism — the cold-start regression
-    /// BENCH_throughput.json used to carry (0.62× @8 threads on 1
-    /// core). Benches that want to measure the fan-out itself use
-    /// [`build_with_workers`](Self::build_with_workers).
-    pub fn build_parallel(
-        grid: &Grid,
-        antennas: [Vec3; 2],
-        wavelength_m: f64,
-        threads: usize,
-    ) -> EmissionTable {
-        let available =
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let workers = build_threads_for(threads, available, grid.len());
-        EmissionTable::build_with_workers(grid, antennas, wavelength_m, workers)
-    }
-
-    /// The row-parallel build with an *exact* worker count — no
-    /// host-parallelism or table-size fallback. This is the primitive
-    /// [`build_parallel`](Self::build_parallel) dispatches to after its
-    /// [`build_threads_for`] clamp; tests use it to pin bit-identity at
-    /// forced worker counts and benches to measure the true fan-out
-    /// cost on any host.
-    pub fn build_with_workers(
+    /// disappears entirely. Every cell's value is **bit-identical** to
+    /// `expected_dtheta21(grid.center(idx), …)` at any worker count —
+    /// the row kernel's contract, pinned by
+    /// `emission_table_matches_direct_computation` below and
+    /// `tests/channel_batch.rs`.
+    pub fn build(
         grid: &Grid,
         antennas: [Vec3; 2],
         wavelength_m: f64,
         workers: usize,
     ) -> EmissionTable {
-        if workers.max(1) == 1 || grid.ny < 2 || grid.nx == 0 {
-            return EmissionTable::build(grid, antennas, wavelength_m);
-        }
-        // Contiguous row bands written through disjoint `&mut` slices of
-        // one preallocated buffer — no per-row `Vec` churn, no merge
-        // copy (the 1.15×-at-2-threads ceiling the old
-        // `parallel_map`-of-rows fan-out carried). Each cell's value
-        // never depends on its band, so the result stays bit-identical
-        // to the sequential build at any worker count.
-        let nx = grid.nx;
-        let workers = workers.min(grid.ny);
-        let xs = grid_xs(grid);
-        let mut values = vec![0.0; grid.len()];
-        let mut bands: Vec<(usize, &mut [f64])> = Vec::with_capacity(workers);
-        let mut rest: &mut [f64] = values.as_mut_slice();
-        for w in 0..workers {
-            let (lo, hi) = rf_core::chunk_bounds(grid.ny, workers, w);
-            let (band, tail) = rest.split_at_mut((hi - lo) * nx);
-            rest = tail;
-            bands.push((lo, band));
-        }
-        std::thread::scope(|scope| {
-            for (lo, band) in bands {
-                let xs = &xs;
-                scope.spawn(move || {
-                    let mut kernel = DthetaRowKernel::new();
-                    for (r, row) in band.chunks_mut(nx).enumerate() {
-                        let y = grid.min.y + ((lo + r) as f64 + 0.5) * grid.cell_m;
-                        kernel.row(xs, y, antennas, wavelength_m, row);
-                    }
-                });
+        let values = build_rows(grid, workers, || {
+            let mut kernel = DthetaRowKernel::new();
+            move |xs: &[f64], y: f64, row: &mut [f64]| {
+                kernel.row(xs, y, antennas, wavelength_m, row)
             }
         });
-        EmissionTable { grid: *grid, antennas, wavelength_m, values }
-    }
-
-    /// Whether this table was built for exactly this rig.
-    pub fn matches(&self, grid: &Grid, antennas: [Vec3; 2], wavelength_m: f64) -> bool {
-        self.grid == *grid && self.antennas == antennas && self.wavelength_m == wavelength_m
+        EmissionTable { values }
     }
 
     /// The cached `expected_dtheta21` of a cell.
@@ -448,53 +371,24 @@ impl EmissionTableF32 {
     }
 
     /// Build the `f32` table *directly* over the single-precision row
-    /// kernels ([`DthetaRowKernelF32`]) — no `f64` table first, and the
-    /// distance sqrts run with twice the SIMD lanes. This is the
-    /// `F32Tolerance`-tier build: per-cell values differ from the
-    /// [`from_table`](Self::from_table) cast by ≲ 1e-5 rad (wrap-aware),
-    /// gated by the emission-delta + fig13 letter-parity oracle in
-    /// `tests/channel_batch.rs`. Opt-in only — the cast remains the
-    /// spec and the default; nothing routes here except
-    /// [`DecodeArtifacts::prewarm_f32_direct`] and the benches.
+    /// kernels ([`DthetaRowKernelF32`]) on `workers` row bands — no
+    /// `f64` table first, and the distance sqrts run with twice the SIMD
+    /// lanes. This is the `F32Tolerance`-tier build: per-cell values
+    /// differ from the [`from_table`](Self::from_table) cast by ≲ 1e-5
+    /// rad (wrap-aware), gated by the emission-delta + fig13
+    /// letter-parity oracle in `tests/channel_batch.rs`. Opt-in only —
+    /// the cast remains the spec and the default; nothing routes here
+    /// except [`DecodeArtifacts::prewarm_f32_direct`] and the benches.
     pub fn build_direct(
         grid: &Grid,
         antennas: [Vec3; 2],
         wavelength_m: f64,
         workers: usize,
     ) -> EmissionTableF32 {
-        let mut values = vec![0.0f32; grid.len()];
-        if grid.nx == 0 {
-            return EmissionTableF32 { values };
-        }
-        let nx = grid.nx;
-        let xs = grid_xs(grid);
-        let workers = workers.max(1).min(grid.ny.max(1));
-        if workers == 1 || grid.ny < 2 {
+        let values = build_rows(grid, workers, || {
             let mut kernel = DthetaRowKernelF32::new();
-            for (iy, row) in values.chunks_mut(nx).enumerate() {
-                let y = grid.min.y + (iy as f64 + 0.5) * grid.cell_m;
-                kernel.row(&xs, y, antennas, wavelength_m, row);
-            }
-            return EmissionTableF32 { values };
-        }
-        let mut bands: Vec<(usize, &mut [f32])> = Vec::with_capacity(workers);
-        let mut rest: &mut [f32] = values.as_mut_slice();
-        for w in 0..workers {
-            let (lo, hi) = rf_core::chunk_bounds(grid.ny, workers, w);
-            let (band, tail) = rest.split_at_mut((hi - lo) * nx);
-            rest = tail;
-            bands.push((lo, band));
-        }
-        std::thread::scope(|scope| {
-            for (lo, band) in bands {
-                let xs = &xs;
-                scope.spawn(move || {
-                    let mut kernel = DthetaRowKernelF32::new();
-                    for (r, row) in band.chunks_mut(nx).enumerate() {
-                        let y = grid.min.y + ((lo + r) as f64 + 0.5) * grid.cell_m;
-                        kernel.row(xs, y, antennas, wavelength_m, row);
-                    }
-                });
+            move |xs: &[f64], y: f64, row: &mut [f32]| {
+                kernel.row(xs, y, antennas, wavelength_m, row)
             }
         });
         EmissionTableF32 { values }
@@ -522,7 +416,7 @@ impl EmissionTableF32 {
 ///
 /// Keyed by the config fingerprint that determines every cached value:
 /// the grid (board extent + cell size), the two antenna positions, and
-/// the wavelength — exactly the fields [`EmissionTable::matches`]
+/// the wavelength — exactly the fields [`matches`](Self::matches)
 /// checks, and a subset of the fingerprint `polardraw.online.checkpoint.v1`
 /// stores, so any checkpoint that restores against a config resolves to
 /// the same artifact entry the original session used. The emission
@@ -540,8 +434,7 @@ pub struct DecodeArtifacts {
 }
 
 impl DecodeArtifacts {
-    /// Whether this entry was built for exactly this rig (same
-    /// equality rule as [`EmissionTable::matches`]).
+    /// Whether this entry was built for exactly this rig.
     pub fn matches(&self, grid: &Grid, antennas: [Vec3; 2], wavelength_m: f64) -> bool {
         self.grid == *grid && self.antennas == antennas && self.wavelength_m == wavelength_m
     }
@@ -549,14 +442,19 @@ impl DecodeArtifacts {
     /// The shared emission table, building it (row-parallel, bit-identical
     /// to the sequential build) on first use. Concurrent first callers
     /// race benignly: `OnceLock` keeps exactly one winner's table.
+    ///
+    /// The build uses up to 8 workers — it is a few ms of trig, more
+    /// workers is all spawn overhead — clamped to the host, and runs
+    /// sequentially below `PARALLEL_BUILD_MIN_CELLS`. Fanning out past
+    /// the hardware only adds spawn cost: before this clamp the 8-worker
+    /// build ran at 0.62× sequential on a 1-core host.
     pub fn emission(&self) -> &Arc<EmissionTable> {
         self.emission.get_or_init(|| {
-            Arc::new(EmissionTable::build_parallel(
-                &self.grid,
-                self.antennas,
-                self.wavelength_m,
-                auto_build_threads(self.grid.len()),
-            ))
+            let available =
+                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+            let workers =
+                if self.grid.len() < PARALLEL_BUILD_MIN_CELLS { 1 } else { available.min(8) };
+            Arc::new(EmissionTable::build(&self.grid, self.antennas, self.wavelength_m, workers))
         })
     }
 
@@ -612,41 +510,53 @@ fn centre_coords(min: f64, n: usize, cell_m: f64) -> impl Iterator<Item = f64> {
     (0..n).map(move |i| min + (i as f64 + 0.5) * cell_m)
 }
 
-/// The cell-centre x coordinates of every column — the shared SoA
-/// input of the row-batched emission builds.
-fn grid_xs(grid: &Grid) -> Vec<f64> {
-    centre_coords(grid.min.x, grid.nx, grid.cell_m).collect()
+/// Fill a per-cell table row by row on `workers` contiguous row bands
+/// (clamped to `1..=ny`). `make_row` gives each band its own row writer,
+/// called as `row(xs, y, out)` with the cell-centre x of every column,
+/// the row's centre y, and the row's slice of the table. Bands are
+/// disjoint `&mut` slices of one buffer — no per-row `Vec`, no merge
+/// copy — and a cell's value never depends on its band, so the table
+/// is the same at any worker count.
+fn build_rows<T, R>(grid: &Grid, workers: usize, make_row: impl Fn() -> R + Sync) -> Vec<T>
+where
+    T: Copy + Default + Send,
+    R: FnMut(&[f64], f64, &mut [T]),
+{
+    let nx = grid.nx;
+    let mut values = vec![T::default(); grid.len()];
+    if nx == 0 {
+        return values;
+    }
+    let xs: Vec<f64> = centre_coords(grid.min.x, nx, grid.cell_m).collect();
+    let fill = |lo: usize, band: &mut [T]| {
+        let mut row = make_row();
+        for (r, out) in band.chunks_mut(nx).enumerate() {
+            row(&xs, grid.min.y + ((lo + r) as f64 + 0.5) * grid.cell_m, out);
+        }
+    };
+    let workers = workers.clamp(1, grid.ny.max(1));
+    if workers == 1 {
+        fill(0, &mut values);
+        return values;
+    }
+    std::thread::scope(|scope| {
+        let mut rest = values.as_mut_slice();
+        for w in 0..workers {
+            let (lo, hi) = rf_core::chunk_bounds(grid.ny, workers, w);
+            let (band, tail) = std::mem::take(&mut rest).split_at_mut((hi - lo) * nx);
+            rest = tail;
+            let fill = &fill;
+            scope.spawn(move || fill(lo, band));
+        }
+    });
+    values
 }
 
 /// Cells below which the row-parallel emission build cannot amortize
 /// its scoped thread spawns: a ~33k-cell letter-rig table builds in
 /// well under a millisecond sequentially, the same order as spawning a
 /// worker.
-pub const PARALLEL_BUILD_MIN_CELLS: usize = 32_768;
-
-/// The worker count the emission-table build actually uses, given a
-/// `requested` thread budget, a host with `available` parallelism, and
-/// a `cells`-cell table. Sequential (1) whenever the table is too small
-/// to amortize a spawn; otherwise the request, clamped to the host —
-/// fanning out past the hardware only adds spawn overhead, which is the
-/// cold-start regression BENCH_throughput.json recorded before this
-/// clamp (parallel build 0.62× sequential at 8 requested threads on a
-/// 1-core host). Unit-tested directly; [`EmissionTable::build_parallel`]
-/// feeds it the live `available_parallelism`.
-pub fn build_threads_for(requested: usize, available: usize, cells: usize) -> usize {
-    if cells < PARALLEL_BUILD_MIN_CELLS {
-        return 1;
-    }
-    requested.max(1).min(available.max(1))
-}
-
-/// Worker count for the auto-built (artifact-cache) emission table: up
-/// to 8 — the build is a few ms of trig, more workers is all spawn
-/// overhead — clamped by host parallelism and table size.
-fn auto_build_threads(cells: usize) -> usize {
-    let available = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    build_threads_for(8, available, cells)
-}
+const PARALLEL_BUILD_MIN_CELLS: usize = 32_768;
 
 /// Cap on distinct rigs retained by the process-wide artifact cache.
 /// Real deployments see one rig (or a handful); experiment sweeps churn
@@ -660,8 +570,8 @@ fn artifact_cache() -> &'static Mutex<Vec<Arc<DecodeArtifacts>>> {
 }
 
 /// The process-wide [`DecodeArtifacts`] entry for a rig, creating it on
-/// first sight. Every decoder (batch scratch, [`FixedLagDecoder`],
-/// every serve-pool session) resolves its rig through here, so all of
+/// first sight. Every [`FixedLagDecoder`] (so every batch [`decode`]
+/// and every serve-pool session) resolves its rig through here, so all of
 /// them end up holding the *same* `Arc` — `Arc::strong_count` on the
 /// returned entry counts the sessions sharing it (plus the cache's own
 /// reference), which is what `tests/serve.rs` asserts for the
@@ -697,8 +607,8 @@ fn stencil_store() -> &'static Mutex<Vec<Arc<AnnulusStencil>>> {
 
 /// The process-wide shared stencil for `(cell_m, r_cells)`, building it
 /// on first sight. Stencils are pure functions of their key, so every
-/// scratch and every session on every thread shares one copy per radius
-/// key instead of rebuilding (and separately storing) it per scratch.
+/// decoder on every thread shares one copy per radius key instead of
+/// rebuilding (and separately storing) it per decoder.
 pub fn shared_stencil(cell_m: f64, r_cells: i32) -> Arc<AnnulusStencil> {
     let r_cells = r_cells.max(0);
     let mut store = stencil_store().lock().expect("stencil store poisoned");
@@ -716,7 +626,8 @@ pub fn shared_stencil(cell_m: f64, r_cells: i32) -> Arc<AnnulusStencil> {
     s
 }
 
-/// Work counters from one decode, returned by [`viterbi_with_stats`]:
+/// Work counters from one decode, returned by [`decode`] and
+/// [`FixedLagDecoder::stats`]:
 /// how much the decoder actually did, not just how long it took.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DecodeStats {
@@ -754,7 +665,7 @@ impl DecodeStats {
     }
 }
 
-/// Cap on the process-wide shared stencil store (and on each scratch's
+/// Cap on the process-wide shared stencil store (and on each decoder's
 /// local memo of `Arc`s into it); decodes see a handful of distinct
 /// radii, so this is only a guard against pathological inputs.
 const STENCIL_CACHE_CAP: usize = 64;
@@ -977,10 +888,9 @@ struct ChunkScratch {
     pruned_below_min: u64,
 }
 
-/// Buffers of one beam step, shared by the batch scratch and the
-/// streaming decoder (each owns one). Split out so `advance_frontier`
-/// can borrow the whole kit in one piece alongside its owner's frontier
-/// and backpointer buffers.
+/// Buffers of one beam step, owned by the decoder. Split out so
+/// `advance_frontier` can borrow the whole kit in one piece alongside
+/// the decoder's frontier and the frame it fills.
 #[derive(Debug, Default)]
 struct KernelScratch {
     /// Dense per-cell best score this step (`F64Exact`), reset via
@@ -1019,52 +929,10 @@ struct KernelScratch {
     stencils: Vec<Arc<AnnulusStencil>>,
 }
 
-/// Reusable decode buffers and caches. [`viterbi_beam`] keeps one per
-/// thread automatically; long-running callers (benches, servers) can
-/// hold their own via [`viterbi_with_scratch`] so steady-state decodes
-/// allocate nothing but the returned track. Also carries the scratch's
-/// sticky [`KernelOptions`] selection (see [`set_kernel`](Self::set_kernel)).
-#[derive(Debug, Default)]
-pub struct DecoderScratch {
-    /// Kernel configuration decodes through this scratch use.
-    kernel: KernelOptions,
-    /// Step-kernel buffers (dense maps, stencil trims, chunk slots).
-    ks: KernelScratch,
-    /// Current frontier, canonically ordered: cells …
-    frontier_cells: Vec<u32>,
-    /// … and their path scores, index-parallel (SoA).
-    frontier_scores: Vec<f64>,
-    /// Flat backpointer frames: cells …
-    bp_cells: Vec<u32>,
-    /// … their best predecessors …
-    bp_prevs: Vec<u32>,
-    /// … and each step's exclusive end offset into the two above.
-    frame_ends: Vec<u32>,
-    /// Shared artifacts of the rig this scratch last decoded.
-    artifacts: Option<Arc<DecodeArtifacts>>,
-}
-
-impl DecoderScratch {
-    /// Fresh, empty scratch (bit-exact default kernel).
-    pub fn new() -> DecoderScratch {
-        DecoderScratch::default()
-    }
-
-    /// The kernel decodes through this scratch use.
-    pub fn kernel(&self) -> KernelOptions {
-        self.kernel
-    }
-
-    /// Select the kernel for subsequent decodes through this scratch.
-    pub fn set_kernel(&mut self, kernel: KernelOptions) {
-        self.kernel = kernel;
-    }
-}
-
 /// Find the locally memoized handle for `(cell_m, r_cells)`, going to
 /// the process-wide [`shared_stencil`] store on a local miss — repeated
 /// radius keys across sessions and trials are deduplicated once, not
-/// per scratch.
+/// per decoder.
 fn cached_stencil(stencils: &mut Vec<Arc<AnnulusStencil>>, cell_m: f64, r_cells: i32) -> usize {
     if let Some(i) =
         stencils.iter().position(|s| s.cell_m() == cell_m && s.r_cells() == r_cells)
@@ -1078,94 +946,36 @@ fn cached_stencil(stencils: &mut Vec<Arc<AnnulusStencil>>, cell_m: f64, r_cells:
     stencils.len() - 1
 }
 
-/// The canonical beam total order both decoders share: score
-/// descending, cell index ascending. Cell indices are unique, so this
+/// The canonical beam total order the decoder and the reference share:
+/// score descending, cell index ascending. Cell indices are unique, so this
 /// is a strict total order — beam truncation and frontier iteration are
 /// deterministic and implementation-independent.
 fn beam_order(a: &(u32, f64), b: &(u32, f64)) -> Ordering {
     b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
 }
 
-thread_local! {
-    /// Per-thread default scratch backing [`viterbi_beam`] /
-    /// [`viterbi_with_stats`]: repeated decodes on a thread (every trial
-    /// in `experiments::runner`) reuse buffers and caches for free.
-    static THREAD_SCRATCH: RefCell<DecoderScratch> = RefCell::new(DecoderScratch::new());
-}
-
 /// Viterbi decoding of the cell sequence, with a sparse beam frontier.
 ///
 /// * `grid` — the state space.
-/// * `antenna_xy` — antenna positions projected on the board.
+/// * `antennas` — the two antenna positions.
 /// * `start` — initial position estimate (the paper bootstraps from an
 ///   arbitrary point on a measured hyperbola; relative trajectories are
 ///   evaluated Procrustes-style so the translation washes out).
 /// * `steps` — one observation per window transition.
+/// * `beam_width` — cells kept per step (clamped to ≥ 8).
+/// * `kernel` — inner-loop precision, adaptive beam, intra-step threads.
 ///
 /// Exact Viterbi over the full grid would cost `steps × cells ×
 /// annulus`; since the posterior is sharply unimodal (the pen is one
-/// object), we keep only the best [`DEFAULT_BEAM_WIDTH`] cells per step.
-/// This is the standard beam approximation; the paper's linear-time
-/// claim (§3.5) corresponds to the same pruned regime.
+/// object), we keep only the best `beam_width` cells per step
+/// ([`DEFAULT_BEAM_WIDTH`] in the pipeline). This is the standard beam
+/// approximation; the paper's linear-time claim (§3.5) corresponds to
+/// the same pruned regime.
 ///
-/// Returns one position per step (the position *after* each step).
-pub fn viterbi(
-    grid: &Grid,
-    antennas: [Vec3; 2],
-    start: Vec2,
-    steps: &[StepObservation],
-    config: &HmmConfig,
-) -> Vec<Vec2> {
-    viterbi_beam(grid, antennas, start, steps, config, DEFAULT_BEAM_WIDTH)
-}
-
-/// [`viterbi`] with an explicit beam width (ablation hook).
-pub fn viterbi_beam(
-    grid: &Grid,
-    antennas: [Vec3; 2],
-    start: Vec2,
-    steps: &[StepObservation],
-    config: &HmmConfig,
-    beam_width: usize,
-) -> Vec<Vec2> {
-    viterbi_with_stats(grid, antennas, start, steps, config, beam_width).0
-}
-
-/// [`viterbi_beam`] plus [`DecodeStats`] work counters, using the
-/// per-thread scratch.
-pub fn viterbi_with_stats(
-    grid: &Grid,
-    antennas: [Vec3; 2],
-    start: Vec2,
-    steps: &[StepObservation],
-    config: &HmmConfig,
-    beam_width: usize,
-) -> (Vec<Vec2>, DecodeStats) {
-    THREAD_SCRATCH.with(|s| {
-        decode_optimized(grid, antennas, start, steps, config, beam_width, &mut s.borrow_mut())
-    })
-}
-
-/// [`viterbi_with_stats`] against caller-held scratch, for callers that
-/// want explicit control of buffer/cache lifetime (benches, services).
-pub fn viterbi_with_scratch(
-    grid: &Grid,
-    antennas: [Vec3; 2],
-    start: Vec2,
-    steps: &[StepObservation],
-    config: &HmmConfig,
-    beam_width: usize,
-    scratch: &mut DecoderScratch,
-) -> (Vec<Vec2>, DecodeStats) {
-    decode_optimized(grid, antennas, start, steps, config, beam_width, scratch)
-}
-
-/// [`viterbi_with_stats`] under an explicit [`KernelOptions`] — the
-/// entry point for the tolerance kernels (benches, ablations, the
-/// equivalence harness). Uses the per-thread scratch; its sticky kernel
-/// selection is restored afterwards, so interleaved default-kernel
-/// decodes on the same thread keep their bit-exact contract.
-pub fn viterbi_with_kernel(
+/// Runs a [`FixedLagDecoder`] with unbounded lag and backtracks once at
+/// the end. Returns one position per step (the position *after* each
+/// step) and the decode's work counters.
+pub fn decode(
     grid: &Grid,
     antennas: [Vec3; 2],
     start: Vec2,
@@ -1174,113 +984,13 @@ pub fn viterbi_with_kernel(
     beam_width: usize,
     kernel: KernelOptions,
 ) -> (Vec<Vec2>, DecodeStats) {
-    THREAD_SCRATCH.with(|s| {
-        let mut scratch = s.borrow_mut();
-        let saved = scratch.kernel();
-        scratch.set_kernel(kernel);
-        let out = decode_optimized(grid, antennas, start, steps, config, beam_width, &mut scratch);
-        scratch.set_kernel(saved);
-        out
-    })
-}
-
-/// The optimized decoder core. Computes every candidate score with the
-/// bits [`viterbi_reference`] gets (the emission lookup returns the
-/// exact bits the reference recomputes; see `expand_f64` for the work
-/// it skips without changing a bit), processes frontiers in the same
-/// canonical order, and applies the same membership/pruning rules — so
-/// its output is bit-for-bit identical; only the bookkeeping around the
-/// arithmetic differs.
-#[allow(clippy::too_many_arguments)]
-fn decode_optimized(
-    grid: &Grid,
-    antennas: [Vec3; 2],
-    start: Vec2,
-    steps: &[StepObservation],
-    config: &HmmConfig,
-    beam_width: usize,
-    scratch: &mut DecoderScratch,
-) -> (Vec<Vec2>, DecodeStats) {
-    let mut stats = DecodeStats { steps: steps.len(), ..DecodeStats::default() };
-    if steps.is_empty() {
-        return (Vec::new(), stats);
-    }
-    let beam_width = beam_width.max(8);
-
-    let DecoderScratch {
-        kernel,
-        ks,
-        frontier_cells,
-        frontier_scores,
-        bp_cells,
-        bp_prevs,
-        frame_ends,
-        artifacts,
-    } = scratch;
-    let kernel = *kernel;
-
-    frontier_cells.clear();
-    frontier_scores.clear();
-    bp_cells.clear();
-    bp_prevs.clear();
-    frame_ends.clear();
-
-    // Resolve (or reuse) the rig's shared emission table(s) only when a
-    // step carries a hyperbola measurement; the tables are built once
-    // process-wide and shared by Arc, not rebuilt per scratch.
-    let mut emission: Option<&EmissionTable> = None;
-    let mut emission32: Option<&EmissionTableF32> = None;
-    if steps.iter().any(|o| o.dtheta21.is_some()) {
-        let stale = artifacts
-            .as_ref()
-            .map_or(true, |a| !a.matches(grid, antennas, config.wavelength_m));
-        if stale {
-            *artifacts = Some(artifacts_for(grid, antennas, config.wavelength_m));
-        }
-        let arts = artifacts.as_ref().expect("artifacts resolved above");
-        emission = Some(arts.emission().as_ref());
-        if kernel.precision == KernelPrecision::F32Tolerance {
-            emission32 = Some(arts.emission_f32().as_ref());
-        }
-    }
-
-    frontier_cells.push(grid.index_of(start) as u32);
-    frontier_scores.push(0.0);
-
+    let mut decoder = FixedLagDecoder::new(*grid, antennas, start, *config, beam_width, usize::MAX);
+    decoder.set_kernel(kernel);
     for obs in steps {
-        advance_frontier(
-            grid,
-            antennas,
-            config,
-            beam_width,
-            &kernel,
-            obs,
-            emission,
-            emission32,
-            ks,
-            frontier_cells,
-            frontier_scores,
-            bp_cells,
-            bp_prevs,
-            frame_ends,
-            &mut stats,
-        );
+        decoder.step(obs);
     }
-
-    // Backtrack from the best final state.
-    let mut idx = best_frontier_cell(frontier_cells, frontier_scores);
-    let mut rev = Vec::with_capacity(steps.len());
-    for f in (0..frame_ends.len()).rev() {
-        let lo = if f == 0 { 0 } else { frame_ends[f - 1] as usize };
-        let hi = frame_ends[f] as usize;
-        rev.push(grid.center(idx as usize));
-        match bp_cells[lo..hi].iter().position(|&c| c == idx) {
-            Some(k) => idx = bp_prevs[lo + k],
-            None => break,
-        }
-    }
-    rev.reverse();
-    (rev, stats)
+    let stats = decoder.stats();
+    (decoder.finish(), stats)
 }
 
 /// The backtrack root: the frontier cell with the maximal score,
@@ -1563,12 +1273,10 @@ fn grow_hyper_lane(lane: &mut Vec<f64>, n: usize) {
 /// One Viterbi step over the sparse beam frontier: scores every
 /// (frontier × stencil) candidate under the selected
 /// [`KernelOptions`], truncates to the (possibly adaptive) beam under
-/// the canonical order, appends exactly one flat backpointer frame to
-/// `bp_cells`/`bp_prevs`/`frame_ends`, and installs the new frontier
-/// into the SoA `frontier_cells`/`frontier_scores` pair. This is *the*
-/// hot loop; both the batch decoder ([`decode_optimized`]) and the
-/// streaming [`FixedLagDecoder`] call it, which is what keeps their
-/// outputs bit-for-bit identical.
+/// the canonical order, writes the step's backpointers into `frame`
+/// (overwriting whatever a recycled frame held), and installs the new
+/// frontier into the SoA `frontier_cells`/`frontier_scores` pair. This
+/// is *the* hot loop of [`FixedLagDecoder::step`].
 ///
 /// With `kernel.threads > 1` the frontier is split into contiguous
 /// chunks ([`rf_core::chunk_bounds`]), expanded on scoped workers with
@@ -1592,12 +1300,12 @@ fn advance_frontier(
     ks: &mut KernelScratch,
     frontier_cells: &mut Vec<u32>,
     frontier_scores: &mut Vec<f64>,
-    bp_cells: &mut Vec<u32>,
-    bp_prevs: &mut Vec<u32>,
-    frame_ends: &mut Vec<u32>,
+    frame: &mut BeamFrame,
     stats: &mut DecodeStats,
 ) {
     let n = grid.len();
+    frame.cells.clear();
+    frame.prevs.clear();
     let KernelScratch {
         scores,
         scores32,
@@ -1832,11 +1540,8 @@ fn advance_frontier(
     if touched.is_empty() {
         // Inconsistent step: carry the frontier through unchanged.
         stats.carried_steps += 1;
-        for &c in frontier_cells.iter() {
-            bp_cells.push(c);
-            bp_prevs.push(c);
-        }
-        frame_ends.push(bp_cells.len() as u32);
+        frame.cells.extend_from_slice(frontier_cells);
+        frame.prevs.extend_from_slice(frontier_cells);
         return;
     }
     stats.touched_cells += touched.len() as u64;
@@ -1900,18 +1605,21 @@ fn advance_frontier(
         next_cells.sort_unstable_by(cmp);
     }
 
-    // Flat backpointer frame in canonical beam order; install the new
-    // SoA frontier from the dense lanes, then reset the lanes.
+    // Backpointer frame in canonical beam order (sized exactly: a batch
+    // decode retains every frame); install the new SoA frontier from the
+    // dense lanes, then reset the lanes.
+    frame.cells.extend_from_slice(next_cells);
+    frame.prevs.extend(next_cells.iter().map(|&c| preds[c as usize]));
     frontier_cells.clear();
+    frontier_cells.extend_from_slice(next_cells);
     frontier_scores.clear();
-    for &c in next_cells.iter() {
-        let cu = c as usize;
-        bp_cells.push(c);
-        bp_prevs.push(preds[cu]);
-        frontier_cells.push(c);
-        frontier_scores.push(if f32_kernel { scores32[cu] as f64 } else { scores[cu] });
-    }
-    frame_ends.push(bp_cells.len() as u32);
+    frontier_scores.extend(next_cells.iter().map(|&c| {
+        if f32_kernel {
+            scores32[c as usize] as f64
+        } else {
+            scores[c as usize]
+        }
+    }));
     for &c in touched.iter() {
         let cu = c as usize;
         if f32_kernel {
@@ -1945,20 +1653,14 @@ pub struct BeamFrame {
 /// current best path is traced back to it and its cell centre is
 /// committed — and the frame is freed (recycled into an internal
 /// pool). [`finish`](Self::finish) backtracks over the still-retained
-/// frames exactly like the batch decoder and appends that tail to the
-/// committed prefix.
+/// frames and appends that tail to the committed prefix.
 ///
-/// With `lag ≥ steps` nothing commits early and the output is
-/// **bit-for-bit identical** to [`viterbi_beam`] / [`viterbi_reference`]:
-/// each step runs the same [`advance_frontier`] hot loop (same
-/// [`EmissionTable`] / [`AnnulusStencil`] machinery, same canonical
-/// beam order) and the final backtrack is the same code shape over the
-/// same frames. With a finite lag the decoder trades a bounded amount
-/// of hindsight for O(lag × beam) memory — the online operating mode.
-///
-/// Unlike the batch entry points this struct *owns* its buffers (it
-/// must be checkpointable and survive across calls), so it does not
-/// use the thread-local [`DecoderScratch`].
+/// This is the only Viterbi driver: [`decode`] runs it with
+/// `lag = usize::MAX`, where nothing commits early and the output is
+/// **bit-for-bit identical** to [`viterbi_reference`] (same scores,
+/// same canonical beam order, same backtrack). With a finite lag the
+/// decoder trades a bounded amount of hindsight for O(lag × beam)
+/// memory — the online operating mode.
 #[derive(Debug)]
 pub struct FixedLagDecoder {
     grid: Grid,
@@ -1975,9 +1677,6 @@ pub struct FixedLagDecoder {
     stats: DecodeStats,
     // Scratch (reconstructible) state.
     ks: KernelScratch,
-    bp_cells: Vec<u32>,
-    bp_prevs: Vec<u32>,
-    frame_ends: Vec<u32>,
     pool: Vec<BeamFrame>,
     artifacts: Option<Arc<DecodeArtifacts>>,
 }
@@ -2035,9 +1734,6 @@ impl FixedLagDecoder {
             committed,
             stats,
             ks: KernelScratch::default(),
-            bp_cells: Vec::new(),
-            bp_prevs: Vec::new(),
-            frame_ends: Vec::new(),
             pool: Vec::new(),
             artifacts: None,
         }
@@ -2046,35 +1742,23 @@ impl FixedLagDecoder {
     /// Consume one observation; returns how many points were committed
     /// (0 while within the lag, 1 once the pipeline is full).
     pub fn step(&mut self, obs: &StepObservation) -> usize {
-        // Resolve (or reuse) the rig's shared emission table(s) only
-        // when the step carries a hyperbola measurement — same laziness
-        // rule as the batch decoder, same bits either way (the table
-        // caches the exact values `expected_dtheta21` returns). N
-        // concurrent sessions on one rig resolve to one process-wide
-        // table.
-        let f32_kernel = self.kernel.precision == KernelPrecision::F32Tolerance;
-        let (emission, emission32): (Option<&EmissionTable>, Option<&EmissionTableF32>) =
-            if obs.dtheta21.is_some() {
-                let stale = self.artifacts.as_ref().map_or(true, |a| {
-                    !a.matches(&self.grid, self.antennas, self.config.wavelength_m)
+        // Resolve the rig's shared emission table(s) only when a step
+        // carries a hyperbola measurement. The rig never changes, so the
+        // first such step resolves the entry for good; N concurrent
+        // sessions on one rig resolve to one process-wide table.
+        let (emission, emission32) = match obs.dtheta21 {
+            None => (None, None),
+            Some(_) => {
+                let arts: &DecodeArtifacts = self.artifacts.get_or_insert_with(|| {
+                    artifacts_for(&self.grid, self.antennas, self.config.wavelength_m)
                 });
-                if stale {
-                    self.artifacts =
-                        Some(artifacts_for(&self.grid, self.antennas, self.config.wavelength_m));
-                }
-                let arts = self.artifacts.as_ref().expect("artifacts resolved above");
-                (
-                    Some(arts.emission().as_ref()),
-                    if f32_kernel { Some(arts.emission_f32().as_ref()) } else { None },
-                )
-            } else {
-                (None, None)
-            };
+                let f32_kernel = self.kernel.precision == KernelPrecision::F32Tolerance;
+                (Some(arts.emission().as_ref()), f32_kernel.then(|| arts.emission_f32().as_ref()))
+            }
+        };
 
         self.stats.steps += 1;
-        self.bp_cells.clear();
-        self.bp_prevs.clear();
-        self.frame_ends.clear();
+        let mut frame = self.pool.pop().unwrap_or_default();
         advance_frontier(
             &self.grid,
             self.antennas,
@@ -2087,18 +1771,9 @@ impl FixedLagDecoder {
             &mut self.ks,
             &mut self.frontier_cells,
             &mut self.frontier_scores,
-            &mut self.bp_cells,
-            &mut self.bp_prevs,
-            &mut self.frame_ends,
+            &mut frame,
             &mut self.stats,
         );
-        // Move the single new flat frame into the retained deque,
-        // recycling a pooled frame's buffers when available.
-        let mut frame = self.pool.pop().unwrap_or_default();
-        frame.cells.clear();
-        frame.cells.extend_from_slice(&self.bp_cells);
-        frame.prevs.clear();
-        frame.prevs.extend_from_slice(&self.bp_prevs);
         self.frames.push_back(frame);
 
         let mut newly_committed = 0;
@@ -2111,9 +1786,9 @@ impl FixedLagDecoder {
 
     /// Resolve and free the oldest retained frame: trace the current
     /// best path back to it and commit its cell centre. Mirrors one
-    /// ring of the batch backtrack; the `None` arm matches the batch
-    /// `break` (which silently truncates the earliest points) and is
-    /// unreachable for frames this decoder built itself.
+    /// ring of [`finish`](Self::finish)'s backtrack; the `None` arm
+    /// matches its `break` (which silently truncates the earliest
+    /// points) and is unreachable for frames this decoder built itself.
     fn commit_oldest(&mut self) {
         let mut idx = best_frontier_cell(&self.frontier_cells, &self.frontier_scores);
         let mut reached = true;
@@ -2134,9 +1809,10 @@ impl FixedLagDecoder {
         }
     }
 
-    /// Backtrack the retained frames (identical code shape to the batch
-    /// decoders) and return `committed ++ tail`; the decoder is left
-    /// empty. With `lag ≥ steps` this is the whole batch output.
+    /// Backtrack the retained frames (the same walk as
+    /// [`viterbi_reference`]'s) and return `committed ++ tail`; the
+    /// decoder is left empty. With `lag ≥ steps` this is the whole
+    /// batch output.
     pub fn finish(&mut self) -> Vec<Vec2> {
         let mut idx = best_frontier_cell(&self.frontier_cells, &self.frontier_scores);
         let mut rev = Vec::with_capacity(self.frames.len());
@@ -2243,8 +1919,8 @@ impl FixedLagDecoder {
 /// that beam truncation uses the same canonical total order (score
 /// descending, cell ascending) as the optimized decoder, making the two
 /// comparable state-for-state. `tests/decoder_equivalence.rs` asserts
-/// [`viterbi_beam`] matches this function bit-for-bit; the `decode`
-/// bench suite measures the speedup over it.
+/// [`decode`] matches this function bit-for-bit; the `decode` bench
+/// suite measures the speedup over it.
 pub fn viterbi_reference(
     grid: &Grid,
     antennas: [Vec3; 2],
@@ -2476,27 +2152,21 @@ mod tests {
     #[test]
     fn emission_table_matches_direct_computation() {
         let g = small_grid();
-        let table = EmissionTable::build(&g, rig(), 0.3276);
+        let table = EmissionTable::build(&g, rig(), 0.3276, 1);
         assert_eq!(table.len(), g.len());
         assert!(!table.is_empty());
         for idx in [0, 3, g.len() / 2, g.len() - 1] {
             let direct = expected_dtheta21(g.center(idx), rig(), 0.3276);
             assert_eq!(table.expected(idx).to_bits(), direct.to_bits(), "cell {idx}");
         }
-        assert!(table.matches(&g, rig(), 0.3276));
-        assert!(!table.matches(&g, rig(), 0.33));
     }
 
     #[test]
     fn parallel_table_build_is_bit_identical() {
-        // `build_with_workers` pins the exact worker count (the small
-        // test grid is below `PARALLEL_BUILD_MIN_CELLS`, so
-        // `build_parallel` would silently run sequentially and make
-        // this vacuous).
         let g = small_grid();
-        let seq = EmissionTable::build(&g, rig(), 0.3276);
+        let seq = EmissionTable::build(&g, rig(), 0.3276, 1);
         for workers in [1, 2, 3, 8] {
-            let par = EmissionTable::build_with_workers(&g, rig(), 0.3276, workers);
+            let par = EmissionTable::build(&g, rig(), 0.3276, workers);
             assert_eq!(par.len(), seq.len(), "workers={workers}");
             for idx in 0..g.len() {
                 assert_eq!(
@@ -2506,41 +2176,12 @@ mod tests {
                 );
             }
         }
-        // The clamped entry point stays bit-identical too (it resolves
-        // to the sequential build here).
-        let clamped = EmissionTable::build_parallel(&g, rig(), 0.3276, 8);
-        for idx in 0..g.len() {
-            assert_eq!(clamped.expected(idx).to_bits(), seq.expected(idx).to_bits());
-        }
-    }
-
-    /// Pins the cold-start fallback decision (BENCH_throughput.json
-    /// showed the 8-thread build at 0.62× sequential on a 1-core host):
-    /// small tables and low available parallelism must build
-    /// sequentially.
-    #[test]
-    fn build_threads_for_falls_back_when_parallelism_cannot_pay() {
-        let big = PARALLEL_BUILD_MIN_CELLS;
-        // Table below the threshold: always sequential, however many
-        // cores and threads are on offer.
-        assert_eq!(build_threads_for(8, 8, big - 1), 1);
-        assert_eq!(build_threads_for(64, 64, 231), 1);
-        // One hardware thread: spawning workers only adds overhead.
-        assert_eq!(build_threads_for(8, 1, big), 1);
-        // Plenty of cells and cores: the request is honoured…
-        assert_eq!(build_threads_for(8, 8, big), 8);
-        assert_eq!(build_threads_for(3, 8, big), 3);
-        // …but clamped to what the host actually has.
-        assert_eq!(build_threads_for(8, 2, big), 2);
-        // Degenerate requests clamp to 1, never 0.
-        assert_eq!(build_threads_for(0, 4, big), 1);
-        assert_eq!(build_threads_for(4, 0, big), 1);
     }
 
     #[test]
     fn emission_table_f32_is_the_cast_of_the_f64_table() {
         let g = small_grid();
-        let table = EmissionTable::build(&g, rig(), 0.3276);
+        let table = EmissionTable::build(&g, rig(), 0.3276, 1);
         let t32 = EmissionTableF32::from_table(&table);
         assert_eq!(t32.len(), table.len());
         assert!(!t32.is_empty());
@@ -2556,11 +2197,12 @@ mod tests {
         let cfg = HmmConfig::default();
         let steps = mixed_steps();
         for beam in [2usize, 64, 2500] {
-            let (want, want_stats) = viterbi_with_stats(&g, rig(), start, &steps, &cfg, beam);
+            let (want, want_stats) =
+                decode(&g, rig(), start, &steps, &cfg, beam, KernelOptions::exact());
             for threads in [1usize, 2, 8] {
                 let kernel = KernelOptions::exact().with_threads(threads);
                 let (got, got_stats) =
-                    viterbi_with_kernel(&g, rig(), start, &steps, &cfg, beam, kernel);
+                    decode(&g, rig(), start, &steps, &cfg, beam, kernel);
                 assert_eq!(got.len(), want.len(), "beam {beam} threads {threads}");
                 for (a, b) in got.iter().zip(&want) {
                     assert!(
@@ -2579,13 +2221,13 @@ mod tests {
         let start = Vec2::new(0.02, 0.05);
         let cfg = HmmConfig::default();
         let steps = mixed_steps();
-        let (exact, _) = viterbi_with_stats(&g, rig(), start, &steps, &cfg, 256);
+        let (exact, _) = decode(&g, rig(), start, &steps, &cfg, 256, KernelOptions::exact());
         let kernel = KernelOptions {
             precision: KernelPrecision::F32Tolerance,
             adaptive: None,
             threads: 1,
         };
-        let (got, stats) = viterbi_with_kernel(&g, rig(), start, &steps, &cfg, 256, kernel);
+        let (got, stats) = decode(&g, rig(), start, &steps, &cfg, 256, kernel);
         assert_eq!(got.len(), exact.len());
         assert_eq!(stats.steps, steps.len());
         // Smoke-level closeness; the quantitative oracle lives in
@@ -2602,10 +2244,10 @@ mod tests {
         let cfg = HmmConfig::default();
         let steps: Vec<StepObservation> =
             (0..10).map(|_| moving_step(0.008, 0.012, Some(Vec2::new(1.0, 0.0)))).collect();
-        let (want, base) = viterbi_with_stats(&g, rig(), start, &steps, &cfg, 2500);
+        let (want, base) = decode(&g, rig(), start, &steps, &cfg, 2500, KernelOptions::exact());
         let kernel = KernelOptions::exact()
             .with_adaptive(Some(AdaptiveBeam { margin: 0.25, min_keep: 4 }));
-        let (got, stats) = viterbi_with_kernel(&g, rig(), start, &steps, &cfg, 2500, kernel);
+        let (got, stats) = decode(&g, rig(), start, &steps, &cfg, 2500, kernel);
         assert!(stats.adaptive_shrunk_steps > 0, "tight margin must shrink: {stats:?}");
         assert!(stats.max_frontier <= 2500);
         assert!(stats.max_frontier < base.max_frontier, "shrink must be visible");
@@ -2643,6 +2285,17 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c));
     }
 
+    /// Exact decode at the pipeline's default beam and config.
+    fn decode_default(
+        g: &Grid,
+        rig: [Vec3; 2],
+        start: Vec2,
+        steps: &[StepObservation],
+    ) -> Vec<Vec2> {
+        let cfg = HmmConfig::default();
+        decode(g, rig, start, steps, &cfg, DEFAULT_BEAM_WIDTH, KernelOptions::exact()).0
+    }
+
     fn moving_step(min_dist: f64, max_dist: f64, dir: Option<Vec2>) -> StepObservation {
         StepObservation {
             region: FeasibleRegion { min_dist, max_dist },
@@ -2660,7 +2313,7 @@ mod tests {
         // Phase measures ~8 mm of motion per step along `dir`.
         let steps: Vec<StepObservation> =
             (0..10).map(|_| moving_step(0.008, 0.012, Some(dir))).collect();
-        let track = viterbi(&g, rig(), start, &steps, &HmmConfig::default());
+        let track = decode_default(&g, rig(), start, &steps);
         assert_eq!(track.len(), 10);
         let end = track.last().unwrap();
         assert!(end.x > start.x + 0.05, "track must progress rightward, got {end:?}");
@@ -2679,7 +2332,7 @@ mod tests {
                 target_dist: 0.009,
             })
             .collect();
-        let track = viterbi(&g, rig(), start, &steps, &HmmConfig::default());
+        let track = decode_default(&g, rig(), start, &steps);
         for w in track.windows(2) {
             let d = w[0].distance(w[1]);
             assert!(d > 0.004, "lower bound must prevent standing still, step {d}");
@@ -2703,7 +2356,7 @@ mod tests {
                 target_dist: 0.01,
             })
             .collect();
-        let track = viterbi(&g, rig, Vec2::new(-0.05, 0.65), &steps, &cfg);
+        let track = decode_default(&g, rig, Vec2::new(-0.05, 0.65), &steps);
         let end = *track.last().unwrap();
         let end_err = wrap_pi(expected_dtheta21(end, rig, cfg.wavelength_m) - meas).abs();
         let start_err =
@@ -2718,9 +2371,9 @@ mod tests {
     #[test]
     fn empty_steps_give_empty_track() {
         let g = small_grid();
-        assert!(viterbi(&g, rig(), Vec2::ZERO, &[], &HmmConfig::default()).is_empty());
+        assert!(decode_default(&g, rig(), Vec2::ZERO, &[]).is_empty());
         let (track, stats) =
-            viterbi_with_stats(&g, rig(), Vec2::ZERO, &[], &HmmConfig::default(), 64);
+            decode(&g, rig(), Vec2::ZERO, &[], &HmmConfig::default(), 64, KernelOptions::exact());
         assert!(track.is_empty());
         assert_eq!(stats, DecodeStats::default());
     }
@@ -2741,11 +2394,11 @@ mod tests {
                 target_dist: 0.012,
             },
         );
-        let track = viterbi(&g, rig(), start, &steps, &HmmConfig::default());
+        let track = decode_default(&g, rig(), start, &steps);
         assert_eq!(track.len(), steps.len(), "decoder must survive the bad step");
         // The carried-through step is visible in the work counters.
         let (_, stats) =
-            viterbi_with_stats(&g, rig(), start, &steps, &HmmConfig::default(), 64);
+            decode(&g, rig(), start, &steps, &HmmConfig::default(), 64, KernelOptions::exact());
         assert_eq!(stats.steps, steps.len());
         assert_eq!(stats.carried_steps, 1);
     }
@@ -2772,7 +2425,8 @@ mod tests {
             ),
         ];
         for (steps, beam) in scenarios {
-            let fast = viterbi_beam(&g, rig, Vec2::new(0.02, 0.05), &steps, &cfg, beam);
+            let start = Vec2::new(0.02, 0.05);
+            let (fast, _) = decode(&g, rig, start, &steps, &cfg, beam, KernelOptions::exact());
             let slow = viterbi_reference(&g, rig, Vec2::new(0.02, 0.05), &steps, &cfg, beam);
             assert_eq!(fast.len(), slow.len());
             for (a, b) in fast.iter().zip(&slow) {
@@ -2789,8 +2443,9 @@ mod tests {
         let g = small_grid();
         let steps: Vec<StepObservation> =
             (0..10).map(|_| moving_step(0.008, 0.012, Some(Vec2::new(1.0, 0.0)))).collect();
+        let cfg = HmmConfig::default();
         let (track, stats) =
-            viterbi_with_stats(&g, rig(), Vec2::new(0.02, 0.05), &steps, &HmmConfig::default(), 64);
+            decode(&g, rig(), Vec2::new(0.02, 0.05), &steps, &cfg, 64, KernelOptions::exact());
         assert_eq!(track.len(), 10);
         assert_eq!(stats.steps, 10);
         assert_eq!(stats.carried_steps, 0);
@@ -2800,39 +2455,6 @@ mod tests {
         assert!(stats.mean_frontier() >= 1.0);
         // Every scored candidate either survived or was pruned.
         assert!(stats.expansions >= stats.pruned_below_min + stats.touched_cells);
-    }
-
-    /// Scratch caches (stencils, emission table) must invalidate
-    /// correctly when the rig or grid changes between calls.
-    #[test]
-    fn scratch_reuse_across_rigs_is_sound() {
-        let mut scratch = DecoderScratch::new();
-        let cfg = HmmConfig::default();
-        let g1 = small_grid();
-        let g2 = Grid::covering(Vec2::new(-0.1, 0.55), Vec2::new(0.1, 0.75), 0.008);
-        let rig1 = rig();
-        let rig2 = [Vec3::new(-0.4, 0.1, 0.5), Vec3::new(0.4, 0.1, 0.5)];
-        let mk = |g: &Grid, r: [Vec3; 2]| -> Vec<StepObservation> {
-            let meas = expected_dtheta21(g.center(g.len() / 2), r, cfg.wavelength_m);
-            (0..6)
-                .map(|_| StepObservation {
-                    region: FeasibleRegion { min_dist: 0.004, max_dist: 0.012 },
-                    direction: None,
-                    dtheta21: Some(meas),
-                    target_dist: 0.005,
-                })
-                .collect()
-        };
-        for (g, r) in [(&g1, rig1), (&g2, rig2), (&g1, rig1), (&g1, rig2)] {
-            let steps = mk(g, r);
-            let start = g.center(0);
-            let (warm, _) =
-                viterbi_with_scratch(g, r, start, &steps, &cfg, 128, &mut scratch);
-            let (cold, _) =
-                viterbi_with_scratch(g, r, start, &steps, &cfg, 128, &mut DecoderScratch::new());
-            assert_eq!(warm, cold);
-            assert_eq!(warm, viterbi_reference(g, r, start, &steps, &cfg, 128));
-        }
     }
 
     /// Mixed scenario steps for streaming tests: direction priors,
@@ -2862,14 +2484,15 @@ mod tests {
     }
 
     #[test]
-    fn fixed_lag_with_infinite_lag_matches_batch_bitwise() {
+    fn fixed_lag_with_infinite_lag_matches_reference_bitwise() {
         let g = small_grid();
         let start = Vec2::new(0.02, 0.05);
         let cfg = HmmConfig::default();
         let steps = mixed_steps();
         for beam in [4usize, 64, 2500] {
-            let (batch, batch_stats) =
-                viterbi_with_stats(&g, rig(), start, &steps, &cfg, beam);
+            let batch = viterbi_reference(&g, rig(), start, &steps, &cfg, beam);
+            let (_, batch_stats) =
+                decode(&g, rig(), start, &steps, &cfg, beam, KernelOptions::exact());
             let mut dec = FixedLagDecoder::new(g, rig(), start, cfg, beam, usize::MAX);
             for obs in &steps {
                 assert_eq!(dec.step(obs), 0, "infinite lag must never commit early");
@@ -2906,7 +2529,7 @@ mod tests {
         let track = dec.finish();
         assert_eq!(track.len(), steps.len());
         // The committed prefix is frozen: finish() must not rewrite it.
-        let (batch, _) = viterbi_with_stats(&g, rig(), start, &steps, &cfg, 64);
+        let (batch, _) = decode(&g, rig(), start, &steps, &cfg, 64, KernelOptions::exact());
         assert_eq!(track.len(), batch.len());
     }
 

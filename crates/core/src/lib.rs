@@ -55,5 +55,5 @@ mod pipeline;
 pub use durability::{open_checkpoint, seal_checkpoint, CheckpointStore, RestoreError};
 pub use fleet::{DegradePolicy, FleetConfig, FleetRouter, ShardKey};
 pub use online::{OnlineOptions, OnlineTracker};
-pub use serve::{ServePool, SupervisedFleet};
+pub use serve::ServePool;
 pub use pipeline::{DegradationReport, PolarDraw, PolarDrawConfig, StepEstimate, StepKind, TrackOutput};

@@ -1224,6 +1224,13 @@ fn kernel_options_json(k: &KernelOptions) -> Json {
     ])
 }
 
+/// Ceiling on a restored kernel's `threads`. Each intra-step worker
+/// holds its own full-grid score, predecessor and hyperbola lanes, so
+/// the field is a thread-spawn count and a memory multiplier: a value
+/// taken unchecked from checkpoint bytes would turn the next step into
+/// thousands of threads and gigabytes of lanes.
+const MAX_RESTORED_KERNEL_THREADS: usize = 64;
+
 fn kernel_options_from(v: &Json) -> Result<KernelOptions, JsonError> {
     let precision = match v.get("precision").and_then(Json::as_str) {
         Some("f64") => KernelPrecision::F64Exact,
@@ -1237,7 +1244,13 @@ fn kernel_options_from(v: &Json) -> Result<KernelOptions, JsonError> {
             min_keep: req_usize(a, "min_keep")?,
         }),
     };
-    Ok(KernelOptions { precision, adaptive, threads: req_usize(v, "threads")? })
+    let threads = req_usize(v, "threads")?;
+    if threads > MAX_RESTORED_KERNEL_THREADS {
+        return Err(jerr(format!(
+            "kernel `threads` {threads} above the ceiling of {MAX_RESTORED_KERNEL_THREADS}"
+        )));
+    }
+    Ok(KernelOptions { precision, adaptive, threads })
 }
 
 #[cfg(test)]

@@ -1,19 +1,13 @@
 //! Multi-session serving: many pens, one rig, one process.
 //!
 //! The paper's §3.5 real-time claim covers one pen on one reader; the
-//! serving layer scales that to a fleet. Two pieces:
-//!
-//! * [`ServePool`] — a worker pool that owns many [`OnlineTracker`]
-//!   sessions and drives them with the workspace fan-out primitive
-//!   ([`rf_core::par::parallel_for_each_mut`]). Reports are *enqueued*
-//!   per session at any time; a [`drain`](ServePool::drain) round wakes
-//!   only the sessions that actually have pending reports and advances
-//!   each one on some worker thread.
-//! * [`SupervisedFleet`] — glue between [`SessionSupervisor`] reader
-//!   links and the pool: each pen has its own supervised LLRP link
-//!   (watchdog, backoff, degraded modes); the fleet runs all links over
-//!   a virtual-time slice, fans the captured reports into the pool, and
-//!   drains once per slice.
+//! serving layer scales that to a fleet. [`ServePool`] is a worker pool
+//! that owns many [`OnlineTracker`] sessions and drives them with the
+//! workspace fan-out primitive
+//! ([`rf_core::par::parallel_for_each_mut`]). Reports are *enqueued*
+//! per session at any time; a [`drain`](ServePool::drain) round wakes
+//! only the sessions that actually have pending reports and advances
+//! each one on some worker thread.
 //!
 //! ## Why pool output is bitwise-identical to sequential
 //!
@@ -48,7 +42,6 @@
 use crate::online::{OnlineOptions, OnlineTracker};
 use crate::{PolarDrawConfig, TrackOutput};
 use rf_core::par::parallel_for_each_mut;
-use rfid_sim::session::{LlrpLink, SessionConfig, SessionStats, SessionSupervisor};
 use rfid_sim::TagReport;
 
 /// Handle to one session in a [`ServePool`] (its slot index; stable for
@@ -426,95 +419,9 @@ impl ServePool {
     }
 }
 
-/// Per-pen handle inside a [`SupervisedFleet`].
-#[derive(Debug)]
-struct Pen<L: LlrpLink> {
-    id: SessionId,
-    supervisor: SessionSupervisor<L>,
-    capture: Vec<TagReport>,
-}
-
-/// A fleet of supervised reader sessions fanned into one [`ServePool`].
-///
-/// Each pen owns a [`SessionSupervisor`] over its own LLRP link; the
-/// fleet advances all links over one virtual-time slice, captures the
-/// reports each supervisor delivers, enqueues them into the pool, and
-/// drains once per slice. Link-layer failure handling (reconnect
-/// backoff, watchdog recycles, dead-port degraded mode) stays entirely
-/// inside each pen's supervisor — the pool only ever sees clean decoded
-/// reports.
-#[derive(Debug)]
-pub struct SupervisedFleet<L: LlrpLink> {
-    pool: ServePool,
-    pens: Vec<Pen<L>>,
-}
-
-impl<L: LlrpLink> SupervisedFleet<L> {
-    /// Empty fleet serving on up to `threads` workers.
-    pub fn new(threads: usize) -> SupervisedFleet<L> {
-        SupervisedFleet { pool: ServePool::new(threads), pens: Vec::new() }
-    }
-
-    /// Add a pen: a tracker session in the pool plus a supervised link
-    /// feeding it.
-    pub fn add_pen(
-        &mut self,
-        config: PolarDrawConfig,
-        options: OnlineOptions,
-        session: SessionConfig,
-        link: L,
-    ) -> SessionId {
-        let id = self.pool.add_session(config, options);
-        self.pens.push(Pen { id, supervisor: SessionSupervisor::new(session, link), capture: Vec::new() });
-        id
-    }
-
-    /// Drive every pen from `t_start` to `t_end` in slices of
-    /// `slice_s` virtual seconds, draining the pool once per slice.
-    /// Returns the number of drain rounds run.
-    pub fn run(&mut self, t_start: f64, t_end: f64, slice_s: f64) -> usize {
-        let slice = slice_s.max(1e-3);
-        let mut rounds = 0;
-        let mut t = t_start;
-        while t < t_end {
-            let t1 = (t + slice).min(t_end);
-            for pen in &mut self.pens {
-                pen.capture.clear();
-                pen.supervisor.run(&mut pen.capture, t, t1);
-                self.pool.enqueue_batch(pen.id, &pen.capture);
-            }
-            self.pool.drain();
-            rounds += 1;
-            t = t1;
-        }
-        rounds
-    }
-
-    /// The underlying pool (stats, trackers, checkpoints).
-    pub fn pool(&self) -> &ServePool {
-        &self.pool
-    }
-
-    /// A pen's supervisor (events, stats, degraded-mode flags).
-    pub fn supervisor(&self, id: SessionId) -> &SessionSupervisor<L> {
-        &self.pens.iter().find(|p| p.id == id).expect("unknown pen").supervisor
-    }
-
-    /// Link-layer counters for every pen, in pen order.
-    pub fn link_stats(&self) -> Vec<(SessionId, SessionStats)> {
-        self.pens.iter().map(|p| (p.id, p.supervisor.stats())).collect()
-    }
-
-    /// Finalize every session; trails in session-id order.
-    pub fn finish(self) -> Vec<TrackOutput> {
-        self.pool.finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfid_sim::session::SimulatedLink;
 
     /// A tiny synthetic report stream: two antennas alternating at
     /// 10 ms, constant RSS, slowly advancing phase. Enough to push
@@ -615,36 +522,5 @@ mod tests {
         assert_eq!(escrow.len(), 60, "quarantine hands back every report");
         let trails = pool.finish();
         assert_eq!(trails.len(), 1, "only the healthy session finalizes");
-    }
-
-    #[test]
-    fn fleet_runs_supervised_links_through_the_pool() {
-        let reports = stream(400, 0.0);
-        let mut fleet: SupervisedFleet<SimulatedLink> = SupervisedFleet::new(2);
-        let session = SessionConfig::default();
-        let a = fleet.add_pen(
-            coarse_config(),
-            OnlineOptions::default(),
-            session,
-            SimulatedLink::from_reports(&reports, 0.05),
-        );
-        let b = fleet.add_pen(
-            coarse_config(),
-            OnlineOptions::default(),
-            session,
-            SimulatedLink::from_reports(&reports, 0.05),
-        );
-        let rounds = fleet.run(0.0, 4.0, 0.5);
-        assert_eq!(rounds, 8);
-        assert!(fleet.pool().stats().reports > 0, "links delivered into the pool");
-        assert_eq!(
-            fleet.pool().session_stats(a).reports_processed,
-            fleet.pool().session_stats(b).reports_processed,
-            "identical links deliver identically"
-        );
-        assert!(!fleet.supervisor(a).degraded_single_antenna());
-        let trails = fleet.finish();
-        assert_eq!(trails.len(), 2);
-        assert_eq!(trails[0].trail.points, trails[1].trail.points, "identical pens, identical trails");
     }
 }

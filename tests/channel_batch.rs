@@ -259,23 +259,38 @@ fn paper_rig() -> ([Vec3; 2], Grid) {
     (antennas, grid)
 }
 
+/// The paper board (71 rows) and a 3-row strip of it: the worker
+/// counts below run under the row count on the first and up to and
+/// past it on the second, where the row-band helper clamps them.
+fn emission_grids() -> [Grid; 2] {
+    let (_, grid) = paper_rig();
+    [grid, Grid { ny: 3, ..grid }]
+}
+
+const EMISSION_WORKERS: [usize; 4] = [2, 3, 4, 8];
+
 #[test]
 fn emission_build_is_bitwise_vs_per_cell_spec_at_all_worker_counts() {
-    let (antennas, grid) = paper_rig();
+    let (antennas, _) = paper_rig();
     let lambda = 0.3276;
-    let seq = EmissionTable::build(&grid, antennas, lambda);
-    for idx in 0..grid.len() {
-        let want = expected_dtheta21(grid.center(idx), antennas, lambda);
-        assert_eq!(want.to_bits(), seq.expected(idx).to_bits(), "cell {idx}");
-    }
-    for workers in [2, 8] {
-        let par = EmissionTable::build_with_workers(&grid, antennas, lambda, workers);
+    for grid in emission_grids() {
+        let rows = grid.ny;
+        let seq = EmissionTable::build(&grid, antennas, lambda, 1);
+        assert_eq!(seq.len(), grid.len());
         for idx in 0..grid.len() {
-            assert_eq!(
-                seq.expected(idx).to_bits(),
-                par.expected(idx).to_bits(),
-                "workers {workers} cell {idx}"
-            );
+            let want = expected_dtheta21(grid.center(idx), antennas, lambda);
+            assert_eq!(want.to_bits(), seq.expected(idx).to_bits(), "{rows} rows cell {idx}");
+        }
+        for workers in EMISSION_WORKERS {
+            let par = EmissionTable::build(&grid, antennas, lambda, workers);
+            assert_eq!(par.len(), grid.len());
+            for idx in 0..grid.len() {
+                assert_eq!(
+                    seq.expected(idx).to_bits(),
+                    par.expected(idx).to_bits(),
+                    "{rows} rows, workers {workers}, cell {idx}"
+                );
+            }
         }
     }
 }
@@ -286,26 +301,31 @@ fn emission_build_is_bitwise_vs_per_cell_spec_at_all_worker_counts() {
 
 #[test]
 fn f32_direct_emission_build_stays_in_tolerance_and_is_thread_deterministic() {
-    let (antennas, grid) = paper_rig();
+    let (antennas, _) = paper_rig();
     let lambda = 0.3276;
-    let exact = EmissionTable::build(&grid, antennas, lambda);
-    let cast = EmissionTableF32::from_table(&exact);
-    let direct = EmissionTableF32::build_direct(&grid, antennas, lambda, 1);
-    let mut worst = 0.0f64;
-    for idx in 0..grid.len() {
-        let delta = wrap_pi(direct.expected(idx) as f64 - cast.expected(idx) as f64).abs();
-        worst = worst.max(delta);
-        assert!(delta <= 1e-4, "cell {idx}: |Δ| = {delta} vs the cast spec");
-    }
-    println!("f32 direct-vs-cast worst wrap-aware delta: {worst:.3e} rad");
-    for workers in [2, 8] {
-        let par = EmissionTableF32::build_direct(&grid, antennas, lambda, workers);
+    for grid in emission_grids() {
+        let rows = grid.ny;
+        let exact = EmissionTable::build(&grid, antennas, lambda, 1);
+        let cast = EmissionTableF32::from_table(&exact);
+        let direct = EmissionTableF32::build_direct(&grid, antennas, lambda, 1);
+        assert_eq!(direct.len(), grid.len());
+        let mut worst = 0.0f64;
         for idx in 0..grid.len() {
-            assert_eq!(
-                direct.expected(idx).to_bits(),
-                par.expected(idx).to_bits(),
-                "workers {workers} cell {idx}"
-            );
+            let delta = wrap_pi(direct.expected(idx) as f64 - cast.expected(idx) as f64).abs();
+            worst = worst.max(delta);
+            assert!(delta <= 1e-4, "{rows} rows cell {idx}: |Δ| = {delta} vs the cast spec");
+        }
+        println!("f32 direct-vs-cast worst wrap-aware delta ({rows} rows): {worst:.3e} rad");
+        for workers in EMISSION_WORKERS {
+            let par = EmissionTableF32::build_direct(&grid, antennas, lambda, workers);
+            assert_eq!(par.len(), grid.len());
+            for idx in 0..grid.len() {
+                assert_eq!(
+                    direct.expected(idx).to_bits(),
+                    par.expected(idx).to_bits(),
+                    "{rows} rows, workers {workers}, cell {idx}"
+                );
+            }
         }
     }
 }

@@ -1,5 +1,5 @@
-//! Exact-equivalence sweep between the optimized Viterbi decoder and
-//! the retained naive reference (`viterbi_reference`).
+//! Exact-equivalence sweep between the optimized Viterbi decoder
+//! (`hmm::decode`) and the retained naive reference (`viterbi_reference`).
 //!
 //! The optimized decoder's contract is *bit-for-bit* identity: same
 //! floating-point operations per candidate in the same order, same
@@ -19,9 +19,7 @@
 
 use polardraw_core::distance::{expected_dtheta21, FeasibleRegion};
 use polardraw_core::hmm::{
-    viterbi_beam, viterbi_reference, viterbi_with_kernel, viterbi_with_scratch,
-    viterbi_with_stats, DecoderScratch, Grid, HmmConfig, KernelOptions, KernelPrecision,
-    StepObservation,
+    decode, viterbi_reference, Grid, HmmConfig, KernelOptions, KernelPrecision, StepObservation,
 };
 use rf_core::rng::{derive_seed_indexed, Rng64};
 use rf_core::{Vec2, Vec3};
@@ -109,7 +107,15 @@ fn assert_tracks_identical(fast: &[Vec2], slow: &[Vec2], ctx: &str) {
 }
 
 fn run_case(sc: &Scenario, ctx: &str) {
-    let fast = viterbi_beam(&sc.grid, sc.antennas, sc.start, &sc.steps, &sc.config, sc.beam_width);
+    let (fast, _) = decode(
+        &sc.grid,
+        sc.antennas,
+        sc.start,
+        &sc.steps,
+        &sc.config,
+        sc.beam_width,
+        KernelOptions::exact(),
+    );
     let slow =
         viterbi_reference(&sc.grid, sc.antennas, sc.start, &sc.steps, &sc.config, sc.beam_width);
     assert_tracks_identical(&fast, &slow, ctx);
@@ -149,8 +155,14 @@ fn carry_through_steps_stay_equivalent() {
         }
         run_case(&sc, ctx);
         // And the carry is actually exercised:
-        let (_, stats) = viterbi_with_stats(
-            &sc.grid, sc.antennas, sc.start, &sc.steps, &sc.config, sc.beam_width,
+        let (_, stats) = decode(
+            &sc.grid,
+            sc.antennas,
+            sc.start,
+            &sc.steps,
+            &sc.config,
+            sc.beam_width,
+            KernelOptions::exact(),
         );
         assert!(stats.carried_steps >= 1, "{ctx}: expected at least one carried step");
     });
@@ -190,7 +202,7 @@ fn intra_step_parallel_expansion_is_bit_identical() {
         }
         for precision in [KernelPrecision::F64Exact, KernelPrecision::F32Tolerance] {
             let base = KernelOptions { precision, adaptive: None, threads: 1 };
-            let (want, want_stats) = viterbi_with_kernel(
+            let (want, want_stats) = decode(
                 &sc.grid, sc.antennas, sc.start, &sc.steps, &sc.config, sc.beam_width, base,
             );
             if precision == KernelPrecision::F64Exact {
@@ -201,7 +213,7 @@ fn intra_step_parallel_expansion_is_bit_identical() {
                 assert_tracks_identical(&want, &slow, &format!("{ctx} [f64 baseline]"));
             }
             for threads in [2usize, 8] {
-                let (got, got_stats) = viterbi_with_kernel(
+                let (got, got_stats) = decode(
                     &sc.grid,
                     sc.antennas,
                     sc.start,
@@ -215,29 +227,5 @@ fn intra_step_parallel_expansion_is_bit_identical() {
                 assert_eq!(got_stats, want_stats, "{tctx}: work counters differ");
             }
         }
-    });
-}
-
-/// Reusing one `DecoderScratch` across many different scenarios (grids,
-/// rigs, radii) must not leak state between decodes: warm-scratch
-/// output equals the reference on every case.
-#[test]
-fn scratch_reuse_never_leaks_state() {
-    let mut scratch = DecoderScratch::new();
-    sweep("viterbi_scratch_reuse", 64, |rng, ctx| {
-        let sc = random_scenario(rng, &[8, 64, 512]);
-        let (fast, _) = viterbi_with_scratch(
-            &sc.grid,
-            sc.antennas,
-            sc.start,
-            &sc.steps,
-            &sc.config,
-            sc.beam_width,
-            &mut scratch,
-        );
-        let slow = viterbi_reference(
-            &sc.grid, sc.antennas, sc.start, &sc.steps, &sc.config, sc.beam_width,
-        );
-        assert_tracks_identical(&fast, &slow, ctx);
     });
 }

@@ -20,6 +20,7 @@ use polardraw_core::{
     durability, open_checkpoint, seal_checkpoint, CheckpointStore, OnlineOptions, OnlineTracker,
     PolarDrawConfig, RestoreError,
 };
+use rf_core::{crc32, Json};
 use rfid_sim::chaos::mutate_bytes;
 use rfid_sim::TagReport;
 use std::path::PathBuf;
@@ -117,6 +118,62 @@ fn restore_survives_2000_mutated_envelopes() {
     // are actually caught.
     assert!(rejected > 1900, "only {rejected}/2000 rejected");
     assert!(accepted + rejected == 2000);
+}
+
+/// Rewrite the decode kernel's `threads` inside a sealed envelope and
+/// re-seal it with a valid CRC — what a hostile or buggy writer could
+/// hand to restore. Returns the edited envelope and its edited payload.
+fn reseal_with_kernel_threads(sealed: &str, threads: f64) -> (String, String) {
+    let mut doc = Json::parse(sealed).expect("sealed envelope parses");
+    let Json::Obj(env) = &mut doc else { panic!("envelope is an object") };
+    env.remove("crc");
+    let payload = env.get_mut("payload").expect("payload");
+    let Json::Obj(p) = &mut *payload else { panic!("payload is an object") };
+    let Some(Json::Obj(opts)) = p.get_mut("options") else { panic!("options object") };
+    let Some(Json::Obj(kernel)) = opts.get_mut("kernel") else { panic!("kernel object") };
+    kernel.insert("threads".to_string(), Json::num(threads));
+    let payload = payload.to_json_string();
+    let crc = crc32(doc.to_json_string().as_bytes());
+    if let Json::Obj(env) = &mut doc {
+        env.insert("crc".to_string(), Json::num(crc as f64));
+    }
+    (doc.to_json_string(), payload)
+}
+
+#[test]
+fn restore_bounds_the_kernel_thread_count() {
+    let tracker = warmed_tracker();
+    let sealed = seal_checkpoint(&tracker, 3);
+
+    // A re-CRC'd envelope asking for a billion intra-step workers is a
+    // typed field error, not a restore that spawns them on the next step.
+    let (hostile, _) = reseal_with_kernel_threads(&sealed, 1e9);
+    match open_checkpoint(coarse_config(), &hostile) {
+        Err(RestoreError::Field(msg)) => assert!(msg.contains("threads"), "{msg}"),
+        other => panic!("threads = 1e9 must be rejected as a field error, got {other:?}"),
+    }
+
+    // A sane worker count restores to exactly the edited state, and
+    // (thread count never changes a bit) decodes the rest of the
+    // stream exactly like the untouched tracker.
+    let (edited, payload) = reseal_with_kernel_threads(&sealed, 8.0);
+    let restored = open_checkpoint(coarse_config(), &edited).expect("threads = 8 restores");
+    assert_eq!(restored.generation, 3);
+    assert_eq!(restored.tracker.checkpoint_string(), payload);
+    let mut want = tracker;
+    let mut got = restored.tracker;
+    for r in stream(120, 1.2) {
+        want.push(r);
+        got.push(r);
+    }
+    let (want, got) = (want.finalize(), got.finalize());
+    assert_eq!(got.trail.points.len(), want.trail.points.len());
+    for (a, b) in got.trail.points.iter().zip(&want.trail.points) {
+        assert!(
+            a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits(),
+            "{a:?} vs {b:?}"
+        );
+    }
 }
 
 #[test]

@@ -27,8 +27,8 @@
 use experiments::setup::{polardraw_config_for, simulate_reports, TrialSetup};
 use polardraw_core::distance::{expected_dtheta21, FeasibleRegion};
 use polardraw_core::hmm::{
-    viterbi_reference, viterbi_with_kernel, DecodeStats, FixedLagDecoder, Grid, HmmConfig,
-    KernelOptions, KernelPrecision, StepObservation,
+    decode, viterbi_reference, FixedLagDecoder, Grid, HmmConfig, KernelOptions,
+    KernelPrecision, StepObservation,
 };
 use polardraw_core::{OnlineOptions, OnlineTracker};
 use recognition::{procrustes_distance, LetterRecognizer};
@@ -129,7 +129,7 @@ fn exact_kernel_is_bit_identical_to_reference_across_threads() {
         );
         for threads in [1usize, 2, 8] {
             let kernel = KernelOptions::exact().with_threads(threads);
-            let (got, _) = viterbi_with_kernel(
+            let (got, _) = decode(
                 &sc.grid, sc.antennas, sc.start, &sc.steps, &sc.config, sc.beam_width, kernel,
             );
             assert_tracks_identical(&got, &want, &format!("{ctx} threads {threads}"));
@@ -225,7 +225,7 @@ fn exact_kernel_is_bit_identical_when_bounds_land_on_stencil_distances() {
                     let ctx = format!("cell {cell} start {start:?} beam {beam} threads {threads}");
                     let kernel = KernelOptions::exact().with_threads(threads);
                     let (got, stats) =
-                        viterbi_with_kernel(&grid, antennas, start, &steps, &config, beam, kernel);
+                        decode(&grid, antennas, start, &steps, &config, beam, kernel);
                     assert_tracks_identical(&got, &want, &format!("{ctx} batch"));
                     let mut dec =
                         FixedLagDecoder::new(grid, antennas, start, config, beam, usize::MAX);
@@ -380,11 +380,11 @@ fn f32_kernel_is_deterministic_across_threads() {
             adaptive: None,
             threads: 1,
         };
-        let (want, want_stats) = viterbi_with_kernel(
+        let (want, want_stats) = decode(
             &sc.grid, sc.antennas, sc.start, &sc.steps, &sc.config, sc.beam_width, base,
         );
         for threads in [2usize, 8] {
-            let (got, got_stats) = viterbi_with_kernel(
+            let (got, got_stats) = decode(
                 &sc.grid,
                 sc.antennas,
                 sc.start,

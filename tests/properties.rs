@@ -610,18 +610,18 @@ fn clean_glyph_scenario(
 /// the shrinking is real (not vacuous) in aggregate.
 #[test]
 fn adaptive_beam_never_prunes_the_surviving_path_on_clean_glyphs() {
-    use polardraw_core::hmm::{viterbi_with_kernel, AdaptiveBeam, KernelOptions};
+    use polardraw_core::hmm::{decode, AdaptiveBeam, KernelOptions};
 
     let mut shrunk_total = 0usize;
     sweep("adaptive_clean_glyphs", 64, |rng, ctx| {
         let (grid, antennas, start, steps, config) = clean_glyph_scenario(rng);
-        let (want, _) = viterbi_with_kernel(
+        let (want, _) = decode(
             &grid, antennas, start, &steps, &config, 2500, KernelOptions::exact(),
         );
         let kernel =
             KernelOptions::exact().with_adaptive(Some(AdaptiveBeam::default()));
         let (got, stats) =
-            viterbi_with_kernel(&grid, antennas, start, &steps, &config, 2500, kernel);
+            decode(&grid, antennas, start, &steps, &config, 2500, kernel);
         assert_eq!(got.len(), want.len(), "{ctx}: track lengths differ");
         for (k, (a, b)) in got.iter().zip(&want).enumerate() {
             assert!(
