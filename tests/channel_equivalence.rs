@@ -16,12 +16,24 @@
 //!   12-bit phase quantization absorb the sub-1e-12 ulp dust).
 //! * **Non-degeneracy** — the Jones channel is not a no-op: a circular
 //!   reader-polarization override produces a genuinely different link.
+//!
+//! A fourth test pins the link model itself: every link recorded in
+//! `tests/snapshots/channel_links.json` must evaluate to the recorded
+//! observables bit for bit. The snapshot covers every branch of the
+//! forward model and is never regenerated.
 
 use experiments::setup::{rig_for, run_trial, TrialSetup};
 use pen_sim::scene::ChannelMode;
+use rf_core::json::Json;
 use rf_core::rng::{derive_seed_indexed, rng_from_seed, Rng64};
 use rf_core::Vec3;
-use rf_physics::{Bystander, BystanderMotion, ChannelModel, PolState, Polarimetry};
+use rf_physics::channel::pol_axis_at;
+use rf_physics::RigFactors;
+use rf_physics::{
+    Antenna, Bystander, BystanderMotion, ChannelModel, ChannelPlan, LinkObservation, PolState,
+    Polarimetry, Polarization, Surface, TagPolarization,
+};
+use std::f64::consts::FRAC_PI_2;
 
 const TOL: f64 = 1e-12;
 
@@ -143,4 +155,192 @@ fn jones_channel_is_not_a_no_op() {
         a.rx_power_dbm,
         b.rx_power_dbm
     );
+}
+
+// ---------------------------------------------------------------------
+// The link snapshot: every branch of the forward model, bit for bit.
+// ---------------------------------------------------------------------
+
+/// The rig variants the snapshot covers, each run under both
+/// polarimetries: linear, circular and elliptical reader states,
+/// Empirical and Fresnel reflectors, static and walking bystanders,
+/// Dipole and Reconfigurable tags, fixed and hopping carrier plans.
+fn snapshot_variants() -> Vec<(&'static str, ChannelModel)> {
+    let gamma = 15f64.to_radians();
+    let whiteboard = || ChannelModel::two_antenna_whiteboard(gamma, 0.56, 0.30);
+    let standing = Bystander {
+        position: Vec3::new(-0.3, 0.9, 1.2),
+        motion: BystanderMotion::Static,
+        scattering: 0.25,
+        depolarization: 0.4,
+    };
+    let walking = Bystander {
+        position: Vec3::new(0.2, 1.0, 1.4),
+        motion: BystanderMotion::Walking { amplitude_m: 0.5, frequency_hz: 0.6 },
+        scattering: 0.2,
+        depolarization: 0.7,
+    };
+    let fresnel = |ch: &mut ChannelModel| {
+        ch.reflectors[0].surface = Surface::Fresnel { rel_permittivity: 4.0 };
+        ch.reflectors[2].surface = Surface::Fresnel { rel_permittivity: 2.5 };
+    };
+    let circular_and_elliptical = |ch: &mut ChannelModel| {
+        ch.antennas[0].polarization = Polarization::Circular;
+        ch.antennas[1].polarization = Polarization::Jones {
+            axis: pol_axis_at(FRAC_PI_2 - gamma),
+            state: PolState::Elliptical { psi_rad: 0.3, chi_rad: 0.2 },
+        };
+    };
+    let hopping = |ch: &mut ChannelModel, seed| ch.plan = ChannelPlan::hopping_from_seed(seed, 0.2);
+
+    let paper = whiteboard();
+
+    let mut fresnel_standing = whiteboard();
+    fresnel(&mut fresnel_standing);
+    fresnel_standing.bystander = Some(standing);
+    fresnel_standing.tag = TagPolarization::Reconfigurable;
+
+    let mut linear_hopping = whiteboard();
+    linear_hopping.bystander = Some(walking);
+    hopping(&mut linear_hopping, 3);
+
+    let mut states_walking = whiteboard();
+    circular_and_elliptical(&mut states_walking);
+    states_walking.bystander = Some(walking);
+
+    let mut states_everything = whiteboard();
+    circular_and_elliptical(&mut states_everything);
+    fresnel(&mut states_everything);
+    states_everything.bystander = Some(walking);
+    states_everything.tag = TagPolarization::Reconfigurable;
+    hopping(&mut states_everything, 11);
+
+    let mut states_standing = whiteboard();
+    circular_and_elliptical(&mut states_standing);
+    states_standing.bystander = Some(standing);
+    states_standing.plan = ChannelPlan::Fixed(3);
+
+    vec![
+        ("linear/empirical/dipole/fixed", paper),
+        ("linear/fresnel/standing/reconfigurable/fixed", fresnel_standing),
+        ("linear/empirical/walking/dipole/hopping", linear_hopping),
+        ("states/empirical/walking/dipole/fixed", states_walking),
+        ("states/fresnel/walking/reconfigurable/hopping", states_everything),
+        ("states/empirical/standing/dipole/fixed3", states_standing),
+    ]
+}
+
+/// A single downward-looking antenna in free space: the degenerate
+/// corners (crossed dipole with no multipath, the back hemisphere, a
+/// zero dipole) where the observables leave the finite range.
+fn free_space_edge() -> ChannelModel {
+    ChannelModel::free_space(vec![Antenna::linear(Vec3::new(0.0, 0.0, 1.0), -Vec3::Z, Vec3::X)])
+}
+
+fn free_space_edge_poses() -> Vec<(usize, Vec3, Vec3, f64)> {
+    vec![
+        (0, Vec3::ZERO, Vec3::X, 0.0),
+        (0, Vec3::ZERO, Vec3::Y, 0.0),
+        (0, Vec3::ZERO, Vec3::ZERO, 0.0),
+        (0, Vec3::new(0.0, 0.0, 2.0), Vec3::X, 0.0),
+        (0, Vec3::new(0.3, -0.2, 0.1), Vec3::new(0.6, 0.8, 0.0), 1.5),
+    ]
+}
+
+/// Every snapshot case: `(name, rig, links)` with each link an
+/// `(antenna, position, dipole, t)` input.
+fn snapshot_cases() -> Vec<(String, ChannelModel, Vec<(usize, Vec3, Vec3, f64)>)> {
+    let mut cases = Vec::new();
+    for (polarimetry, label) in [(Polarimetry::Scalar, "scalar"), (Polarimetry::Jones, "jones")] {
+        for (vi, (name, mut ch)) in snapshot_variants().into_iter().enumerate() {
+            ch.polarimetry = polarimetry;
+            let seed = derive_seed_indexed(20_261_017, label, vi as u64);
+            let mut rng = rng_from_seed(seed);
+            let mut links = Vec::new();
+            for _ in 0..16 {
+                let (pos, dipole) = sampled_pose(&mut rng);
+                let t = rng.gen_range(0.0..5.0);
+                for port in 0..ch.antennas.len() {
+                    links.push((port, pos, dipole, t));
+                }
+            }
+            cases.push((format!("{label}/{name}"), ch, links));
+        }
+        let mut edge = free_space_edge();
+        edge.polarimetry = polarimetry;
+        cases.push((format!("{label}/free-space-edges"), edge, free_space_edge_poses()));
+    }
+    cases
+}
+
+fn vec3_json(v: Vec3) -> Json {
+    Json::Arr(vec![Json::num(v.x), Json::num(v.y), Json::num(v.z)])
+}
+
+/// A dB value in the snapshot: the shortest round-trip number, or
+/// `null` for −∞ (the only non-finite value the link model produces).
+fn db_json(x: f64) -> Json {
+    assert!(x.is_finite() || x == f64::NEG_INFINITY, "unexpected non-finite dB value {x}");
+    Json::num(x)
+}
+
+fn link_json(port: usize, pos: Vec3, dipole: Vec3, t: f64, obs: &LinkObservation) -> Json {
+    Json::obj([
+        ("antenna", Json::num(port as f64)),
+        ("position", vec3_json(pos)),
+        ("dipole", vec3_json(dipole)),
+        ("t", Json::num(t)),
+        ("forward_power_dbm", db_json(obs.forward_power_dbm)),
+        ("rx_power_dbm", db_json(obs.rx_power_dbm)),
+        ("phase_rad", Json::num(obs.phase_rad)),
+        ("mismatch_rad", Json::num(obs.mismatch_rad)),
+        ("tag_powered", Json::Bool(obs.tag_powered)),
+        ("round_trip", Json::Arr(vec![Json::num(obs.round_trip.re), Json::num(obs.round_trip.im)])),
+    ])
+}
+
+fn links_document(eval: impl Fn(&ChannelModel, usize, Vec3, Vec3, f64) -> LinkObservation) -> String {
+    let mut out = String::from("{\"format\":\"polardraw.channel_links.v1\",\"cases\":[\n");
+    let cases = snapshot_cases();
+    for (ci, (name, ch, links)) in cases.iter().enumerate() {
+        out.push_str(&format!("{{\"name\":{},\"links\":[\n", Json::str(name.as_str())));
+        for (li, &(port, pos, dipole, t)) in links.iter().enumerate() {
+            let obs = eval(ch, port, pos, dipole, t);
+            out.push_str(&link_json(port, pos, dipole, t, &obs).to_json_string());
+            out.push_str(if li + 1 < links.len() { ",\n" } else { "\n" });
+        }
+        out.push_str(if ci + 1 < cases.len() { "]},\n" } else { "]}\n" });
+    }
+    out.push_str("]}\n");
+    out
+}
+
+fn snapshot_path() -> std::path::PathBuf {
+    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/snapshots/channel_links.json")
+}
+
+/// Compare a freshly evaluated link document with the committed one
+/// line by line (one link per line), so a drift names its case and
+/// link. Shortest round-trip numbers make text equality bit equality.
+fn assert_matches_link_snapshot(actual: &str) {
+    let expected = std::fs::read_to_string(snapshot_path()).expect("committed link snapshot");
+    let mut case = "";
+    for (line, (want, got)) in expected.lines().zip(actual.lines()).enumerate() {
+        if want.starts_with("{\"name\"") {
+            case = want;
+        }
+        assert_eq!(want, got, "link snapshot drifted at line {} ({case})", line + 1);
+    }
+    assert_eq!(expected.lines().count(), actual.lines().count(), "link count drifted");
+}
+
+#[test]
+fn link_model_matches_the_pinned_snapshot_bitwise() {
+    let doc = links_document(|ch, port, pos, dipole, t| ch.evaluate(port, pos, dipole, t));
+    assert_matches_link_snapshot(&doc);
+    let frozen = links_document(|ch, port, pos, dipole, t| match RigFactors::freeze(ch) {
+        Some(rig) => rig.evaluate(port, pos, dipole, t),
+        None => ch.evaluate(port, pos, dipole, t),
+    });
+    assert_matches_link_snapshot(&frozen);
 }
