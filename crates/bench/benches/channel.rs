@@ -1,8 +1,7 @@
-//! Batched channel-engine throughput: the SoA forward model against
-//! the retained per-link paths it replaced, so the speedups are
-//! measured, not asserted.
+//! Channel throughput: the emission-table builds against the per-cell
+//! loop they replaced, and the one link evaluator over a pose cloud.
 //!
-//! Three row families (`scripts/bench.sh --suite channel` regenerates
+//! Two row families (`scripts/bench.sh --suite channel` regenerates
 //! the committed `BENCH_channel.json` and gates the floors):
 //!
 //! * `channel/emission/…` — building the decoder's Δθ emission table
@@ -13,14 +12,10 @@
 //!   `EmissionTable::build` used to run. `batch` is the bitwise row
 //!   kernel; `batch_f32` is the `F32Tolerance`-tier direct build
 //!   (`EmissionTableF32::build_direct`) the fast decode kernel rides.
-//! * `channel/link/scalar/…` — many-pose link evaluation on the
-//!   legacy cos²β channel: `per_link` calls `ChannelModel::evaluate`
-//!   per pose; `batch` freezes the rig once (`RigFactors`) and runs
-//!   the bitwise batch kernel over the same poses.
-//! * `channel/link/jones/…` — the same pair on the full-polarimetric
-//!   channel, where `batch` takes the restructured ≤ 1e-12 kernel
-//!   (direct linear amplitudes, shared mirror-leg lengths, frozen
-//!   per-rig Jones factors).
+//! * `channel/link/{scalar,jones}/poses512` — the simulator's
+//!   whiteboard rig frozen once (`RigFactors::freeze`), then
+//!   `RigFactors::evaluate` over the same 512 poses, on the legacy
+//!   cos²β channel and the full-polarimetric one.
 
 use polardraw_bench::harness::Bench;
 use polardraw_core::distance::expected_dtheta21;
@@ -28,8 +23,7 @@ use polardraw_core::hmm::{EmissionTable, EmissionTableF32, Grid};
 use polardraw_core::PolarDrawConfig;
 use rf_core::rng::rng_from_seed;
 use rf_core::Vec3;
-use rf_physics::batch::{BatchOptions, ChannelBatch, PoseBatch, RigFactors};
-use rf_physics::{ChannelModel, Polarimetry};
+use rf_physics::{ChannelModel, Polarimetry, RigFactors};
 
 /// The pre-batch emission build, verbatim: one forward-model call per
 /// grid cell through the scalar per-cell API.
@@ -41,11 +35,11 @@ fn per_link_emission(grid: &Grid, antennas: [Vec3; 2], wavelength_m: f64) -> Vec
     values
 }
 
-/// Deterministic pose cloud in the writing volume (the link-batch
-/// workload).
-fn pose_cloud(n: usize) -> PoseBatch {
+/// Deterministic pose cloud in the writing volume: `(position, dipole,
+/// t)` per pose (the link workload).
+fn pose_cloud(n: usize) -> Vec<(Vec3, Vec3, f64)> {
     let mut rng = rng_from_seed(0xC0FFEE);
-    let mut poses = PoseBatch::with_capacity(n);
+    let mut poses = Vec::with_capacity(n);
     for _ in 0..n {
         let pos = Vec3::new(
             rng.gen_range(-0.3..0.3),
@@ -59,7 +53,7 @@ fn pose_cloud(n: usize) -> PoseBatch {
         )
         .normalized()
         .unwrap_or(Vec3::Y);
-        poses.push(pos, dipole, rng.gen_range(0.0..5.0));
+        poses.push((pos, dipole, rng.gen_range(0.0..5.0)));
     }
     poses
 }
@@ -84,22 +78,15 @@ fn main() {
         });
     }
 
-    // Link batches: the simulator's whiteboard rig, 512 poses.
+    // Link evaluation: the simulator's whiteboard rig, 512 poses.
     let poses = pose_cloud(512);
     let scalar_ch = ChannelModel::two_antenna_whiteboard(15f64.to_radians(), 0.56, 0.30);
     let mut jones_ch = scalar_ch.clone();
     jones_ch.polarimetry = Polarimetry::Jones;
     for (pol_label, ch) in [("scalar", &scalar_ch), ("jones", &jones_ch)] {
-        let rig = RigFactors::freeze(ch).expect("whiteboard rigs have a fixed plan");
-        bench.bench(&format!("channel/link/{pol_label}/per_link/poses512"), || {
-            let mut out = Vec::with_capacity(poses.len());
-            for i in 0..poses.len() {
-                out.push(ch.evaluate(0, poses.position(i), poses.dipole(i), poses.t(i)));
-            }
-            out
-        });
-        bench.bench(&format!("channel/link/{pol_label}/batch/poses512"), || {
-            ChannelBatch::new(&rig, BatchOptions::default()).evaluate(0, &poses)
+        let rig = RigFactors::freeze(ch);
+        bench.bench(&format!("channel/link/{pol_label}/poses512"), || {
+            poses.iter().map(|&(pos, dipole, t)| rig.evaluate(0, pos, dipole, t)).collect::<Vec<_>>()
         });
     }
 

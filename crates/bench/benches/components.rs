@@ -9,23 +9,25 @@ use polardraw_core::hmm::{
 };
 use polardraw_core::preprocess::{preprocess, PreprocessConfig};
 use rf_core::{Vec2, Vec3};
-use rf_physics::ChannelModel;
+use rf_physics::{ChannelModel, RigFactors};
 
 fn main() {
     let mut bench = Bench::from_args("components");
 
     let ch = ChannelModel::two_antenna_whiteboard(15f64.to_radians(), 0.56, 0.30);
     let dipole = Vec3::new(0.1, 0.95, 0.3).normalized().unwrap();
+    let rig = RigFactors::freeze(&ch);
     bench.bench("channel/evaluate_one_link", || {
-        ch.evaluate(0, Vec3::new(0.0, 0.7, 0.0), dipole, 0.1)
+        rig.evaluate(0, Vec3::new(0.0, 0.7, 0.0), dipole, 0.1)
     });
 
     // The full-polarimetric path on the same rig: what `--channel
     // jones` pays per link relative to the scalar fast path above.
     let mut jones_ch = ch.clone();
     jones_ch.polarimetry = rf_physics::Polarimetry::Jones;
+    let jones_rig = RigFactors::freeze(&jones_ch);
     bench.bench("channel/evaluate_one_link_jones", || {
-        jones_ch.evaluate(0, Vec3::new(0.0, 0.7, 0.0), dipole, 0.1)
+        jones_rig.evaluate(0, Vec3::new(0.0, 0.7, 0.0), dipole, 0.1)
     });
 
     let cfg = rfid_sim::gen2::Gen2Config::default();

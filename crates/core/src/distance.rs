@@ -164,9 +164,40 @@ pub fn expected_dtheta21(p: Vec2, antennas: [Vec3; 2], wavelength_m: f64) -> f64
     wrap_pi(4.0 * std::f64::consts::PI * range_difference_at(p, antennas) / wavelength_m)
 }
 
+/// Distances from `src` to the row of points `(xs[i], y, z)`, written
+/// into `out` (lengths must match). The per-row `Δy²`/`Δz²` terms are
+/// hoisted; the per-point expression `((Δx² + Δy²) + Δz²).sqrt()`
+/// associates exactly like `Vec3::distance`, so each output is
+/// **bit-identical** to `Vec3::new(xs[i], y, z).distance(src)`.
+fn distances_row(src: Vec3, xs: &[f64], y: f64, z: f64, out: &mut [f64]) {
+    let dy = y - src.y;
+    let dy2 = dy * dy;
+    let dz = z - src.z;
+    let dz2 = dz * dz;
+    for (o, &x) in out.iter_mut().zip(xs) {
+        let dx = x - src.x;
+        *o = ((dx * dx + dy2) + dz2).sqrt();
+    }
+}
+
+/// [`distances_row`] in `f32` (twice the SIMD lanes of the `f64` row).
+/// Inputs are cast once per call/row; accuracy is a tolerance contract,
+/// not a bitwise one.
+fn distances_row_f32(src: Vec3, xs: &[f32], y: f32, z: f32, out: &mut [f32]) {
+    let sx = src.x as f32;
+    let dy = y - src.y as f32;
+    let dy2 = dy * dy;
+    let dz = z - src.z as f32;
+    let dz2 = dz * dz;
+    for (o, &x) in out.iter_mut().zip(xs) {
+        let dx = x - sx;
+        *o = ((dx * dx + dy2) + dz2).sqrt();
+    }
+}
+
 /// Row-batched [`expected_dtheta21`]: evaluate a whole grid row of
 /// board points `(xs[i], y)` at once, streaming per-antenna distances
-/// through the SoA kernels in `rf_physics::batch` and combining them in
+/// through the row kernel [`distances_row`] and combining them in
 /// place. Holds the per-row distance scratch so a build loop allocates
 /// once per worker, not once per row.
 ///
@@ -204,8 +235,8 @@ impl DthetaRowKernel {
         assert_eq!(xs.len(), out.len(), "xs/out length mismatch");
         self.d0.resize(xs.len(), 0.0);
         self.d1.resize(xs.len(), 0.0);
-        rf_physics::batch::distances_row(antennas[0], xs, y, 0.0, &mut self.d0);
-        rf_physics::batch::distances_row(antennas[1], xs, y, 0.0, &mut self.d1);
+        distances_row(antennas[0], xs, y, 0.0, &mut self.d0);
+        distances_row(antennas[1], xs, y, 0.0, &mut self.d1);
         for (i, o) in out.iter_mut().enumerate() {
             // Same expression shape as `expected_dtheta21` (constant ·
             // difference ÷ λ) — bit-identical per cell.
@@ -214,7 +245,7 @@ impl DthetaRowKernel {
     }
 }
 
-/// [`DthetaRowKernel`] in `f32` — the `F32Tolerance`-tier grid kernel
+/// [`DthetaRowKernel`] in `f32` — the tolerance-tier grid kernel
 /// behind the direct single-precision emission build. Distances run
 /// 4-wide instead of 2-wide; the combine folds `4π/λ` into one factor
 /// and wraps in `f32`. Accuracy is a *tolerance* contract (wrap-aware
@@ -251,8 +282,8 @@ impl DthetaRowKernelF32 {
         self.d0.resize(xs.len(), 0.0);
         self.d1.resize(xs.len(), 0.0);
         let y32 = y as f32;
-        rf_physics::batch::distances_row_f32(antennas[0], &self.xs32, y32, 0.0, &mut self.d0);
-        rf_physics::batch::distances_row_f32(antennas[1], &self.xs32, y32, 0.0, &mut self.d1);
+        distances_row_f32(antennas[0], &self.xs32, y32, 0.0, &mut self.d0);
+        distances_row_f32(antennas[1], &self.xs32, y32, 0.0, &mut self.d1);
         let k = (4.0 * std::f64::consts::PI / wavelength_m) as f32;
         for ((o, &a), &b) in out.iter_mut().zip(&self.d1).zip(&self.d0) {
             *o = wrap_pi_f32(k * (a - b));
@@ -354,6 +385,18 @@ mod tests {
         let th = expected_dtheta21(p, rig, CFG.wavelength_m);
         let reconstructed = wrap_pi(4.0 * std::f64::consts::PI * dl / CFG.wavelength_m);
         assert!((th - reconstructed).abs() < 1e-12);
+    }
+
+    #[test]
+    fn distances_row_matches_vec3_bitwise() {
+        let src = Vec3::new(-0.28, 0.15, 0.30);
+        let xs: Vec<f64> = (0..64).map(|i| -0.3 + 0.01 * i as f64).collect();
+        let mut out = vec![0.0; xs.len()];
+        distances_row(src, &xs, 0.72, 0.0, &mut out);
+        for (i, &x) in xs.iter().enumerate() {
+            let want = Vec3::new(x, 0.72, 0.0).distance(src);
+            assert_eq!(want.to_bits(), out[i].to_bits(), "col {i}");
+        }
     }
 
     #[test]

@@ -24,9 +24,8 @@ use crate::runner::{letter_accuracy, run_letter_trials, RunOpts};
 use crate::setup::{rig_for, TrialSetup};
 use pen_sim::scene::ChannelMode;
 use rf_core::Vec3;
-use rf_physics::batch::{BatchOptions, ChannelBatch, PoseBatch, RigFactors};
 use rf_physics::channel::pol_axis_at;
-use rf_physics::{LinkObservation, PolState, TagPolarization};
+use rf_physics::{PolState, RigFactors, TagPolarization};
 use std::f64::consts::FRAC_PI_2;
 
 /// One reader/tag polarization condition of the sweep.
@@ -93,29 +92,14 @@ fn setup_for(c: &Condition) -> TrialSetup {
 /// is the spread of the finite RSS samples; blackout is the fraction of
 /// orientations where the forward-power gate silences the tag.
 fn rotation_sweep(setup: &TrialSetup) -> (f64, f64) {
-    let rig = rig_for(setup);
+    let rig = RigFactors::freeze(&rig_for(setup));
     let write_center = Vec3::new(0.0, 0.72, 0.0);
     let steps = 36; // 5° steps through a half turn
-    // The whole sweep is one dense pose grid over a fixed rig — exactly
-    // the batch engine's shape. Freeze the rig once and evaluate the 36
-    // orientations in one call; a hopping plan (never this experiment,
-    // but the setup is caller-supplied) falls back to per-link.
-    let mut poses = PoseBatch::with_capacity(steps);
-    for i in 0..steps {
-        let beta = i as f64 / steps as f64 * std::f64::consts::PI;
-        poses.push(write_center, pol_axis_at(FRAC_PI_2 + beta), 0.0);
-    }
-    let observations: Vec<LinkObservation> = match RigFactors::freeze(&rig) {
-        Some(factors) => {
-            ChannelBatch::new(&factors, BatchOptions::default()).evaluate(0, &poses)
-        }
-        None => (0..poses.len())
-            .map(|i| rig.evaluate(0, poses.position(i), poses.dipole(i), poses.t(i)))
-            .collect(),
-    };
     let mut finite: Vec<f64> = Vec::new();
     let mut blackouts = 0usize;
-    for obs in &observations {
+    for i in 0..steps {
+        let beta = i as f64 / steps as f64 * std::f64::consts::PI;
+        let obs = rig.evaluate(0, write_center, pol_axis_at(FRAC_PI_2 + beta), 0.0);
         if !obs.tag_powered {
             blackouts += 1;
         }

@@ -9,7 +9,7 @@
 
 use crate::polarization;
 use crate::polarization::{JonesVector, PolBasis, PolState};
-use rf_core::{db_to_ratio, Vec3};
+use rf_core::Vec3;
 
 /// Antenna polarization type.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,21 +86,6 @@ impl Antenna {
         }
     }
 
-    /// Linear *amplitude* gain toward `target` (√ of the power gain),
-    /// including the pattern roll-off. Zero behind the antenna.
-    pub fn amplitude_gain_towards(&self, target: Vec3) -> f64 {
-        let dir = match (target - self.position).normalized() {
-            Some(d) => d,
-            None => return 0.0,
-        };
-        let cos_theta = self.boresight.dot(dir);
-        if cos_theta <= 0.0 {
-            return 0.0; // back hemisphere of a panel antenna
-        }
-        let pattern = cos_theta.powf(self.pattern_exponent);
-        (db_to_ratio(self.gain_dbi) * pattern).sqrt()
-    }
-
     /// Polarization coupling factor toward a dipole tag (signed, in
     /// `[−1, 1]`): `ê·u` for linear polarization, `1/√2` (−3 dB in
     /// power) independent of orientation for circular. For a `Jones`
@@ -170,11 +155,6 @@ impl Antenna {
         }
     }
 
-    /// [`Antenna::jones_along`] toward a target position.
-    pub fn jones_towards(&self, target: Vec3) -> Option<(PolBasis, JonesVector)> {
-        self.jones_along((target - self.position).normalized()?)
-    }
-
     /// The polarization axis for linear antennas; `None` for circular
     /// and general Jones patterns.
     pub fn linear_axis(&self) -> Option<Vec3> {
@@ -191,35 +171,6 @@ mod tests {
 
     fn downward_panel() -> Antenna {
         Antenna::linear(Vec3::new(0.0, 0.0, 2.0), -Vec3::Z, Vec3::X)
-    }
-
-    #[test]
-    fn boresight_gain_matches_spec() {
-        let a = downward_panel();
-        let g = a.amplitude_gain_towards(Vec3::ZERO);
-        // 6 dBi → power ratio ~3.98 → amplitude ~1.995.
-        assert!((g * g - 3.981).abs() < 1e-2);
-    }
-
-    #[test]
-    fn gain_rolls_off_away_from_boresight() {
-        let a = downward_panel();
-        let on_axis = a.amplitude_gain_towards(Vec3::ZERO);
-        let off_axis = a.amplitude_gain_towards(Vec3::new(1.5, 0.0, 0.0));
-        assert!(off_axis < on_axis);
-        assert!(off_axis > 0.0);
-    }
-
-    #[test]
-    fn back_hemisphere_is_dark() {
-        let a = downward_panel();
-        assert_eq!(a.amplitude_gain_towards(Vec3::new(0.0, 0.0, 5.0)), 0.0);
-    }
-
-    #[test]
-    fn target_at_antenna_position_gains_zero() {
-        let a = downward_panel();
-        assert_eq!(a.amplitude_gain_towards(a.position), 0.0);
     }
 
     #[test]

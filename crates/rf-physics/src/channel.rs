@@ -19,24 +19,35 @@
 //! * forward power at the tag `P_tag = P_tx · |F|²` — gated against the
 //!   chip sensitivity to decide whether the tag responds at all. This is
 //!   what makes reads vanish near β = 90° in Figure 3(b).
+//!
+//! [`ChannelModel`] describes the rig. [`RigFactors`] is the one
+//! evaluator: [`RigFactors::freeze`] hoists every factor that does not
+//! depend on the tag pose (antenna gain ratios and Jones states, the
+//! antenna images across each reflector, depolarization trig, and λ
+//! with its 1 m reference loss per FCC channel), and
+//! [`RigFactors::evaluate`] runs one link. Hoisting a value computed
+//! from the same inputs does not change its bits, and the carrier is
+//! picked per call from the plan's channel at `t`, so fixed and hopping
+//! plans freeze alike. `tests/snapshots/channel_links.json` pins the
+//! observables bit for bit.
 
-use crate::antenna::Antenna;
+use crate::antenna::{Antenna, Polarization};
 use crate::multipath::{fresnel_rp, fresnel_rs, Bystander, Reflector, Surface};
 use crate::noise::NoiseModel;
-use crate::polarization::{rotate_about_axis, transverse_field, Jones, PolBasis};
-use crate::propagation::log_distance_amplitude;
-use crate::spectrum::ChannelPlan;
+use crate::polarization::{rotate_about_axis, transverse_field, Jones, JonesVector, PolBasis, PolState};
+use crate::propagation::{free_space_loss_db, log_distance_loss_db};
+use crate::spectrum::{channel_frequency, ChannelPlan, FCC_CHANNEL_COUNT};
 use rf_core::{db_to_ratio, wrap_tau, Complex, Vec3};
+use std::f64::consts::{FRAC_1_SQRT_2, TAU};
 
-/// Which polarization formalism [`ChannelModel::evaluate`] runs.
+/// Which polarization formalism [`RigFactors::evaluate`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Polarimetry {
     /// The paper's reduction: one real coupling factor per path leg
     /// (`ê·u` for linear antennas, constant `1/√2` for circular). For
     /// linear-copolarized broadside rigs this is provably equivalent to
-    /// `Jones` (`tests/channel_equivalence.rs`) at roughly half the
-    /// per-sample cost — the default and the model every committed
-    /// paper artifact was produced under.
+    /// `Jones` (`tests/channel_equivalence.rs`) — the default and the
+    /// model every committed paper artifact was produced under.
     #[default]
     Scalar,
     /// Full Jones-calculus propagation: each path carries a complex
@@ -105,7 +116,7 @@ pub struct ChannelModel {
     pub cable_phase_rad: Vec<f64>,
     /// Path-loss exponent (2.0 = free space; slightly above in clutter).
     pub path_loss_exponent: f64,
-    /// Polarization formalism used by [`ChannelModel::evaluate`].
+    /// Polarization formalism used by [`RigFactors::evaluate`].
     pub polarimetry: Polarimetry,
     /// Tag antenna polarization behaviour.
     pub tag: TagPolarization,
@@ -171,154 +182,6 @@ impl ChannelModel {
     pub fn antenna_count(&self) -> usize {
         self.antennas.len()
     }
-
-    /// Evaluate the link for `antenna_idx` with the tag at `tag_pos`
-    /// (metres) and dipole orientation `dipole` (need not be unit) at
-    /// time `t` seconds, under the configured [`Polarimetry`] and
-    /// [`TagPolarization`].
-    ///
-    /// A [`TagPolarization::Reconfigurable`] tag evaluates both of its
-    /// orthogonal dipole states and reports the one harvesting more
-    /// forward power (ties keep the commanded orientation), so the
-    /// returned `mismatch_rad` describes the state the chip actually
-    /// selected.
-    ///
-    /// # Panics
-    /// Panics if `antenna_idx` is out of range.
-    pub fn evaluate(&self, antenna_idx: usize, tag_pos: Vec3, dipole: Vec3, t: f64) -> LinkObservation {
-        match self.tag {
-            TagPolarization::Dipole => self.evaluate_oriented(antenna_idx, tag_pos, dipole, t),
-            TagPolarization::Reconfigurable => {
-                let u = dipole.normalized().unwrap_or(Vec3::Z);
-                let primary = self.evaluate_oriented(antenna_idx, tag_pos, u, t);
-                let alt = self.evaluate_oriented(antenna_idx, tag_pos, orthogonal_dipole(u), t);
-                if alt.forward_power_dbm > primary.forward_power_dbm {
-                    alt
-                } else {
-                    primary
-                }
-            }
-        }
-    }
-
-    fn evaluate_oriented(&self, antenna_idx: usize, tag_pos: Vec3, dipole: Vec3, t: f64) -> LinkObservation {
-        match self.polarimetry {
-            Polarimetry::Scalar => self.evaluate_scalar(antenna_idx, tag_pos, dipole, t),
-            Polarimetry::Jones => self.evaluate_jones(antenna_idx, tag_pos, dipole, t),
-        }
-    }
-
-    /// The paper's scalar reduction: every path leg contributes a real
-    /// coupling factor. This is byte-for-byte the pre-Jones channel —
-    /// golden traces pin its output.
-    fn evaluate_scalar(&self, antenna_idx: usize, tag_pos: Vec3, dipole: Vec3, t: f64) -> LinkObservation {
-        let ant = &self.antennas[antenna_idx];
-        let lambda = self.plan.wavelength_at(t);
-        let g_tag = db_to_ratio(self.tag_gain_dbi).sqrt();
-        let u = dipole.normalized().unwrap_or(Vec3::Z);
-
-        let mut f = Complex::ZERO;
-
-        // Line of sight.
-        let d_los = ant.position.distance(tag_pos);
-        let los_amp = ant.amplitude_gain_towards(tag_pos)
-            * g_tag
-            * log_distance_amplitude(d_los, lambda, self.path_loss_exponent);
-        let los_coupling = ant.polarization_coupling(tag_pos, u);
-        f += Complex::from_polar(
-            los_amp * los_coupling,
-            -std::f64::consts::TAU * d_los / lambda,
-        );
-
-        // Wall reflections (image method, one bounce).
-        for refl in &self.reflectors {
-            if let Some(term) = reflector_term(ant, refl, tag_pos, u, lambda, g_tag, self.path_loss_exponent) {
-                f += term;
-            }
-        }
-
-        // Bystander scatter.
-        if let Some(by) = &self.bystander {
-            if let Some(term) = bystander_term(ant, by, tag_pos, u, lambda, g_tag, t, self.path_loss_exponent) {
-                f += term;
-            }
-        }
-
-        self.observe(f, antenna_idx, ant.mismatch_angle(tag_pos, u))
-    }
-
-    /// Full Jones-calculus propagation: every path carries a complex
-    /// transverse field composed through per-leg Jones matrices before
-    /// coupling onto the dipole. On linear-copolarized rigs with
-    /// `Empirical` surfaces each leg's field is purely real and the sum
-    /// reduces to [`ChannelModel::evaluate_scalar`] up to floating-point
-    /// association (`tests/channel_equivalence.rs` pins ≤ 1e-12).
-    fn evaluate_jones(&self, antenna_idx: usize, tag_pos: Vec3, dipole: Vec3, t: f64) -> LinkObservation {
-        let ant = &self.antennas[antenna_idx];
-        let lambda = self.plan.wavelength_at(t);
-        let g_tag = db_to_ratio(self.tag_gain_dbi).sqrt();
-        let u = dipole.normalized().unwrap_or(Vec3::Z);
-
-        let mut f = Complex::ZERO;
-
-        // Line of sight.
-        let d_los = ant.position.distance(tag_pos);
-        let los_amp = ant.amplitude_gain_towards(tag_pos)
-            * g_tag
-            * log_distance_amplitude(d_los, lambda, self.path_loss_exponent);
-        if let Some((basis, jv)) = ant.jones_towards(tag_pos) {
-            f += jv.couple(&basis, u)
-                * Complex::from_polar(los_amp, -std::f64::consts::TAU * d_los / lambda);
-        }
-
-        // Wall reflections (image method, one Jones bounce each).
-        for refl in &self.reflectors {
-            if let Some(term) = jones_reflector_term(ant, refl, tag_pos, u, lambda, g_tag, self.path_loss_exponent) {
-                f += term;
-            }
-        }
-
-        // Bystander scatter.
-        if let Some(by) = &self.bystander {
-            if let Some(term) = jones_bystander_term(ant, by, tag_pos, u, lambda, g_tag, t, self.path_loss_exponent) {
-                f += term;
-            }
-        }
-
-        self.observe(f, antenna_idx, ant.mismatch_angle(tag_pos, u))
-    }
-
-    /// Shared measurement tail: fold the one-way field `F` into the
-    /// monostatic observables. Both polarimetry paths funnel through
-    /// here with an identical floating-point op sequence.
-    fn observe(&self, f: Complex, antenna_idx: usize, mismatch_rad: f64) -> LinkObservation {
-        let forward_power_dbm = self.tx_power_dbm + amp_to_db(f.abs());
-        let tag_powered = forward_power_dbm >= self.tag_sensitivity_dbm;
-
-        let m = db_to_ratio(-self.backscatter_loss_db).sqrt();
-        let h = (f * f).scale(m);
-        let rx_power_dbm = self.tx_power_dbm + amp_to_db(h.abs());
-        let cable = self.cable_phase_rad.get(antenna_idx).copied().unwrap_or(0.0);
-        // Readers report phase in the Eq.-6 convention of the paper:
-        // θ = 4π·l/λ (mod 2π), i.e. *increasing* with distance — the
-        // negation of the physical e^{−jkd} propagation argument.
-        let phase_rad = wrap_tau(-h.arg() + cable);
-
-        LinkObservation {
-            forward_power_dbm,
-            rx_power_dbm,
-            phase_rad,
-            tag_powered,
-            round_trip: h,
-            mismatch_rad,
-        }
-    }
-}
-
-/// The second dipole state of a reconfigurable tag: the in-board-plane
-/// orthogonal of `u` (falling back to X for a board-normal dipole).
-fn orthogonal_dipole(u: Vec3) -> Vec3 {
-    Vec3::new(-u.y, u.x, 0.0).normalized().unwrap_or(Vec3::X)
 }
 
 /// Unit polarization axis in the board plane at `angle` radians from +X.
@@ -359,145 +222,394 @@ pub fn office_clutter() -> Vec<Reflector> {
     ]
 }
 
+/// The carrier-dependent factors of one FCC channel: λ and the 1 m
+/// reference of the log-distance model, `free_space_loss_db(1.0, λ)`.
+#[derive(Debug, Clone, Copy)]
+struct Carrier {
+    lambda: f64,
+    fs_ref_db: f64,
+}
+
+/// The frame an antenna's radiated Jones state lives in — the frozen
+/// half of [`Antenna::jones_along`] (the state itself never depends on
+/// the ray, only the frame construction rule does).
+#[derive(Debug, Clone, Copy)]
+enum FrozenFrame {
+    /// `PolBasis::from_reference(axis, dir)` — linear and general Jones
+    /// patterns.
+    Reference(Vec3),
+    /// `PolBasis::any(dir)` — circular patterns.
+    Any,
+}
+
+/// One antenna with its pose-independent factors hoisted.
+#[derive(Debug, Clone)]
+struct FrozenAntenna {
+    ant: Antenna,
+    /// `db_to_ratio(gain_dbi)` — the boresight power ratio the pattern
+    /// scales.
+    gain_ratio: f64,
+    /// Frame construction rule + frozen radiated state — the
+    /// `PolState::jones()` trig paid once per rig instead of per link.
+    frame: FrozenFrame,
+    jv: JonesVector,
+    /// This antenna's image across each reflector, in reflector order.
+    /// By the image method a bounce path has the length of the straight
+    /// line from the image to the tag, and arrives along it.
+    mirrored: Vec<Vec3>,
+}
+
+impl FrozenAntenna {
+    /// Linear *amplitude* gain toward `target` (√ of the power gain
+    /// `G₀·cosⁿθ`), zero behind the panel.
+    fn amplitude_gain_towards(&self, target: Vec3) -> f64 {
+        let dir = match (target - self.ant.position).normalized() {
+            Some(d) => d,
+            None => return 0.0,
+        };
+        let cos_theta = self.ant.boresight.dot(dir);
+        if cos_theta <= 0.0 {
+            return 0.0; // back hemisphere of a panel antenna
+        }
+        let pattern = cos_theta.powf(self.ant.pattern_exponent);
+        (self.gain_ratio * pattern).sqrt()
+    }
+
+    /// [`Antenna::jones_along`] with the radiated state frozen.
+    fn jones_along(&self, dir: Vec3) -> Option<(PolBasis, JonesVector)> {
+        match self.frame {
+            FrozenFrame::Reference(axis) => Some((PolBasis::from_reference(axis, dir)?, self.jv)),
+            FrozenFrame::Any => Some((PolBasis::any(dir), self.jv)),
+        }
+    }
+
+    /// The scalar channel's radiated field toward `dir`: the transverse
+    /// polarization axis for linear antennas; circular antennas use an
+    /// arbitrary transverse reference at −3 dB (orientation information
+    /// is destroyed anyway).
+    fn scalar_field(&self, dir: Vec3) -> Option<Vec3> {
+        match self.ant.linear_axis() {
+            Some(axis) => transverse_field(axis, dir),
+            None => Some(transverse_field(Vec3::X, dir)? * FRAC_1_SQRT_2),
+        }
+    }
+}
+
+/// One reflector with its depolarization rotation hoisted.
+#[derive(Debug, Clone)]
+struct FrozenReflector {
+    refl: Reflector,
+    /// `sin`/`cos` of the depolarization angle.
+    depol: (f64, f64),
+}
+
+impl FrozenReflector {
+    /// Transform a field polarization vector through the bounce: mirror
+    /// it, apply the depolarization rotation about the outgoing axis
+    /// `k_out`, and attenuate by the reflectivity.
+    fn reflect(&self, e: Vec3, k_out: Vec3) -> Vec3 {
+        rotate_about_axis(self.refl.mirror_dir(e), k_out, self.depol) * self.refl.reflectivity
+    }
+}
+
+/// A [`ChannelModel`] with everything that does not depend on the tag
+/// pose precomputed — the evaluator of the link model.
+///
+/// The carrier is resolved per call: λ and the 1 m reference loss are
+/// frozen for every FCC channel index, and [`RigFactors::evaluate`]
+/// picks them with `plan.channel_at(t)`, so hopping plans freeze like
+/// fixed ones. A moving bystander is resolved per call too: only its
+/// position depends on time.
+#[derive(Debug, Clone)]
+pub struct RigFactors {
+    tx_power_dbm: f64,
+    tag_sensitivity_dbm: f64,
+    ple: f64,
+    /// `db_to_ratio(tag_gain_dbi).sqrt()`.
+    g_tag: f64,
+    /// `db_to_ratio(-backscatter_loss_db).sqrt()`.
+    m: f64,
+    plan: ChannelPlan,
+    /// One entry per FCC channel index.
+    carriers: Vec<Carrier>,
+    cable_phase_rad: Vec<f64>,
+    polarimetry: Polarimetry,
+    tag: TagPolarization,
+    ants: Vec<FrozenAntenna>,
+    refls: Vec<FrozenReflector>,
+    /// The bystander plus the hoisted `sin`/`cos` of its depolarization.
+    bystander: Option<(Bystander, (f64, f64))>,
+}
+
+impl RigFactors {
+    /// Freeze a model's pose-independent factors.
+    pub fn freeze(model: &ChannelModel) -> RigFactors {
+        let carriers = (0..FCC_CHANNEL_COUNT)
+            .map(|idx| {
+                let lambda = rf_core::wavelength(channel_frequency(idx));
+                Carrier { lambda, fs_ref_db: free_space_loss_db(1.0, lambda) }
+            })
+            .collect();
+        let refls: Vec<FrozenReflector> = model
+            .reflectors
+            .iter()
+            .map(|refl| FrozenReflector { refl: *refl, depol: refl.depolarization.sin_cos() })
+            .collect();
+        let ants = model
+            .antennas
+            .iter()
+            .map(|ant| {
+                let (frame, jv) = match ant.polarization {
+                    Polarization::Linear(axis) => (FrozenFrame::Reference(axis), JonesVector::H),
+                    Polarization::Circular => (
+                        FrozenFrame::Any,
+                        PolState::Circular { right_handed: true }.jones(),
+                    ),
+                    Polarization::Jones { axis, state } => {
+                        (FrozenFrame::Reference(axis), state.jones())
+                    }
+                };
+                FrozenAntenna {
+                    ant: *ant,
+                    gain_ratio: db_to_ratio(ant.gain_dbi),
+                    frame,
+                    jv,
+                    mirrored: refls.iter().map(|fr| fr.refl.mirror(ant.position)).collect(),
+                }
+            })
+            .collect();
+        RigFactors {
+            tx_power_dbm: model.tx_power_dbm,
+            tag_sensitivity_dbm: model.tag_sensitivity_dbm,
+            ple: model.path_loss_exponent,
+            g_tag: db_to_ratio(model.tag_gain_dbi).sqrt(),
+            m: db_to_ratio(-model.backscatter_loss_db).sqrt(),
+            plan: model.plan.clone(),
+            carriers,
+            cable_phase_rad: model.cable_phase_rad.clone(),
+            polarimetry: model.polarimetry,
+            tag: model.tag,
+            ants,
+            refls,
+            bystander: model.bystander.map(|by| (by, by.depolarization.sin_cos())),
+        }
+    }
+
+    /// Evaluate the link for `antenna_idx` with the tag at `tag_pos`
+    /// (metres) and dipole orientation `dipole` (need not be unit) at
+    /// time `t` seconds, under the rig's [`Polarimetry`] and
+    /// [`TagPolarization`].
+    ///
+    /// A [`TagPolarization::Reconfigurable`] tag evaluates both of its
+    /// orthogonal dipole states and reports the one harvesting more
+    /// forward power (ties keep the commanded orientation), so the
+    /// returned `mismatch_rad` describes the state the chip actually
+    /// selected.
+    ///
+    /// # Panics
+    /// Panics if `antenna_idx` is out of range.
+    pub fn evaluate(&self, antenna_idx: usize, tag_pos: Vec3, dipole: Vec3, t: f64) -> LinkObservation {
+        let carrier = self.carriers[self.plan.channel_at(t).min(FCC_CHANNEL_COUNT - 1)];
+        match self.tag {
+            TagPolarization::Dipole => {
+                self.evaluate_oriented(carrier, antenna_idx, tag_pos, dipole, t)
+            }
+            TagPolarization::Reconfigurable => {
+                let u = dipole.normalized().unwrap_or(Vec3::Z);
+                let primary = self.evaluate_oriented(carrier, antenna_idx, tag_pos, u, t);
+                // The second dipole state: the in-board-plane orthogonal
+                // of `u` (X for a board-normal dipole).
+                let orthogonal = Vec3::new(-u.y, u.x, 0.0).normalized().unwrap_or(Vec3::X);
+                let alt = self.evaluate_oriented(carrier, antenna_idx, tag_pos, orthogonal, t);
+                if alt.forward_power_dbm > primary.forward_power_dbm {
+                    alt
+                } else {
+                    primary
+                }
+            }
+        }
+    }
+
+    fn evaluate_oriented(
+        &self,
+        c: Carrier,
+        antenna_idx: usize,
+        tag_pos: Vec3,
+        dipole: Vec3,
+        t: f64,
+    ) -> LinkObservation {
+        let fa = &self.ants[antenna_idx];
+        let ant = &fa.ant;
+        let u = dipole.normalized().unwrap_or(Vec3::Z);
+
+        let mut f = Complex::ZERO;
+
+        // Line of sight.
+        let d_los = ant.position.distance(tag_pos);
+        let los_amp = fa.amplitude_gain_towards(tag_pos) * self.g_tag * self.log_dist_amp(c, d_los);
+        let los_phase = -TAU * d_los / c.lambda;
+        match self.polarimetry {
+            Polarimetry::Scalar => {
+                f += Complex::from_polar(los_amp * ant.polarization_coupling(tag_pos, u), los_phase);
+            }
+            Polarimetry::Jones => {
+                if let Some((basis, jv)) =
+                    (tag_pos - ant.position).normalized().and_then(|dir| fa.jones_along(dir))
+                {
+                    f += jv.couple(&basis, u) * Complex::from_polar(los_amp, los_phase);
+                }
+            }
+        }
+
+        // Wall reflections (image method, one bounce each).
+        for (fr, &mirrored) in self.refls.iter().zip(&fa.mirrored) {
+            if let Some(term) = self.reflector_term(c, fa, fr, mirrored, tag_pos, u) {
+                f += term;
+            }
+        }
+
+        // Bystander scatter.
+        if let Some(term) = self.bystander_term(c, fa, tag_pos, u, t) {
+            f += term;
+        }
+
+        self.observe(f, antenna_idx, ant.mismatch_angle(tag_pos, u))
+    }
+
+    /// The one-way log-distance amplitude `10^(−PL(d)/20)`; zero at
+    /// non-positive range.
+    fn log_dist_amp(&self, c: Carrier, distance_m: f64) -> f64 {
+        let loss = log_distance_loss_db(distance_m, c.fs_ref_db, self.ple);
+        if loss.is_infinite() {
+            0.0
+        } else {
+            10f64.powf(-loss / 20.0)
+        }
+    }
+
+    /// One wall bounce: the field radiated toward the tag's mirror
+    /// image, reflected, coupled onto `u`.
+    ///
+    /// The scalar channel reflects the real field vector. Under Jones,
+    /// `Empirical` surfaces apply that same field transform to the real
+    /// and imaginary field parts independently (the transform is
+    /// linear, so this is exact — and bitwise-identical for the purely
+    /// real fields of linear antennas). `Fresnel` surfaces split the
+    /// field into s/p components in the plane-of-incidence frame, apply
+    /// `diag(r_s, r_p)`, and re-express the bounced field in the
+    /// arrival frame.
+    fn reflector_term(
+        &self,
+        c: Carrier,
+        fa: &FrozenAntenna,
+        fr: &FrozenReflector,
+        mirrored: Vec3,
+        tag_pos: Vec3,
+        u: Vec3,
+    ) -> Option<Complex> {
+        let delta = tag_pos - mirrored;
+        let len = delta.norm();
+        let arrive_dir = delta.normalized().unwrap_or(Vec3::Z);
+        let image = fr.refl.mirror(tag_pos);
+        let emit_dir = (image - fa.ant.position).normalized()?;
+        let amp = fa.amplitude_gain_towards(image) * self.g_tag * self.log_dist_amp(c, len);
+        let phase = -TAU * len / c.lambda;
+        if self.polarimetry == Polarimetry::Scalar {
+            let e1 = fr.reflect(fa.scalar_field(emit_dir)?, arrive_dir);
+            return Some(Complex::from_polar(amp * e1.dot(u), phase));
+        }
+        let (emission_basis, jv) = fa.jones_along(emit_dir)?;
+        let coupling = match fr.refl.surface {
+            Surface::Empirical => {
+                let (re, im) = jv.field(&emission_basis);
+                let re_out = fr.reflect(re, arrive_dir);
+                let im_out = fr.reflect(im, arrive_dir);
+                Complex::new(re_out.dot(u), im_out.dot(u))
+            }
+            Surface::Fresnel { rel_permittivity } => {
+                let cos_i = emit_dir.dot(fr.refl.normal).abs();
+                // s axis: perpendicular to the plane of incidence. It is
+                // shared by the incident and reflected rays; the p axis
+                // rotates with the ray.
+                let s = emit_dir
+                    .cross(fr.refl.normal)
+                    .normalized()
+                    .unwrap_or(emission_basis.h); // normal incidence: s/p degenerate
+                let in_basis = PolBasis { h: s, v: emit_dir.cross(s), k: emit_dir };
+                let out_basis = PolBasis { h: s, v: arrive_dir.cross(s), k: arrive_dir };
+                let rs = fresnel_rs(rel_permittivity, cos_i);
+                let rp = fresnel_rp(rel_permittivity, cos_i);
+                let bounce = Jones::diag(Complex::new(rs, 0.0), Complex::new(rp, 0.0))
+                    .compose(Jones::basis_change(&emission_basis, &in_basis));
+                bounce.apply(jv).couple(&out_basis, u)
+            }
+        };
+        Some(coupling * Complex::from_polar(amp, phase))
+    }
+
+    /// The bystander's scatter: a depolarizing rotation of the incident
+    /// field (under Jones, of its real and imaginary parts
+    /// independently — linear, hence exact), attenuated by the body's
+    /// scattering coefficient. The two legs combine as a single detour
+    /// path (specular-point approximation). `None` without a bystander.
+    fn bystander_term(
+        &self,
+        c: Carrier,
+        fa: &FrozenAntenna,
+        tag_pos: Vec3,
+        u: Vec3,
+        t: f64,
+    ) -> Option<Complex> {
+        let &(by, depol) = self.bystander.as_ref()?;
+        let body = by.position_at(t);
+        let (l1, l2, arrive_dir) = by.path(fa.ant.position, tag_pos, t);
+        let emit_dir = (body - fa.ant.position).normalized()?;
+        let total = l1 + l2;
+        let amp = fa.amplitude_gain_towards(body) * self.g_tag * self.log_dist_amp(c, total);
+        let phase = -TAU * total / c.lambda;
+        let scatter = |e: Vec3| rotate_about_axis(e, arrive_dir, depol) * by.scattering;
+        if self.polarimetry == Polarimetry::Scalar {
+            let e1 = scatter(fa.scalar_field(emit_dir)?);
+            return Some(Complex::from_polar(amp * e1.dot(u), phase));
+        }
+        let (basis, jv) = fa.jones_along(emit_dir)?;
+        let (re, im) = jv.field(&basis);
+        let coupling = Complex::new(scatter(re).dot(u), scatter(im).dot(u));
+        Some(coupling * Complex::from_polar(amp, phase))
+    }
+
+    /// Fold the one-way field `F` into the monostatic observables. Both
+    /// polarimetries funnel through here with an identical
+    /// floating-point op sequence.
+    fn observe(&self, f: Complex, antenna_idx: usize, mismatch_rad: f64) -> LinkObservation {
+        let forward_power_dbm = self.tx_power_dbm + amp_to_db(f.abs());
+        let tag_powered = forward_power_dbm >= self.tag_sensitivity_dbm;
+
+        let h = (f * f).scale(self.m);
+        let rx_power_dbm = self.tx_power_dbm + amp_to_db(h.abs());
+        let cable = self.cable_phase_rad.get(antenna_idx).copied().unwrap_or(0.0);
+        // Readers report phase in the Eq.-6 convention of the paper:
+        // θ = 4π·l/λ (mod 2π), i.e. *increasing* with distance — the
+        // negation of the physical e^{−jkd} propagation argument.
+        let phase_rad = wrap_tau(-h.arg() + cable);
+
+        LinkObservation {
+            forward_power_dbm,
+            rx_power_dbm,
+            phase_rad,
+            tag_powered,
+            round_trip: h,
+            mismatch_rad,
+        }
+    }
+}
+
 fn amp_to_db(a: f64) -> f64 {
     if a <= 0.0 {
         f64::NEG_INFINITY
     } else {
         20.0 * a.log10()
     }
-}
-
-fn reflector_term(
-    ant: &Antenna,
-    refl: &Reflector,
-    tag_pos: Vec3,
-    u: Vec3,
-    lambda: f64,
-    g_tag: f64,
-    ple: f64,
-) -> Option<Complex> {
-    let (len, arrive_dir) = refl.path(ant.position, tag_pos);
-    // Radiated field toward the mirror image of the tag.
-    let image = refl.mirror(tag_pos);
-    let emit_dir = (image - ant.position).normalized()?;
-    let e0 = match ant.linear_axis() {
-        Some(axis) => transverse_field(axis, emit_dir)?,
-        // Circular antennas: use an arbitrary transverse reference at
-        // −3 dB; orientation information is destroyed anyway.
-        None => transverse_field(Vec3::X, emit_dir)? * std::f64::consts::FRAC_1_SQRT_2,
-    };
-    let e1 = refl.reflect_polarization(e0, arrive_dir);
-    let coupling = e1.dot(u);
-    let amp = ant.amplitude_gain_towards(image) * g_tag * log_distance_amplitude(len, lambda, ple);
-    Some(Complex::from_polar(
-        amp * coupling,
-        -std::f64::consts::TAU * len / lambda,
-    ))
-}
-
-/// One reflector's contribution under the Jones channel. `Empirical`
-/// surfaces apply the scalar channel's exact field transform to the real
-/// and imaginary field parts independently (the transform is linear, so
-/// this is exact — and bitwise-identical for the purely real fields of
-/// linear antennas). `Fresnel` surfaces split the field into s/p
-/// components in the plane-of-incidence frame, apply `diag(r_s, r_p)`,
-/// and re-express the bounced field in the arrival frame.
-fn jones_reflector_term(
-    ant: &Antenna,
-    refl: &Reflector,
-    tag_pos: Vec3,
-    u: Vec3,
-    lambda: f64,
-    g_tag: f64,
-    ple: f64,
-) -> Option<Complex> {
-    let (len, arrive_dir) = refl.path(ant.position, tag_pos);
-    let image = refl.mirror(tag_pos);
-    let emit_dir = (image - ant.position).normalized()?;
-    let (emission_basis, jv) = ant.jones_along(emit_dir)?;
-    let coupling = match refl.surface {
-        Surface::Empirical => {
-            let (re, im) = jv.field(&emission_basis);
-            let re_out = refl.reflect_polarization(re, arrive_dir);
-            let im_out = refl.reflect_polarization(im, arrive_dir);
-            Complex::new(re_out.dot(u), im_out.dot(u))
-        }
-        Surface::Fresnel { rel_permittivity } => {
-            let cos_i = emit_dir.dot(refl.normal).abs();
-            // s axis: perpendicular to the plane of incidence. It is
-            // shared by the incident and reflected rays; the p axis
-            // rotates with the ray.
-            let s = emit_dir
-                .cross(refl.normal)
-                .normalized()
-                .unwrap_or(emission_basis.h); // normal incidence: s/p degenerate
-            let in_basis = PolBasis { h: s, v: emit_dir.cross(s), k: emit_dir };
-            let out_basis = PolBasis { h: s, v: arrive_dir.cross(s), k: arrive_dir };
-            let rs = fresnel_rs(rel_permittivity, cos_i);
-            let rp = fresnel_rp(rel_permittivity, cos_i);
-            let bounce = Jones::diag(Complex::new(rs, 0.0), Complex::new(rp, 0.0))
-                .compose(Jones::basis_change(&emission_basis, &in_basis));
-            bounce.apply(jv).couple(&out_basis, u)
-        }
-    };
-    let amp = ant.amplitude_gain_towards(image) * g_tag * log_distance_amplitude(len, lambda, ple);
-    Some(coupling * Complex::from_polar(amp, -std::f64::consts::TAU * len / lambda))
-}
-
-/// The bystander's contribution under the Jones channel: the scalar
-/// channel's depolarizing rotation applied to the real and imaginary
-/// field parts independently (linear, hence exact).
-fn jones_bystander_term(
-    ant: &Antenna,
-    by: &Bystander,
-    tag_pos: Vec3,
-    u: Vec3,
-    lambda: f64,
-    g_tag: f64,
-    t: f64,
-    ple: f64,
-) -> Option<Complex> {
-    let body = by.position_at(t);
-    let (l1, l2, arrive_dir) = by.path(ant.position, tag_pos, t);
-    let emit_dir = (body - ant.position).normalized()?;
-    let (basis, jv) = ant.jones_along(emit_dir)?;
-    let (re, im) = jv.field(&basis);
-    let re_out = rotate_about_axis(re, arrive_dir, by.depolarization) * by.scattering;
-    let im_out = rotate_about_axis(im, arrive_dir, by.depolarization) * by.scattering;
-    let coupling = Complex::new(re_out.dot(u), im_out.dot(u));
-    let total = l1 + l2;
-    let amp = ant.amplitude_gain_towards(body) * g_tag * log_distance_amplitude(total, lambda, ple);
-    Some(coupling * Complex::from_polar(amp, -std::f64::consts::TAU * total / lambda))
-}
-
-fn bystander_term(
-    ant: &Antenna,
-    by: &Bystander,
-    tag_pos: Vec3,
-    u: Vec3,
-    lambda: f64,
-    g_tag: f64,
-    t: f64,
-    ple: f64,
-) -> Option<Complex> {
-    let body = by.position_at(t);
-    let (l1, l2, arrive_dir) = by.path(ant.position, tag_pos, t);
-    let emit_dir = (body - ant.position).normalized()?;
-    let e0 = match ant.linear_axis() {
-        Some(axis) => transverse_field(axis, emit_dir)?,
-        None => transverse_field(Vec3::X, emit_dir)? * std::f64::consts::FRAC_1_SQRT_2,
-    };
-    // Scattered field: depolarized rotation of the incident field,
-    // attenuated by the body's scattering coefficient. The two legs are
-    // combined as a single detour path (specular-point approximation).
-    let e1 = rotate_about_axis(e0, arrive_dir, by.depolarization) * by.scattering;
-    let coupling = e1.dot(u);
-    let total = l1 + l2;
-    let amp = ant.amplitude_gain_towards(body) * g_tag * log_distance_amplitude(total, lambda, ple);
-    Some(Complex::from_polar(
-        amp * coupling,
-        -std::f64::consts::TAU * total / lambda,
-    ))
 }
 
 #[cfg(test)]
@@ -517,7 +629,7 @@ mod tests {
     #[test]
     fn aligned_tag_at_one_metre_hits_expected_budget() {
         let ch = bench_channel();
-        let obs = ch.evaluate(0, Vec3::ZERO, Vec3::X, 0.0);
+        let obs = RigFactors::freeze(&ch).evaluate(0, Vec3::ZERO, Vec3::X, 0.0);
         // Analytic: F = g_ant · g_tag · λ/(4πd)
         //             = 1.995 · 1.259 · 0.02608 ≈ 0.0655
         // → P_tag = 30 + 20·log10 F ≈ +6.3 dBm;
@@ -531,11 +643,12 @@ mod tests {
     fn rss_follows_cos4_law_under_rotation() {
         // Figure 3(b): rotating the tag sweeps RSS as 40·log10 cos β.
         let ch = bench_channel();
-        let rss0 = ch.evaluate(0, Vec3::ZERO, Vec3::X, 0.0).rx_power_dbm;
+        let rig = RigFactors::freeze(&ch);
+        let rss0 = rig.evaluate(0, Vec3::ZERO, Vec3::X, 0.0).rx_power_dbm;
         for deg in [15.0, 30.0, 45.0, 60.0] {
             let b = deg_to_rad(deg);
             let dipole = Vec3::new(b.cos(), b.sin(), 0.0);
-            let rss = ch.evaluate(0, Vec3::ZERO, dipole, 0.0).rx_power_dbm;
+            let rss = rig.evaluate(0, Vec3::ZERO, dipole, 0.0).rx_power_dbm;
             let expect_drop = -40.0 * b.cos().log10();
             assert!(
                 ((rss0 - rss) - expect_drop).abs() < 0.05,
@@ -546,9 +659,58 @@ mod tests {
     }
 
     #[test]
+    fn panel_gain_follows_the_pattern_and_is_dark_behind() {
+        let rig = RigFactors::freeze(&bench_channel());
+        let panel = &rig.ants[0];
+        // 6 dBi → power ratio ~3.98 → amplitude ~1.995 on boresight.
+        let on_axis = panel.amplitude_gain_towards(Vec3::ZERO);
+        assert!((on_axis * on_axis - 3.981).abs() < 1e-2);
+        let off_axis = panel.amplitude_gain_towards(Vec3::new(1.5, 0.0, 0.0));
+        assert!(off_axis > 0.0 && off_axis < on_axis);
+        assert_eq!(panel.amplitude_gain_towards(Vec3::new(0.0, 0.0, 5.0)), 0.0);
+        assert_eq!(panel.amplitude_gain_towards(panel.ant.position), 0.0);
+    }
+
+    #[test]
+    fn wall_bounce_attenuates_and_depolarizes() {
+        let mut ch = bench_channel();
+        ch.reflectors = vec![Reflector::wall_behind(1.0, 0.4, 0.0), Reflector::wall_behind(1.0, 1.0, 0.5)];
+        let rig = RigFactors::freeze(&ch);
+        let plain = rig.refls[0].reflect(Vec3::X, Vec3::Z);
+        assert!((plain.norm() - 0.4).abs() < 1e-12);
+        // With depolarization an X-polarized field acquires a Y
+        // component — the energy that survives the LoS cross-
+        // polarization null and causes spurious phases.
+        let rotated = rig.refls[1].reflect(Vec3::X, Vec3::Z);
+        assert!(rotated.y.abs() > 0.4);
+    }
+
+    #[test]
+    fn hopping_plans_freeze_and_take_the_carrier_of_each_call() {
+        // A hopping rig evaluates every link on the channel its plan
+        // selects at `t`: bit for bit the fixed rig on that channel.
+        let mut hop = bench_channel();
+        hop.reflectors = office_clutter();
+        hop.plan = ChannelPlan::hopping_from_seed(7, 0.2);
+        let rig = RigFactors::freeze(&hop);
+        let pos = Vec3::new(0.1, 0.2, 0.0);
+        let mut phases = Vec::new();
+        for t in [0.0, 0.25, 0.45, 0.61, 3.3] {
+            let mut fixed = hop.clone();
+            fixed.plan = ChannelPlan::Fixed(hop.plan.channel_at(t));
+            let a = rig.evaluate(0, pos, Vec3::X, t);
+            let b = RigFactors::freeze(&fixed).evaluate(0, pos, Vec3::X, t);
+            assert_eq!(a, b, "t = {t}");
+            phases.push(a.phase_rad);
+        }
+        // Different channels give different phase slopes at this range.
+        assert!(phases.windows(2).any(|w| w[0] != w[1]));
+    }
+
+    #[test]
     fn cross_polarized_tag_loses_power_in_free_space() {
         let ch = bench_channel();
-        let obs = ch.evaluate(0, Vec3::ZERO, Vec3::Y, 0.0);
+        let obs = RigFactors::freeze(&ch).evaluate(0, Vec3::ZERO, Vec3::Y, 0.0);
         assert!(!obs.tag_powered, "no NLoS energy in free space at β = 90°");
         assert_eq!(obs.forward_power_dbm, f64::NEG_INFINITY);
     }
@@ -558,7 +720,7 @@ mod tests {
         let mut ch = bench_channel();
         // Side wall in the antenna's front hemisphere (a wall behind the
         // antenna would be in the panel's back null and contribute
-        // nothing — tested by `back_hemisphere_is_dark`).
+        // nothing — tested by `panel_gain_follows_the_pattern_and_is_dark_behind`).
         ch.reflectors = vec![Reflector {
             point: Vec3::new(2.0, 0.0, 0.0),
             normal: -Vec3::X,
@@ -566,12 +728,13 @@ mod tests {
             depolarization: 1.2,
             surface: Surface::Empirical,
         }];
-        let obs = ch.evaluate(0, Vec3::ZERO, Vec3::Y, 0.0);
+        let rig = RigFactors::freeze(&ch);
+        let obs = rig.evaluate(0, Vec3::ZERO, Vec3::Y, 0.0);
         // The depolarized reflection couples into the crossed dipole.
         assert!(obs.forward_power_dbm > f64::NEG_INFINITY);
         // And its phase is set by the *reflected* path — the "spurious
         // reading" mechanism of §2.
-        let aligned = ch.evaluate(0, Vec3::ZERO, Vec3::X, 0.0);
+        let aligned = rig.evaluate(0, Vec3::ZERO, Vec3::X, 0.0);
         let spurious_gap = rf_core::angle::phase_distance(obs.phase_rad, aligned.phase_rad);
         assert!(spurious_gap > 0.2, "reflected path must shift phase, gap {spurious_gap}");
     }
@@ -581,10 +744,11 @@ mod tests {
         // Eq. 5: Δθ = 4π·Δd/λ — the round trip doubles the slope, and
         // the reported phase *increases* as the tag recedes (Eq. 6).
         let ch = bench_channel();
+        let rig = RigFactors::freeze(&ch);
         let lambda = ch.plan.wavelength_at(0.0);
-        let p1 = ch.evaluate(0, Vec3::ZERO, Vec3::X, 0.0).phase_rad;
+        let p1 = rig.evaluate(0, Vec3::ZERO, Vec3::X, 0.0).phase_rad;
         let dz = -0.01; // 1 cm farther from the antenna
-        let p2 = ch.evaluate(0, Vec3::new(0.0, 0.0, dz), Vec3::X, 0.0).phase_rad;
+        let p2 = rig.evaluate(0, Vec3::new(0.0, 0.0, dz), Vec3::X, 0.0).phase_rad;
         let measured = rf_core::angle::phase_diff(p2, p1);
         let expect = 2.0 * std::f64::consts::TAU * 0.01 / lambda;
         assert!(
@@ -597,8 +761,9 @@ mod tests {
     fn rss_insensitive_to_small_translation() {
         // Figure 3(c): 8 cm of motion moves RSS by well under a dB.
         let ch = bench_channel();
-        let r1 = ch.evaluate(0, Vec3::new(0.0, 0.0, 0.0), Vec3::X, 0.0).rx_power_dbm;
-        let r2 = ch.evaluate(0, Vec3::new(0.04, 0.0, 0.0), Vec3::X, 0.0).rx_power_dbm;
+        let rig = RigFactors::freeze(&ch);
+        let r1 = rig.evaluate(0, Vec3::new(0.0, 0.0, 0.0), Vec3::X, 0.0).rx_power_dbm;
+        let r2 = rig.evaluate(0, Vec3::new(0.04, 0.0, 0.0), Vec3::X, 0.0).rx_power_dbm;
         assert!((r1 - r2).abs() < 1.0, "Δ = {}", (r1 - r2).abs());
     }
 
@@ -616,7 +781,7 @@ mod tests {
         // A pen-like tag mid-board is readable by both antennas.
         let dipole = pol_axis_at(FRAC_PI_2);
         for idx in 0..2 {
-            let obs = ch.evaluate(idx, Vec3::new(0.0, 0.7, 0.0), dipole, 0.0);
+            let obs = RigFactors::freeze(&ch).evaluate(idx, Vec3::new(0.0, 0.7, 0.0), dipole, 0.0);
             assert!(obs.tag_powered, "antenna {idx} cannot power the tag");
         }
     }
@@ -630,8 +795,9 @@ mod tests {
             scattering: 0.25,
             depolarization: 0.9,
         });
-        let p0 = ch.evaluate(0, Vec3::ZERO, Vec3::X, 0.0).phase_rad;
-        let p1 = ch.evaluate(0, Vec3::ZERO, Vec3::X, 0.7).phase_rad;
+        let rig = RigFactors::freeze(&ch);
+        let p0 = rig.evaluate(0, Vec3::ZERO, Vec3::X, 0.0).phase_rad;
+        let p1 = rig.evaluate(0, Vec3::ZERO, Vec3::X, 0.7).phase_rad;
         assert!(
             rf_core::angle::phase_distance(p0, p1) > 1e-4,
             "moving scatterer must modulate the composite phase"
@@ -642,8 +808,9 @@ mod tests {
     fn static_scene_is_time_invariant() {
         let mut ch = bench_channel();
         ch.reflectors = office_clutter();
-        let a = ch.evaluate(0, Vec3::new(0.1, 0.2, 0.0), Vec3::X, 0.0);
-        let b = ch.evaluate(0, Vec3::new(0.1, 0.2, 0.0), Vec3::X, 5.0);
+        let rig = RigFactors::freeze(&ch);
+        let a = rig.evaluate(0, Vec3::new(0.1, 0.2, 0.0), Vec3::X, 0.0);
+        let b = rig.evaluate(0, Vec3::new(0.1, 0.2, 0.0), Vec3::X, 5.0);
         assert_eq!(a, b);
     }
 
@@ -662,8 +829,8 @@ mod tests {
         {
             let pos = Vec3::new(0.1 * i as f64 - 0.15, 0.72, 0.0);
             for idx in 0..2 {
-                let a = scalar.evaluate(idx, pos, dipole, 0.0);
-                let b = jones.evaluate(idx, pos, dipole, 0.0);
+                let a = RigFactors::freeze(&scalar).evaluate(idx, pos, dipole, 0.0);
+                let b = RigFactors::freeze(&jones).evaluate(idx, pos, dipole, 0.0);
                 assert!((a.rx_power_dbm - b.rx_power_dbm).abs() < 1e-12, "{a:?}\n{b:?}");
                 assert!((a.phase_rad - b.phase_rad).abs() < 1e-12);
                 assert!((a.forward_power_dbm - b.forward_power_dbm).abs() < 1e-12);
@@ -682,14 +849,14 @@ mod tests {
         let three_db = 10.0 * 2f64.log10();
         let mut lin = bench_channel();
         lin.polarimetry = Polarimetry::Jones;
-        let lin0 = lin.evaluate(0, Vec3::ZERO, Vec3::X, 0.0);
+        let lin0 = RigFactors::freeze(&lin).evaluate(0, Vec3::ZERO, Vec3::X, 0.0);
         let mut circ =
             ChannelModel::free_space(vec![Antenna::circular(Vec3::new(0.0, 0.0, 1.0), -Vec3::Z)]);
         circ.polarimetry = Polarimetry::Jones;
         for deg in [0.0, 20.0, 45.0, 63.0, 90.0, 137.0] {
             let b = deg_to_rad(deg);
             let u = Vec3::new(b.cos(), b.sin(), 0.0);
-            let obs = circ.evaluate(0, Vec3::ZERO, u, 0.0);
+            let obs = RigFactors::freeze(&circ).evaluate(0, Vec3::ZERO, u, 0.0);
             let fwd_loss = lin0.forward_power_dbm - obs.forward_power_dbm;
             let rx_loss = lin0.rx_power_dbm - obs.rx_power_dbm;
             assert!((fwd_loss - three_db).abs() < 1e-9, "β = {deg}°: fwd loss {fwd_loss}");
@@ -719,7 +886,7 @@ mod tests {
         ch.polarimetry = Polarimetry::Jones;
 
         ch.reflectors = vec![wall(Surface::Fresnel { rel_permittivity: 2.0 })];
-        let brewster = ch.evaluate(0, Vec3::ZERO, Vec3::Z, 0.0);
+        let brewster = RigFactors::freeze(&ch).evaluate(0, Vec3::ZERO, Vec3::Z, 0.0);
         // r_p(θ_B) = 0: the bounce vanishes (to fp rounding of θ_B).
         assert!(
             brewster.forward_power_dbm < -150.0,
@@ -730,10 +897,10 @@ mod tests {
         // Same geometry off Brewster (εr = 6) or with the empirical
         // boundary: the bounce survives.
         ch.reflectors = vec![wall(Surface::Fresnel { rel_permittivity: 6.0 })];
-        let off = ch.evaluate(0, Vec3::ZERO, Vec3::Z, 0.0);
+        let off = RigFactors::freeze(&ch).evaluate(0, Vec3::ZERO, Vec3::Z, 0.0);
         assert!(off.forward_power_dbm > -60.0, "off-Brewster {}", off.forward_power_dbm);
         ch.reflectors = vec![wall(Surface::Empirical)];
-        let emp = ch.evaluate(0, Vec3::ZERO, Vec3::Z, 0.0);
+        let emp = RigFactors::freeze(&ch).evaluate(0, Vec3::ZERO, Vec3::Z, 0.0);
         assert!(emp.forward_power_dbm > -60.0, "empirical {}", emp.forward_power_dbm);
     }
 
@@ -767,9 +934,9 @@ mod tests {
         let rs = fresnel_rs(eps_r, cos_i);
 
         ch.reflectors = vec![ceiling(Surface::Fresnel { rel_permittivity: eps_r })];
-        let fresnel = ch.evaluate(0, tag, Vec3::Y, 0.0);
+        let fresnel = RigFactors::freeze(&ch).evaluate(0, tag, Vec3::Y, 0.0);
         ch.reflectors = vec![ceiling(Surface::Empirical)];
-        let mirror = ch.evaluate(0, tag, Vec3::Y, 0.0);
+        let mirror = RigFactors::freeze(&ch).evaluate(0, tag, Vec3::Y, 0.0);
         let measured = fresnel.forward_power_dbm - mirror.forward_power_dbm;
         let want = 20.0 * rs.abs().log10();
         assert!((measured - want).abs() < 1e-9, "Δ = {measured}, 20·log10|r_s| = {want}");
@@ -781,23 +948,24 @@ mod tests {
         // and keeps harvesting; the fixed dipole blacks out.
         let mut ch = bench_channel();
         ch.tag = TagPolarization::Reconfigurable;
-        let rec = ch.evaluate(0, Vec3::ZERO, Vec3::Y, 0.0);
+        let rig = RigFactors::freeze(&ch);
+        let rec = rig.evaluate(0, Vec3::ZERO, Vec3::Y, 0.0);
         assert!(rec.tag_powered, "reconfigurable tag must dodge the null");
-        let fixed = bench_channel().evaluate(0, Vec3::ZERO, Vec3::Y, 0.0);
+        let fixed = RigFactors::freeze(&bench_channel()).evaluate(0, Vec3::ZERO, Vec3::Y, 0.0);
         assert!(!fixed.tag_powered);
         // Aligned dipole: the primary state already wins, so the
         // reconfigurable observation matches the fixed one exactly.
-        let a = bench_channel().evaluate(0, Vec3::ZERO, Vec3::X, 0.0);
-        let b = ch.evaluate(0, Vec3::ZERO, Vec3::X, 0.0);
+        let a = RigFactors::freeze(&bench_channel()).evaluate(0, Vec3::ZERO, Vec3::X, 0.0);
+        let b = rig.evaluate(0, Vec3::ZERO, Vec3::X, 0.0);
         assert_eq!(a, b);
     }
 
     #[test]
     fn cable_phase_shifts_reported_phase_only() {
         let mut ch = bench_channel();
-        let base = ch.evaluate(0, Vec3::ZERO, Vec3::X, 0.0);
+        let base = RigFactors::freeze(&ch).evaluate(0, Vec3::ZERO, Vec3::X, 0.0);
         ch.cable_phase_rad = vec![1.0];
-        let shifted = ch.evaluate(0, Vec3::ZERO, Vec3::X, 0.0);
+        let shifted = RigFactors::freeze(&ch).evaluate(0, Vec3::ZERO, Vec3::X, 0.0);
         assert_eq!(base.rx_power_dbm, shifted.rx_power_dbm);
         let d = rf_core::angle::phase_diff(shifted.phase_rad, base.phase_rad);
         assert!((d - 1.0).abs() < 1e-9);

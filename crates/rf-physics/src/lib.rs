@@ -25,7 +25,10 @@
 //!   boundary with proper s/p coefficients.
 //! * [`channel`] — composes everything into a time-varying complex
 //!   channel: one-way field sum `F = Σ_p f_p`, round-trip backscatter
-//!   `h = m·F²`, forward tag power for the sensitivity gate. Runs either
+//!   `h = m·F²`, forward tag power for the sensitivity gate. A
+//!   [`ChannelModel`] describes the rig; [`RigFactors::freeze`] hoists
+//!   its pose-independent factors (per FCC channel for the carrier) and
+//!   [`RigFactors::evaluate`] is the one link evaluator. Runs either
 //!   the scalar fast path or full Jones propagation
 //!   ([`channel::Polarimetry`]), with fixed or polarization-
 //!   reconfigurable tags ([`channel::TagPolarization`]).
@@ -38,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod antenna;
-pub mod batch;
 pub mod channel;
 pub mod multipath;
 pub mod noise;
@@ -47,8 +49,7 @@ pub mod propagation;
 pub mod spectrum;
 
 pub use antenna::{Antenna, Polarization};
-pub use batch::{BatchOptions, BatchPrecision, ChannelBatch, PoseBatch, RigFactors};
-pub use channel::{ChannelModel, LinkObservation, Polarimetry, TagPolarization};
+pub use channel::{ChannelModel, LinkObservation, Polarimetry, RigFactors, TagPolarization};
 pub use multipath::{fresnel_rp, fresnel_rs, Bystander, BystanderMotion, Reflector, Surface};
 pub use noise::NoiseModel;
 pub use polarization::{Jones, JonesVector, PolBasis, PolState};

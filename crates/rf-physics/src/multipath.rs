@@ -14,7 +14,6 @@
 //!    30 cm (Fig. 16). The bystander is modelled as a discrete scatterer
 //!    whose path gain falls with both legs of the detour.
 
-use crate::polarization::rotate_about_axis;
 use rf_core::Vec3;
 
 /// Electromagnetic boundary model of a reflecting surface.
@@ -108,28 +107,6 @@ impl Reflector {
     pub fn mirror_dir(&self, v: Vec3) -> Vec3 {
         v - self.normal * (2.0 * v.dot(self.normal))
     }
-
-    /// Geometry of the single-bounce path from `src` to `dst`:
-    /// `(path_length, arrival_direction_at_dst)`.
-    ///
-    /// By the image method the reflected path has the length of the
-    /// straight line from the mirrored source to the destination, and
-    /// arrives from the mirrored source's direction.
-    pub fn path(&self, src: Vec3, dst: Vec3) -> (f64, Vec3) {
-        let image = self.mirror(src);
-        let delta = dst - image;
-        let len = delta.norm();
-        let dir = delta.normalized().unwrap_or(Vec3::Z);
-        (len, dir)
-    }
-
-    /// Transform a field polarization vector through the reflection:
-    /// mirror it, then apply the depolarization rotation about the
-    /// outgoing propagation axis `k_out`.
-    pub fn reflect_polarization(&self, e: Vec3, k_out: Vec3) -> Vec3 {
-        let mirrored = self.mirror_dir(e);
-        rotate_about_axis(mirrored, k_out, self.depolarization) * self.reflectivity
-    }
 }
 
 /// How the bystander moves.
@@ -210,19 +187,11 @@ mod tests {
     }
 
     #[test]
-    fn reflected_path_is_longer_than_direct() {
-        let wall = Reflector::wall_behind(1.5, 0.4, 0.0);
-        let src = Vec3::new(0.0, 0.0, 2.0);
-        let dst = Vec3::new(0.3, 0.1, 0.0);
-        let (len, _) = wall.path(src, dst);
-        assert!(len > src.distance(dst));
-    }
-
-    #[test]
-    fn reflected_path_obeys_image_geometry() {
-        // Source and destination equidistant from the wall: the bounce
-        // path length equals the direct distance between the mirrored
-        // endpoints (classic image construction).
+    fn image_path_obeys_image_geometry() {
+        // By the image method the bounce path is the straight line from
+        // the mirrored source. Source and destination equidistant from
+        // the wall: its length is the direct distance between the
+        // mirrored endpoints, and it is longer than the direct path.
         let wall = Reflector {
             point: Vec3::ZERO,
             normal: Vec3::Z,
@@ -232,29 +201,13 @@ mod tests {
         };
         let src = Vec3::new(-1.0, 0.0, 1.0);
         let dst = Vec3::new(1.0, 0.0, 1.0);
-        let (len, dir) = wall.path(src, dst);
-        assert!((len - 2.0 * 2f64.sqrt()).abs() < 1e-12);
+        let delta = dst - wall.mirror(src);
+        assert!((delta.norm() - 2.0 * 2f64.sqrt()).abs() < 1e-12);
+        assert!(delta.norm() > src.distance(dst));
         // Arrives travelling up and to the right at 45°.
+        let dir = delta.normalized().unwrap();
         assert!((dir.x - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-12);
         assert!((dir.z - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reflection_attenuates_field() {
-        let wall = Reflector::wall_behind(1.0, 0.4, 0.0);
-        let e = Vec3::X;
-        let r = wall.reflect_polarization(e, Vec3::Z);
-        assert!((r.norm() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn depolarization_injects_cross_component() {
-        // An X-polarized field reflecting with nonzero depolarization
-        // acquires a Y component — the energy that survives the LoS
-        // cross-polarization null and causes spurious phases.
-        let wall = Reflector::wall_behind(1.0, 1.0, 0.5);
-        let r = wall.reflect_polarization(Vec3::X, Vec3::Z);
-        assert!(r.y.abs() > 0.4);
     }
 
     #[test]
@@ -365,9 +318,7 @@ mod tests {
         let fresnel = wall.with_surface(Surface::Fresnel { rel_permittivity: 2.5 });
         assert_eq!(fresnel.surface, Surface::Fresnel { rel_permittivity: 2.5 });
         // The geometric helpers are surface-independent.
-        assert_eq!(
-            wall.path(Vec3::new(0.0, 0.0, 2.0), Vec3::new(0.3, 0.1, 0.0)),
-            fresnel.path(Vec3::new(0.0, 0.0, 2.0), Vec3::new(0.3, 0.1, 0.0))
-        );
+        let p = Vec3::new(0.3, 0.1, 2.0);
+        assert_eq!(wall.mirror(p), fresnel.mirror(p));
     }
 }

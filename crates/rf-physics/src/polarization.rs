@@ -82,14 +82,15 @@ pub fn mismatch_angle(antenna_pos: Vec3, pol_axis: Vec3, tag_pos: Vec3, dipole: 
     e.dot(u_t).abs().clamp(0.0, 1.0).acos()
 }
 
-/// Rotate a field vector `e` by `angle` radians about the propagation
-/// axis `k` (Rodrigues' formula restricted to the transverse plane).
+/// Rotate a field vector `e` about the propagation axis `k` by the
+/// angle whose `(sin, cos)` is given (Rodrigues' formula restricted to
+/// the transverse plane). Callers rotating by a fixed angle pass
+/// `angle.sin_cos()` computed once.
 ///
 /// Reflections off walls and furniture partially rotate polarization;
 /// this is how the multipath module injects cross-polarized energy that
 /// survives when the line-of-sight coupling nulls out at β = 90°.
-pub fn rotate_about_axis(e: Vec3, k: Vec3, angle: f64) -> Vec3 {
-    let (s, c) = angle.sin_cos();
+pub fn rotate_about_axis(e: Vec3, k: Vec3, (s, c): (f64, f64)) -> Vec3 {
     e * c + k.cross(e) * s + k * (k.dot(e) * (1.0 - c))
 }
 
@@ -440,7 +441,7 @@ mod tests {
     #[test]
     fn rotate_about_axis_quarter_turn() {
         let e = Vec3::X;
-        let r = rotate_about_axis(e, Vec3::Z, FRAC_PI_2);
+        let r = rotate_about_axis(e, Vec3::Z, FRAC_PI_2.sin_cos());
         assert!((r.x).abs() < 1e-12 && (r.y - 1.0).abs() < 1e-12 && r.z.abs() < 1e-12);
     }
 
@@ -448,7 +449,7 @@ mod tests {
     fn rotation_preserves_norm_and_transversality() {
         let k = Vec3::new(0.0, 0.0, 1.0);
         let e = Vec3::new(0.6, 0.8, 0.0);
-        let r = rotate_about_axis(e, k, 1.234);
+        let r = rotate_about_axis(e, k, 1.234f64.sin_cos());
         assert!((r.norm() - 1.0).abs() < 1e-12);
         assert!(r.dot(k).abs() < 1e-12);
     }

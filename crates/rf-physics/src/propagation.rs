@@ -27,23 +27,14 @@ pub fn free_space_loss_db(distance_m: f64, wavelength_m: f64) -> f64 {
 }
 
 /// Log-distance path loss in dB relative to a 1 m reference:
-/// `PL(d) = PL(d₀) + 10·n·log10(d/d₀)` with `d₀ = 1 m`.
-pub fn log_distance_loss_db(distance_m: f64, wavelength_m: f64, exponent: f64) -> f64 {
+/// `PL(d) = PL(d₀) + 10·n·log10(d/d₀)` with `d₀ = 1 m` and
+/// `PL(d₀) = reference_loss_db` (the free-space loss at 1 m,
+/// [`free_space_loss_db`]`(1.0, λ)`, which callers hoist per carrier).
+pub fn log_distance_loss_db(distance_m: f64, reference_loss_db: f64, exponent: f64) -> f64 {
     if distance_m <= 0.0 {
         return f64::INFINITY;
     }
-    free_space_loss_db(1.0, wavelength_m) + 10.0 * exponent * distance_m.log10()
-}
-
-/// The one-way *amplitude* factor corresponding to
-/// [`log_distance_loss_db`].
-pub fn log_distance_amplitude(distance_m: f64, wavelength_m: f64, exponent: f64) -> f64 {
-    let loss = log_distance_loss_db(distance_m, wavelength_m, exponent);
-    if loss.is_infinite() {
-        0.0
-    } else {
-        10f64.powf(-loss / 20.0)
-    }
+    reference_loss_db + 10.0 * exponent * distance_m.log10()
 }
 
 #[cfg(test)]
@@ -70,19 +61,19 @@ mod tests {
     fn log_distance_with_exponent_two_equals_free_space() {
         for d in [0.3, 1.0, 2.5] {
             let fs = free_space_loss_db(d, LAMBDA);
-            let ld = log_distance_loss_db(d, LAMBDA, 2.0);
+            let ld = log_distance_loss_db(d, free_space_loss_db(1.0, LAMBDA), 2.0);
             assert!((fs - ld).abs() < 1e-9, "d = {d}");
         }
     }
 
     #[test]
     fn larger_exponent_means_more_loss_beyond_reference() {
-        let n2 = log_distance_loss_db(3.0, LAMBDA, 2.0);
-        let n3 = log_distance_loss_db(3.0, LAMBDA, 3.0);
+        let n2 = log_distance_loss_db(3.0, free_space_loss_db(1.0, LAMBDA), 2.0);
+        let n3 = log_distance_loss_db(3.0, free_space_loss_db(1.0, LAMBDA), 3.0);
         assert!(n3 > n2);
         // ... and *less* loss inside the reference distance.
-        let m2 = log_distance_loss_db(0.5, LAMBDA, 2.0);
-        let m3 = log_distance_loss_db(0.5, LAMBDA, 3.0);
+        let m2 = log_distance_loss_db(0.5, free_space_loss_db(1.0, LAMBDA), 2.0);
+        let m3 = log_distance_loss_db(0.5, free_space_loss_db(1.0, LAMBDA), 3.0);
         assert!(m3 < m2);
     }
 
@@ -90,14 +81,6 @@ mod tests {
     fn degenerate_distances() {
         assert_eq!(free_space_amplitude(0.0, LAMBDA), 0.0);
         assert_eq!(free_space_loss_db(0.0, LAMBDA), f64::INFINITY);
-        assert_eq!(log_distance_amplitude(-1.0, LAMBDA, 2.0), 0.0);
-    }
-
-    #[test]
-    fn amplitude_and_db_agree() {
-        let d = 1.7;
-        let amp = log_distance_amplitude(d, LAMBDA, 2.3);
-        let db = log_distance_loss_db(d, LAMBDA, 2.3);
-        assert!((-20.0 * amp.log10() - db).abs() < 1e-9);
+        assert_eq!(log_distance_loss_db(-1.0, free_space_loss_db(1.0, LAMBDA), 2.0), f64::INFINITY);
     }
 }

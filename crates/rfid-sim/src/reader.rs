@@ -11,8 +11,7 @@ use crate::gen2::Gen2Config;
 use crate::TagReport;
 use rf_core::rng::{gaussian, rng_from_seed};
 use rf_core::wrap_tau;
-use rf_physics::batch::RigFactors;
-use rf_physics::ChannelModel;
+use rf_physics::{ChannelModel, RigFactors};
 
 /// Reader configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,28 +70,12 @@ impl Reader {
         Reader { channel, config: ReaderConfig::default() }
     }
 
-    /// One link observation, through the rig-frozen factors when the
-    /// plan allows freezing (fixed carrier — the paper's mode), else
-    /// the plain per-link model. `RigFactors::evaluate` is bitwise
-    /// identical to `ChannelModel::evaluate`, so the report stream —
-    /// and every golden snapshot derived from it — is unchanged; only
-    /// the per-report forward-model cost drops.
-    #[inline]
-    fn observe(
-        &self,
-        frozen: Option<&RigFactors>,
-        port: usize,
-        pose: TagPose,
-        t: f64,
-    ) -> rf_physics::LinkObservation {
-        match frozen {
-            Some(rig) => rig.evaluate(port, pose.position, pose.dipole, t),
-            None => self.channel.evaluate(port, pose.position, pose.dipole, t),
-        }
-    }
-
     /// Run the inventory loop across a pose trajectory, producing the
     /// LLRP-visible report stream. Deterministic in `seed`.
+    ///
+    /// The channel is frozen once per call ([`RigFactors::freeze`]) and
+    /// every round evaluates its link through [`RigFactors::evaluate`],
+    /// on whatever carrier the plan selects at the round's time.
     ///
     /// Poses must be sorted by time; the reader samples the pose with
     /// the latest timestamp ≤ the current MAC time (zero-order hold, so
@@ -104,7 +87,7 @@ impl Reader {
             _ => return reports,
         };
         let mut rng = rng_from_seed(seed);
-        let frozen = RigFactors::freeze(&self.channel);
+        let rig = RigFactors::freeze(&self.channel);
         let n_ant = self.channel.antenna_count().max(1);
         let mut t = first;
         let mut pose_idx = 0usize;
@@ -116,7 +99,7 @@ impl Reader {
                 pose_idx += 1;
             }
             let pose = poses[pose_idx];
-            let obs = self.observe(frozen.as_ref(), port, pose, t);
+            let obs = rig.evaluate(port, pose.position, pose.dipole, t);
 
             let round = if obs.tag_powered {
                 let snr = self.channel.noise.snr_db(obs.rx_power_dbm);
@@ -168,7 +151,8 @@ impl Reader {
     /// should cover a similar time span; a tag is out of the running
     /// once its trajectory ends). Downstream, trackers separate the
     /// stream by EPC — exactly the per-tag phase separation the paper
-    /// sketches for multi-user whiteboards.
+    /// sketches for multi-user whiteboards. Each live tag's link is
+    /// evaluated once per round; the winner's report reuses it.
     pub fn inventory_multi(&self, tags: &[(u64, Vec<TagPose>)], seed: u64) -> Vec<TagReport> {
         let mut reports = Vec::new();
         let first = tags
@@ -183,7 +167,7 @@ impl Reader {
             return reports;
         }
         let mut rng = rng_from_seed(seed);
-        let frozen = RigFactors::freeze(&self.channel);
+        let rig = RigFactors::freeze(&self.channel);
         let n_ant = self.channel.antenna_count().max(1);
         let mut q = crate::gen2::QAlgorithm::new((tags.len() as f64).log2().ceil() as u32);
         let mut t = first;
@@ -192,7 +176,7 @@ impl Reader {
 
         while t <= last {
             // Which tags are powered (and in time range) this round?
-            let mut live: Vec<(usize, crate::reader::TagPose, f64)> = Vec::new();
+            let mut live: Vec<(usize, rf_physics::LinkObservation)> = Vec::new();
             for (ti, (_, poses)) in tags.iter().enumerate() {
                 while pose_idx[ti] + 1 < poses.len() && poses[pose_idx[ti] + 1].t <= t {
                     pose_idx[ti] += 1;
@@ -201,9 +185,9 @@ impl Reader {
                 if pose.t > t || poses.last().map_or(true, |p| p.t < t) {
                     continue;
                 }
-                let obs = self.observe(frozen.as_ref(), port, *pose, t);
+                let obs = rig.evaluate(port, pose.position, pose.dipole, t);
                 if obs.tag_powered {
-                    live.push((ti, *pose, obs.rx_power_dbm));
+                    live.push((ti, obs));
                 }
             }
 
@@ -212,7 +196,8 @@ impl Reader {
             let round = match outcome {
                 crate::gen2::SlotOutcome::Single => {
                     // The responding tag is uniform among the live set.
-                    let (ti, pose, rx) = live[rng.gen_index(live.len())];
+                    let (ti, obs) = live[rng.gen_index(live.len())];
+                    let rx = obs.rx_power_dbm;
                     let snr = self.channel.noise.snr_db(rx);
                     let p_ok = self
                         .config
@@ -220,9 +205,7 @@ impl Reader {
                         .scheme
                         .packet_success(snr, crate::gen2::frame::EPC_BITS);
                     if rng.gen_bool(p_ok) {
-                        let obs = self.observe(frozen.as_ref(), port, pose, t);
-                        let rssi =
-                            obs.rx_power_dbm + self.channel.noise.sample_rssi_noise(&mut rng, rx);
+                        let rssi = rx + self.channel.noise.sample_rssi_noise(&mut rng, rx);
                         let phase =
                             obs.phase_rad + self.channel.noise.sample_phase_noise(&mut rng, rx);
                         reports.push(TagReport {

@@ -7,10 +7,9 @@
 //! while the `experiments` harness drives them interchangeably.
 //!
 //! The report streams trackers consume come out of [`crate::Reader`]'s
-//! inventory loops, which evaluate the forward model through the
-//! rig-frozen batch path (`rf_physics::batch::RigFactors`) on
-//! fixed-carrier plans — bit-identical observations to the per-link
-//! model, produced without re-deriving per-rig factors on every round.
+//! inventory loops, which freeze the rig once per call and evaluate
+//! every round through `rf_physics::RigFactors`, the one link
+//! evaluator, on any carrier plan.
 
 use crate::TagReport;
 use rf_core::Vec2;

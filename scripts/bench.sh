@@ -45,17 +45,15 @@
 #   Jones layer must not tax the legacy cos²β path the committed
 #   artifacts were produced under. The jones row rides along as the
 #   measured cost of `--channel jones` per link.
-# * channel — the batched channel-evaluation engine. Copies the report
-#   to BENCH_channel.json and enforces three gates at the paper-fidelity
-#   emission workload (the default board at 2.5 mm) plus one link gate:
+# * channel — emission-table builds and the link evaluator. Copies the
+#   report to BENCH_channel.json and enforces two gates at the
+#   paper-fidelity emission workload (the default board at 2.5 mm):
 #   - the F32Tolerance-tier direct emission build must beat the
 #     retained per-link build ≥ 4× (the headline batch payoff);
-#   - the bitwise f64 row build must beat per-link ≥ 1.5× on its own;
-#   - the restructured Jones batch kernel must beat per-link Jones
-#     link evaluation ≥ 2×.
+#   - the bitwise f64 row build must beat per-link ≥ 1.5× on its own.
 #   Also re-runs the components channel rows and holds them to the
 #   committed BENCH_components.json at 1.1× WITHOUT refreshing that
-#   baseline: the batch engine must not tax the per-link paths.
+#   baseline: the single-link rows must not regress.
 #
 # Usage: scripts/bench.sh [--suite decode|throughput|fleet|components|channel|all] [--min-speedup X]
 #   --suite        which suite(s) to run (default all)
@@ -183,7 +181,7 @@ if [ "$SUITE" = components ] || [ "$SUITE" = all ]; then
 fi
 
 if [ "$SUITE" = channel ] || [ "$SUITE" = all ]; then
-    echo "== bench: channel suite (batched engine, full methodology) =="
+    echo "== bench: channel suite (emission builds + link evaluator, full methodology) =="
     mkdir -p results/channel
     cargo bench --offline -p polardraw-bench --bench channel -- \
         --out "$(pwd)/results/channel"
@@ -205,14 +203,6 @@ if [ "$SUITE" = channel ] || [ "$SUITE" = all ]; then
         --min-speedup 1.5 \
         --ref channel/emission/per_link/cell2.5mm \
         --opt channel/emission/batch/cell2.5mm
-
-    # The restructured Jones batch kernel against per-link Jones links.
-    echo "== bench: jones link batch gate (>= 2x per-link) =="
-    cargo run --release --offline -p polardraw-bench --bin bench_check -- \
-        results/channel/bench_channel.json \
-        --min-speedup 2.0 \
-        --ref channel/link/jones/per_link/poses512 \
-        --opt channel/link/jones/batch/poses512
 
     # No-regression on the per-link paths: re-measure the components
     # channel rows and hold them to the committed baseline — but do NOT

@@ -106,20 +106,22 @@ ran rf_physics
 ran golden golden_report_polarization
 ran golden golden_trace_letter_trial_jones
 
-echo "== verify: batched channel engine =="
-# Explicit tier-1 gates for the SoA batch evaluation engine:
-# - tests/channel_batch.rs pins the three precision contracts: the
-#   scalar batch (and the rig-frozen single-link path for both
-#   polarimetries) bit-identical to the per-link ChannelModel, the
-#   restructured Jones batch within 1e-12 per observable across
-#   Fresnel/circular/elliptical/reconfigurable variants, and the
-#   F32Tolerance grid tier inside its quantitative oracle (wrap-aware
-#   emission deltas vs the cast spec + fig13 reduced-config letter
-#   parity) — with thread counts 1/2/8 bit-identical inside each tier,
-# - the RigFactors freeze/evaluate unit tests live in rf-physics
-#   (already checked above), the row-kernel bitwise pins in
-#   polardraw-core.
+echo "== verify: channel evaluator + emission builds =="
+# Explicit tier-1 gates for the forward model and the grid kernels:
+# - tests/channel_equivalence.rs holds RigFactors::evaluate, the one
+#   link evaluator, to tests/snapshots/channel_links.json bit for bit
+#   across every branch (scalar/Jones, linear/circular/elliptical
+#   readers, Empirical/Fresnel reflectors, static/walking bystanders,
+#   Dipole/Reconfigurable tags, fixed and hopping plans, both ports),
+# - tests/channel_batch.rs pins the emission builds: the f64 row build
+#   bit-identical to the per-cell spec at every worker count, and the
+#   f32 direct build inside its tolerance oracle (wrap-aware emission
+#   deltas vs the cast spec + fig13 reduced-config letter parity) and
+#   bit-identical across worker counts,
+# - the row-kernel bitwise pins live in polardraw-core.
+ran channel_equivalence link_model_matches_the_pinned_snapshot_bitwise
 ran channel_batch
+ran polardraw_core distances_row
 ran polardraw_core dtheta_row
 
 echo "== verify: online engine + supervised sessions =="

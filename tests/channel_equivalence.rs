@@ -96,14 +96,16 @@ fn jones_matches_scalar_on_every_broadside_rig() {
         let seed = derive_seed_indexed(master, "equiv-rig", rig_idx);
         let mut rng = rng_from_seed(seed);
         let with_bystander = rig_idx % 3 == 2;
-        let scalar = sampled_rig(&mut rng, with_bystander);
-        let mut jones = scalar.clone();
-        jones.polarimetry = Polarimetry::Jones;
+        let scalar_ch = sampled_rig(&mut rng, with_bystander);
+        let mut jones_ch = scalar_ch.clone();
+        jones_ch.polarimetry = Polarimetry::Jones;
+        let scalar = RigFactors::freeze(&scalar_ch);
+        let jones = RigFactors::freeze(&jones_ch);
 
         for sample in 0..40 {
             let (pos, dipole) = sampled_pose(&mut rng);
             let t = rng.gen_range(0.0..5.0);
-            for port in 0..scalar.antenna_count() {
+            for port in 0..scalar_ch.antenna_count() {
                 let s = scalar.evaluate(port, pos, dipole, t);
                 let j = jones.evaluate(port, pos, dipole, t);
                 let ctx = format!(
@@ -147,8 +149,9 @@ fn jones_channel_is_not_a_no_op() {
     let circular = linear
         .clone()
         .with_reader_pol(PolState::Circular { right_handed: true });
-    let a = rig_for(&linear).evaluate(0, Vec3::new(0.0, 0.72, 0.0), Vec3::Y, 0.0);
-    let b = rig_for(&circular).evaluate(0, Vec3::new(0.0, 0.72, 0.0), Vec3::Y, 0.0);
+    let pos = Vec3::new(0.0, 0.72, 0.0);
+    let a = RigFactors::freeze(&rig_for(&linear)).evaluate(0, pos, Vec3::Y, 0.0);
+    let b = RigFactors::freeze(&rig_for(&circular)).evaluate(0, pos, Vec3::Y, 0.0);
     assert!(
         (a.rx_power_dbm - b.rx_power_dbm).abs() > 0.5,
         "circular override changed nothing: {} vs {}",
@@ -237,7 +240,10 @@ fn free_space_edge() -> ChannelModel {
     ChannelModel::free_space(vec![Antenna::linear(Vec3::new(0.0, 0.0, 1.0), -Vec3::Z, Vec3::X)])
 }
 
-fn free_space_edge_poses() -> Vec<(usize, Vec3, Vec3, f64)> {
+/// One snapshot link input: `(antenna, position, dipole, t)`.
+type LinkInput = (usize, Vec3, Vec3, f64);
+
+fn free_space_edge_poses() -> Vec<LinkInput> {
     vec![
         (0, Vec3::ZERO, Vec3::X, 0.0),
         (0, Vec3::ZERO, Vec3::Y, 0.0),
@@ -247,9 +253,8 @@ fn free_space_edge_poses() -> Vec<(usize, Vec3, Vec3, f64)> {
     ]
 }
 
-/// Every snapshot case: `(name, rig, links)` with each link an
-/// `(antenna, position, dipole, t)` input.
-fn snapshot_cases() -> Vec<(String, ChannelModel, Vec<(usize, Vec3, Vec3, f64)>)> {
+/// Every snapshot case: `(name, rig, links)`.
+fn snapshot_cases() -> Vec<(String, ChannelModel, Vec<LinkInput>)> {
     let mut cases = Vec::new();
     for (polarimetry, label) in [(Polarimetry::Scalar, "scalar"), (Polarimetry::Jones, "jones")] {
         for (vi, (name, mut ch)) in snapshot_variants().into_iter().enumerate() {
@@ -299,13 +304,16 @@ fn link_json(port: usize, pos: Vec3, dipole: Vec3, t: f64, obs: &LinkObservation
     ])
 }
 
-fn links_document(eval: impl Fn(&ChannelModel, usize, Vec3, Vec3, f64) -> LinkObservation) -> String {
+/// Evaluate every snapshot link through `RigFactors` and render the
+/// document, one link per line.
+fn links_document() -> String {
     let mut out = String::from("{\"format\":\"polardraw.channel_links.v1\",\"cases\":[\n");
     let cases = snapshot_cases();
     for (ci, (name, ch, links)) in cases.iter().enumerate() {
         out.push_str(&format!("{{\"name\":{},\"links\":[\n", Json::str(name.as_str())));
+        let rig = RigFactors::freeze(ch);
         for (li, &(port, pos, dipole, t)) in links.iter().enumerate() {
-            let obs = eval(ch, port, pos, dipole, t);
+            let obs = rig.evaluate(port, pos, dipole, t);
             out.push_str(&link_json(port, pos, dipole, t, &obs).to_json_string());
             out.push_str(if li + 1 < links.len() { ",\n" } else { "\n" });
         }
@@ -336,11 +344,5 @@ fn assert_matches_link_snapshot(actual: &str) {
 
 #[test]
 fn link_model_matches_the_pinned_snapshot_bitwise() {
-    let doc = links_document(|ch, port, pos, dipole, t| ch.evaluate(port, pos, dipole, t));
-    assert_matches_link_snapshot(&doc);
-    let frozen = links_document(|ch, port, pos, dipole, t| match RigFactors::freeze(ch) {
-        Some(rig) => rig.evaluate(port, pos, dipole, t),
-        None => ch.evaluate(port, pos, dipole, t),
-    });
-    assert_matches_link_snapshot(&frozen);
+    assert_matches_link_snapshot(&links_document());
 }

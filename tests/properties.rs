@@ -12,6 +12,7 @@ use recognition::resample::{prepare, resample};
 use rf_core::angle::{phase_diff, unwrap_phases, wrap_pi, wrap_tau};
 use rf_core::rng::{derive_seed_indexed, Rng64};
 use rf_core::{Mat2, Vec2, Vec3};
+use rf_physics::RigFactors;
 use rfid_sim::llrp;
 use rfid_sim::TagReport;
 use std::f64::consts::{PI, TAU};
@@ -248,6 +249,7 @@ fn free_space_phase_advances_with_range() {
         let ant_pos = ant.position;
         let ch = rf_physics::ChannelModel::free_space(vec![ant]);
         let lambda = ch.plan.wavelength_at(0.0);
+        let ch = RigFactors::freeze(&ch);
         let p1 = Vec3::new(x, y, 0.0);
         let dir = (p1 - ant_pos).normalized().unwrap();
         let p2 = p1 + dir * (step_mm / 1000.0);
@@ -275,7 +277,7 @@ fn free_space_rss_is_monotone_in_mismatch() {
         let b1 = rng.gen_range(0.0..1.45);
         let b2 = rng.gen_range(0.0..1.45);
         let ant = Antenna::linear(Vec3::new(0.0, 0.0, 1.0), -Vec3::Z, Vec3::X);
-        let ch = rf_physics::ChannelModel::free_space(vec![ant]);
+        let ch = RigFactors::freeze(&rf_physics::ChannelModel::free_space(vec![ant]));
         let rss =
             |b: f64| ch.evaluate(0, Vec3::ZERO, Vec3::new(b.cos(), b.sin(), 0.0), 0.0).rx_power_dbm;
         let (lo, hi) = (b1.min(b2), b1.max(b2));
@@ -295,7 +297,7 @@ fn mismatch_loss_is_symmetric_in_beta() {
         use rf_physics::antenna::Antenna;
         let beta = rng.gen_range(-1.45..1.45);
         let ant = Antenna::linear(Vec3::new(0.0, 0.0, 1.0), -Vec3::Z, Vec3::X);
-        let ch = rf_physics::ChannelModel::free_space(vec![ant]);
+        let ch = RigFactors::freeze(&rf_physics::ChannelModel::free_space(vec![ant]));
         let rss =
             |b: f64| ch.evaluate(0, Vec3::ZERO, Vec3::new(b.cos(), b.sin(), 0.0), 0.0).rx_power_dbm;
         let direct = rss(beta);
