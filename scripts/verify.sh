@@ -117,7 +117,10 @@ echo "== verify: channel evaluator + emission builds =="
 #   bit-identical to the per-cell spec at every worker count, and the
 #   f32 direct build inside its tolerance oracle (wrap-aware emission
 #   deltas vs the cast spec + fig13 reduced-config letter parity) and
-#   bit-identical across worker counts,
+#   bit-identical across worker counts, and holds RigFactors::evaluate
+#   to tests/snapshots/channel_per_link_{scalar,jones}.json (recorded
+#   from the per-link ChannelModel bodies over 12 scalar and 8 Jones
+#   derived-seed rigs) bit for bit,
 # - the row-kernel bitwise pins live in polardraw-core.
 ran channel_equivalence link_model_matches_the_pinned_snapshot_bitwise
 ran channel_batch
