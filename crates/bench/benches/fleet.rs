@@ -1,5 +1,6 @@
 //! Fleet-scale serving baseline: the `FleetRouter` front door at
-//! 64/256/1024 sessions, with an overload run and a migration-cost row.
+//! 64/256/1024 sessions, with an overload run, a migration-cost row and
+//! seal and recovery rows.
 //!
 //! Row families (all on one shared rig, grid coarsened 8× so a
 //! 1024-session fleet is tractable on a laptop — the committed numbers
@@ -32,6 +33,9 @@
 //! * `fleet/migrate/warm` — one live migration (drain → checkpoint →
 //!   re-adopt on the other shard) of a warmed session, ping-ponged
 //!   between shards.
+//! * `fleet/seal/session` — one `seal_checkpoint` of a warmed
+//!   128-report session (the sessions the recover row restores): the
+//!   per-session cost a sealing drain pays.
 //! * `fleet/recover/session` — per-session crash recovery: a warmed,
 //!   checkpointed one-shard fleet is killed and recovered each
 //!   iteration; the sample is `recover()` wall time ÷ sessions
@@ -277,13 +281,14 @@ fn main() {
         ));
     }
 
-    // Crash recovery cost: kill a warmed, checkpointed one-shard fleet
-    // and rebuild every session from the store. Boundary kills (the
+    // Seal and crash recovery cost: seal every session of a warmed,
+    // checkpointed one-shard fleet, then kill it and rebuild every
+    // session from the store. Boundary kills (the
     // checkpoint policy seals every drain) keep the escrow tail empty,
     // so the sample isolates restore cost — parse + CRC verify +
     // decoder rebuild — not replay decode work.
     {
-        use polardraw_core::durability::CheckpointStore;
+        use polardraw_core::durability::{seal_checkpoint, CheckpointStore};
         use polardraw_core::fleet::CheckpointPolicy;
         let cfg = rig();
         let sessions = 16usize;
@@ -305,6 +310,26 @@ fn main() {
         }
         fleet.drain(); // seals generation 1 for every session
         let iters = if quick { 4 } else { 24 };
+
+        // Seal cost on the same warmed sessions: every session sealed
+        // once per iteration; the sample is wall time ÷ sessions.
+        let mut samples = Vec::with_capacity(iters);
+        let mut sealed_bytes = 0;
+        for _ in 0..iters {
+            let t0 = Instant::now();
+            sealed_bytes = ids
+                .iter()
+                .map(|&id| seal_checkpoint(fleet.tracker(id), 2).len())
+                .sum::<usize>();
+            samples.push(t0.elapsed().as_nanos() as f64 / sessions as f64);
+        }
+        bench.record_ns("fleet/seal/session", &samples);
+        bench.note(format!(
+            "seal row: seal_checkpoint on each of the same {sessions} warm sessions \
+             ({} bytes per envelope on average)",
+            sealed_bytes / sessions
+        ));
+
         let mut samples = Vec::with_capacity(iters);
         for _ in 0..iters {
             fleet.kill_shard(0);

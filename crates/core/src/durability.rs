@@ -122,18 +122,26 @@ pub fn rig_crc(config: &PolarDrawConfig) -> u32 {
 /// caller's monotone counter ([`CheckpointStore::save`] manages it);
 /// it must stay below 2^53 to survive the JSON number round trip,
 /// which a per-session counter always does.
+///
+/// The document is serialized once. `"crc"` sorts before every other
+/// envelope key, so the canonical envelope is `{"crc":N,` followed by
+/// the CRC'd body minus its opening brace: splicing the two gives the
+/// same bytes as inserting `crc` and serializing again.
 pub fn seal_checkpoint(tracker: &OnlineTracker, generation: u64) -> String {
-    let mut doc = Json::obj([
+    let body = Json::obj([
         ("format", Json::str(CHECKPOINT_FORMAT_V2)),
         ("generation", Json::num(generation as f64)),
         ("rig_crc", Json::num(rig_crc(tracker.config()) as f64)),
         ("payload", tracker.checkpoint()),
-    ]);
-    let crc = crc32(doc.to_json_string().as_bytes());
-    if let Json::Obj(map) = &mut doc {
-        map.insert("crc".to_string(), Json::num(crc as f64));
-    }
-    doc.to_json_string()
+    ])
+    .to_json_string();
+    let crc = crc32(body.as_bytes());
+    // A u32 prints the same digits as the f64 it widens to.
+    let head = format!("{{\"crc\":{crc},");
+    let mut out = String::with_capacity(head.len() + body.len() - 1);
+    out.push_str(&head);
+    out.push_str(&body[1..]);
+    out
 }
 
 /// Open a checkpoint document of either format from untrusted text.
@@ -169,11 +177,7 @@ pub fn open_checkpoint_json(
     // mutation (bit flip, truncation repaired by luck, type
     // confusion) is caught here.
     let recorded = req_u32(doc, "crc")?;
-    let mut stripped = doc.clone();
-    if let Json::Obj(map) = &mut stripped {
-        map.remove("crc");
-    }
-    let computed = crc32(stripped.to_json_string().as_bytes());
+    let computed = crc32(doc.to_json_string_without("crc").as_bytes());
     if recorded != computed {
         return Err(RestoreError::Checksum { recorded, computed });
     }
@@ -259,15 +263,27 @@ impl CheckpointStore {
         format!("stage/{session:016x}/{generation:016x}")
     }
 
-    /// Committed generations for `session`, ascending.
+    /// Committed generations for `session`, ascending. Scans only that
+    /// session's keys, so the cost is O(`keep`), not O(store).
     pub fn generations(&self, session: u64) -> Vec<u64> {
         let prefix = format!("ckpt/{session:016x}/");
         self.backend
-            .keys()
+            .keys_with_prefix(&prefix)
             .iter()
             .filter_map(|k| k.strip_prefix(&prefix))
             .filter_map(|suffix| u64::from_str_radix(suffix, 16).ok())
             .collect()
+    }
+
+    /// Forget `session` entirely: remove every committed generation and
+    /// any staged write it left behind. Called when a session finishes,
+    /// so the store holds live sessions only.
+    pub fn purge(&mut self, session: u64) {
+        for area in ["ckpt", "stage"] {
+            for key in self.backend.keys_with_prefix(&format!("{area}/{session:016x}/")) {
+                self.backend.remove(&key);
+            }
+        }
     }
 
     /// Newest committed generation for `session`, if any.
@@ -388,6 +404,87 @@ mod tests {
 
     fn fresh_tracker() -> OnlineTracker {
         OnlineTracker::new(coarse_config(), OnlineOptions::default())
+    }
+
+    /// A tracker fed `n` synthetic reports, deep enough to carry lag
+    /// frames, history and pending reports.
+    fn warmed_tracker(n: usize) -> OnlineTracker {
+        let mut tracker = fresh_tracker();
+        for i in 0..n {
+            tracker.push(rfid_sim::TagReport {
+                t: i as f64 * 0.01,
+                antenna: i % 2,
+                rssi_dbm: -55.0 - (i % 7) as f64 * 0.25,
+                phase_rad: rf_core::wrap_tau(0.02 * i as f64),
+                channel: 0,
+                epc: 0xD0_AB1E,
+            });
+        }
+        tracker
+    }
+
+    /// The two-pass reference seal: build the envelope, CRC its
+    /// serialization, insert `crc`, serialize again.
+    /// `seal_checkpoint` must match it byte for byte.
+    fn seal_two_pass(tracker: &OnlineTracker, generation: u64) -> String {
+        let mut doc = Json::obj([
+            ("format", Json::str(CHECKPOINT_FORMAT_V2)),
+            ("generation", Json::num(generation as f64)),
+            ("rig_crc", Json::num(rig_crc(tracker.config()) as f64)),
+            ("payload", tracker.checkpoint()),
+        ]);
+        let crc = crc32(doc.to_json_string().as_bytes());
+        if let Json::Obj(map) = &mut doc {
+            map.insert("crc".to_string(), Json::num(crc as f64));
+        }
+        doc.to_json_string()
+    }
+
+    #[test]
+    fn one_pass_seal_is_byte_identical_to_two_pass() {
+        let warmed = warmed_tracker(300);
+        let restored = open_checkpoint(coarse_config(), &seal_checkpoint(&warmed, 9))
+            .expect("open warmed")
+            .tracker;
+        for (name, tracker) in
+            [("fresh", fresh_tracker()), ("warmed", warmed), ("restored", restored)]
+        {
+            for generation in [0, 1, 9, 1 << 40, (1 << 53) - 1] {
+                let sealed = seal_checkpoint(&tracker, generation);
+                assert_eq!(sealed, seal_two_pass(&tracker, generation), "{name} @ {generation}");
+                let doc = Json::parse(&sealed).expect("sealed JSON parses");
+                assert_eq!(doc.to_json_string(), sealed, "{name}: sealed text is canonical");
+                assert_eq!(
+                    open_checkpoint(coarse_config(), &sealed).expect("opens").generation,
+                    generation
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn purge_removes_only_that_session() {
+        let mut store = CheckpointStore::in_memory(3);
+        let tracker = fresh_tracker();
+        for session in [1u64, 2, 16, 17] {
+            for _ in 0..4 {
+                store.save(session, &tracker);
+            }
+        }
+        // An orphaned staged write (a writer crashed between stage and
+        // commit) goes with its session too.
+        store.stage(16, 9, seal_checkpoint(&tracker, 9).as_bytes());
+        store.stage(17, 9, seal_checkpoint(&tracker, 9).as_bytes());
+        store.purge(16);
+        assert_eq!(store.generations(16), Vec::<u64>::new());
+        assert_eq!(store.recover(16, coarse_config()).unwrap_err(), RestoreError::Missing);
+        assert!(!store.commit(16, 9), "the staged orphan is gone");
+        for session in [1u64, 2, 17] {
+            assert_eq!(store.generations(session), vec![2, 3, 4], "session {session} untouched");
+        }
+        assert!(store.commit(17, 9), "a neighbour's staged write survives");
+        store.purge(99); // never saved: a no-op
+        assert_eq!(store.generations(1), vec![2, 3, 4]);
     }
 
     #[test]

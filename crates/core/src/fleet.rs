@@ -991,7 +991,11 @@ impl FleetRouter {
     }
 
     /// Finish one session now: drain its remaining queue and finalize
-    /// its trail. The handle stays allocated.
+    /// its trail. The handle stays allocated, but its durable state
+    /// goes: every retained generation is purged from the attached
+    /// store and its escrow ledger is released, so the store holds
+    /// live sessions only. (A quarantined session is never finished;
+    /// its escrow stays for inspection.)
     pub fn finish_session(&mut self, id: FleetSessionId) -> TrackOutput {
         let route = self.routes[id];
         assert!(route.live, "session {id} already finished");
@@ -1000,6 +1004,10 @@ impl FleetRouter {
         shard.pending = shard.pending.saturating_sub(shard.pool.pending(route.local));
         shard.sessions.retain(|&s| s != id);
         self.routes[id].live = false;
+        if let Some(store) = self.store.as_mut() {
+            store.purge(id as u64);
+        }
+        self.escrows[id] = Escrow::default();
         self.shards[route.shard].pool.finish_session(route.local)
     }
 
@@ -1299,6 +1307,55 @@ mod tests {
         let trails = fleet.finish();
         assert_eq!(trails.len(), 1);
         assert_eq!(trails[0].0, healthy);
+    }
+
+    #[test]
+    fn finish_purges_only_that_sessions_durable_state() {
+        let mut fleet = FleetRouter::new(FleetConfig {
+            shards: 2,
+            queue_cap: 100_000,
+            checkpoint: CheckpointPolicy { every_drains: 1, ..CheckpointPolicy::default() },
+            ..FleetConfig::default()
+        });
+        fleet.attach_store(CheckpointStore::in_memory(3));
+        let ids: Vec<FleetSessionId> = (0..3)
+            .map(|_| fleet.add_session(coarse_config(), OnlineOptions::default()))
+            .collect();
+        let mut bad_cfg = coarse_config();
+        bad_cfg.preprocess.window_s = 0.0; // first push panics
+        let bad = fleet.add_session(bad_cfg, OnlineOptions::default());
+        fleet.offer(bad, &stream(25, 0.0));
+        for round in 0..4 {
+            for &id in &ids {
+                fleet.offer(id, &stream(40, round as f64 * 0.4));
+            }
+            // The last round stays queued, so the escrow ledger is live.
+            if round < 3 {
+                fleet.drain();
+            }
+        }
+        assert!(fleet.quarantined(bad));
+        let store = fleet.store().expect("store attached");
+        let before: Vec<Vec<u64>> = ids.iter().map(|&id| store.generations(id as u64)).collect();
+        assert!(before.iter().all(|g| g.len() == 3), "every session retains keep=3");
+        assert!(!fleet.escrows[ids[1]].reports.is_empty());
+
+        fleet.finish_session(ids[1]);
+        let store = fleet.store().expect("store attached");
+        assert_eq!(store.generations(ids[1] as u64), Vec::<u64>::new(), "purged on finish");
+        assert_eq!(store.generations(ids[0] as u64), before[0], "neighbour untouched");
+        assert_eq!(store.generations(ids[2] as u64), before[2], "neighbour untouched");
+        assert!(fleet.escrows[ids[1]].reports.is_empty(), "escrow released");
+        assert!(fleet.escrows[ids[1]].marks.is_empty(), "escrow marks released");
+        assert!(!fleet.escrows[ids[0]].reports.is_empty(), "neighbour escrow kept");
+        assert_eq!(fleet.quarantined_reports(bad).len(), 25, "quarantined escrow kept");
+
+        // The survivors still recover from their own generations.
+        let shard = fleet.shard_of(ids[0]);
+        assert_eq!(shard, fleet.shard_of(ids[2]), "same rig, same shard");
+        fleet.kill_shard(shard);
+        assert_eq!(fleet.recover(shard).restored, 2);
+        assert_eq!(fleet.finish().len(), 2);
     }
 
     #[test]

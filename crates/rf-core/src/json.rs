@@ -130,11 +130,21 @@ impl Json {
     /// Serialize to a compact JSON string.
     pub fn to_json_string(&self) -> String {
         let mut out = String::new();
-        self.write_to(&mut out);
+        self.write_to(&mut out, None);
         out
     }
 
-    fn write_to(&self, out: &mut String) {
+    /// Serialize with one top-level object key left out: the bytes
+    /// [`to_json_string`](Self::to_json_string) would give after
+    /// removing `key`, without cloning the document to remove it.
+    /// Non-objects serialize unchanged.
+    pub fn to_json_string_without(&self, key: &str) -> String {
+        let mut out = String::new();
+        self.write_to(&mut out, Some(key));
+        out
+    }
+
+    fn write_to(&self, out: &mut String, skip: Option<&str>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -146,19 +156,24 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write_to(out);
+                    item.write_to(out, None);
                 }
                 out.push(']');
             }
             Json::Obj(map) => {
                 out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
+                let mut first = true;
+                for (k, v) in map {
+                    if skip == Some(k.as_str()) {
+                        continue;
+                    }
+                    if !first {
                         out.push(',');
                     }
+                    first = false;
                     write_escaped(k, out);
                     out.push(':');
-                    v.write_to(out);
+                    v.write_to(out, None);
                 }
                 out.push('}');
             }
@@ -185,9 +200,21 @@ impl std::fmt::Display for Json {
     }
 }
 
+/// 2^53: below it every integer is an `f64`, one ulp apart at most.
+const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
+
 fn write_number(x: f64, out: &mut String) {
     if !x.is_finite() {
         out.push_str("null");
+        return;
+    }
+    // Fast path for integral values below 2^53 in magnitude (checkpoint
+    // documents are mostly cell indices and counters). There an ulp is
+    // at most 1, so no other decimal with fewer significant digits lies
+    // within half an ulp: the shortest round-trip digits `{x}` prints
+    // are the integer itself. `-0.0` keeps the general path (`-0`).
+    if x.fract() == 0.0 && x.abs() < EXACT_INT_LIMIT && !(x == 0.0 && x.is_sign_negative()) {
+        write_integer(x as i64, out);
         return;
     }
     // Rust's `{}` for f64 is the shortest string that parses back to the
@@ -196,6 +223,27 @@ fn write_number(x: f64, out: &mut String) {
     // JSON except for the exponent-free rendering of huge values, which
     // is also valid JSON (just long).
     let _ = write!(out, "{x}");
+}
+
+/// Decimal digits of `n`, as `{n}` prints them.
+fn write_integer(n: i64, out: &mut String) {
+    // |n| < 2^53 has at most 16 digits; 20 fits any i64 plus sign.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut m = n.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (m % 10) as u8;
+        m /= 10;
+        if m == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.extend(buf[at..].iter().map(|&b| b as char));
 }
 
 fn write_escaped(s: &str, out: &mut String) {
@@ -566,6 +614,78 @@ mod tests {
             let y = back.as_f64().unwrap();
             assert_eq!(y.to_bits(), x.to_bits(), "fidelity lost for {x:e}: got {y:e}");
         }
+    }
+
+    /// `write_number`'s output for one value, against `{x}` — the
+    /// shortest round-trip formatting of the general path.
+    fn assert_writes_like_display(x: f64) {
+        let mut out = String::new();
+        write_number(x, &mut out);
+        assert_eq!(out, format!("{x}"), "bits {:#018x}", x.to_bits());
+    }
+
+    #[test]
+    fn integer_fast_path_matches_display_exactly() {
+        let two53 = 9_007_199_254_740_992.0f64;
+        for x in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            two53 - 1.0,
+            -(two53 - 1.0),
+            two53,
+            -two53,
+            two53 + 2.0,
+            1e15,
+            1e16,
+            1e21,
+            -1e21,
+            5e-324,
+            -5e-324,
+            0.5,
+            -0.5,
+            4_503_599_627_370_495.5, // 2^52 - 0.5: the last half-integer
+        ] {
+            assert_writes_like_display(x);
+        }
+        // Seeded sweep: integers at every magnitude (both sides of
+        // 2^53), values just off an integer, and arbitrary bit
+        // patterns (any finite f64 at all).
+        let mut rng = crate::rng::Rng64::from_seed(0x15EA_1D0C);
+        for _ in 0..20_000 {
+            let bits = rng.next_u64();
+            let scale = (bits % 64) as i32;
+            let sign = if bits & 1 == 0 { 1.0 } else { -1.0 };
+            let int = sign * (rng.next_u64() >> (bits % 63)) as f64;
+            assert_writes_like_display(int);
+            assert_writes_like_display(int * 2f64.powi(scale - 32));
+            assert_writes_like_display(int + rng.gen_range(-1.0..1.0));
+            let any = f64::from_bits(rng.next_u64());
+            if any.is_finite() {
+                assert_writes_like_display(any);
+            }
+        }
+    }
+
+    #[test]
+    fn skipping_a_key_matches_removing_it() {
+        let doc = Json::obj([
+            ("crc", Json::Num(12.0)),
+            ("a", Json::obj([("crc", Json::Num(1.0))])),
+            ("z", Json::Arr(vec![Json::Num(-0.0), Json::Null])),
+        ]);
+        for key in ["crc", "a", "z", "missing"] {
+            let mut stripped = doc.clone();
+            if let Json::Obj(map) = &mut stripped {
+                map.remove(key);
+            }
+            assert_eq!(doc.to_json_string_without(key), stripped.to_json_string(), "{key}");
+        }
+        // Only the top level is filtered; non-objects are unaffected.
+        assert_eq!(doc.to_json_string_without("crc"), r#"{"a":{"crc":1},"z":[-0,null]}"#);
+        assert_eq!(Json::Num(3.0).to_json_string_without("crc"), "3");
+        assert_eq!(Json::obj([("crc", Json::Null)]).to_json_string_without("crc"), "{}");
     }
 
     #[test]

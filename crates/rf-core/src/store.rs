@@ -17,6 +17,7 @@
 //! what the fleet tests and the chaos soak run against.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// An ordered key → bytes store. See the module docs for the contract.
 ///
@@ -31,6 +32,14 @@ pub trait BlobStore: std::fmt::Debug {
     fn get(&self, key: &str) -> Option<Vec<u8>>;
     /// All keys, lexicographically sorted.
     fn keys(&self) -> Vec<String>;
+    /// The keys starting with `prefix`, lexicographically sorted.
+    ///
+    /// The default filters [`keys`](Self::keys); an ordered backend
+    /// should override it to visit only the matching range, since the
+    /// durability layer lists one session's generations per write.
+    fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
+        self.keys().into_iter().filter(|k| k.starts_with(prefix)).collect()
+    }
     /// Remove the blob at `key`; returns whether it existed.
     fn remove(&mut self, key: &str) -> bool;
 }
@@ -79,6 +88,16 @@ impl BlobStore for MemBlobStore {
         self.blobs.keys().cloned().collect()
     }
 
+    fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
+        // Every key with the prefix sorts at or after it, contiguously.
+        self.blobs
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .map(|(k, _)| k)
+            .take_while(|k| k.starts_with(prefix))
+            .cloned()
+            .collect()
+    }
+
     fn remove(&mut self, key: &str) -> bool {
         self.blobs.remove(key).is_some()
     }
@@ -117,6 +136,63 @@ mod tests {
         // Fixed-width keys enumerate in numeric order; "10" < "2"
         // lexicographically is exactly why the durability layer pads.
         assert_eq!(keys, vec!["a/1", "a/10", "a/2", "b", "c"]);
+    }
+
+    /// A backend that keeps only the trait's default prefix scan.
+    #[derive(Debug)]
+    struct DefaultScan(MemBlobStore);
+
+    impl BlobStore for DefaultScan {
+        fn put(&mut self, key: &str, bytes: &[u8]) {
+            self.0.put(key, bytes)
+        }
+        fn get(&self, key: &str) -> Option<Vec<u8>> {
+            self.0.get(key)
+        }
+        fn keys(&self) -> Vec<String> {
+            self.0.keys()
+        }
+        fn remove(&mut self, key: &str) -> bool {
+            self.0.remove(key)
+        }
+    }
+
+    #[test]
+    fn prefix_scan_stops_at_neighbouring_prefixes() {
+        let mut s = MemBlobStore::new();
+        for k in [
+            "ckpt/0000000000000001/0000000000000002",
+            "ckpt/0000000000000001/0000000000000001",
+            "ckpt/0000000000000000/0000000000000009",
+            "ckpt/00000000000000010/0000000000000001",
+            "ckpt/0000000000000002/0000000000000001",
+            "ckpt/0000000000000001",
+            "ckpt/000000000000000",
+            "stage/0000000000000001/0000000000000003",
+            "ckpt0",
+        ] {
+            s.put(k, b"x");
+        }
+        let fallback = DefaultScan(s.clone());
+        for prefix in [
+            "ckpt/0000000000000001/",
+            "ckpt/0000000000000001",
+            "ckpt/",
+            "stage/",
+            "ckpt",
+            "",
+            "missing/",
+            "ckpt/0000000000000003/",
+        ] {
+            let expect: Vec<String> =
+                s.keys().into_iter().filter(|k| k.starts_with(prefix)).collect();
+            assert_eq!(s.keys_with_prefix(prefix), expect, "range scan, prefix {prefix:?}");
+            assert_eq!(fallback.keys_with_prefix(prefix), expect, "default, prefix {prefix:?}");
+        }
+        assert_eq!(
+            s.keys_with_prefix("ckpt/0000000000000001/"),
+            vec!["ckpt/0000000000000001/0000000000000001", "ckpt/0000000000000001/0000000000000002"]
+        );
     }
 
     #[test]
