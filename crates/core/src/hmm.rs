@@ -53,18 +53,17 @@
 //! --bench decode` (or `scripts/bench.sh`) measures the speedup;
 //! DESIGN.md's "Decoder performance" section keeps the numbers.
 //!
-//! Beyond the bit-exact default, [`KernelOptions`] opts into three
+//! Beyond the bit-exact default, [`KernelOptions`] opts into two
 //! throughput levers: a fused `f32` inner loop driven by a per-step
 //! transition plan and a cast [`EmissionTableF32`]
-//! ([`KernelPrecision::F32Tolerance`]), a frontier-adaptive beam that
-//! shrinks the kept beam on steps where the score mass concentrates
-//! ([`AdaptiveBeam`]), and chunked intra-step frontier expansion over
-//! `rf_core::par`'s claim-order fan-out. The frontier itself is stored
-//! structure-of-arrays (cell and score vectors, not candidate tuples)
-//! so the hot loops stream over flat `u32`/score lanes. The f64 path is
-//! bit-identical to [`viterbi_reference`] at *any* thread count (chunks
-//! are contiguous frontier ranges merged in chunk order under the same
-//! first-wins tie rule); the f32/adaptive paths are instead gated by
+//! ([`KernelPrecision::F32Tolerance`]), and a frontier-adaptive beam
+//! that shrinks the kept beam on steps where the score mass
+//! concentrates ([`AdaptiveBeam`]). A step runs on one thread:
+//! parallelism lives a level up, in trial fan-out and the serving
+//! pool. The frontier itself is stored structure-of-arrays (cell and
+//! score vectors, not candidate tuples) so the hot loops stream over
+//! flat `u32`/score lanes. The f64 path is bit-identical to
+//! [`viterbi_reference`]; the f32/adaptive paths are instead gated by
 //! the quantitative tolerance oracle in `tests/kernel_equivalence.rs`.
 
 use crate::distance::{expected_dtheta21, DthetaRowKernel, DthetaRowKernelF32, FeasibleRegion};
@@ -712,11 +711,10 @@ impl Default for AdaptiveBeam {
     }
 }
 
-/// Beam-kernel configuration: inner-loop precision, adaptive beam, and
-/// intra-step parallelism. The default is the bit-exact contract
-/// (`F64Exact`, no adaptive shrink, single-threaded); every other
-/// combination is an explicit opt-in that trades bitwise
-/// reproducibility or beam completeness for speed, gated by the
+/// Beam-kernel configuration: inner-loop precision and adaptive beam.
+/// The default is the bit-exact contract (`F64Exact`, no adaptive
+/// shrink); every other combination is an explicit opt-in that trades
+/// bitwise reproducibility or beam completeness for speed, gated by the
 /// tolerance harness in `tests/kernel_equivalence.rs`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelOptions {
@@ -724,17 +722,11 @@ pub struct KernelOptions {
     pub precision: KernelPrecision,
     /// Frontier-adaptive beam shrink, off by default.
     pub adaptive: Option<AdaptiveBeam>,
-    /// Worker threads for chunked frontier expansion *within* one step
-    /// (1 = sequential). Any value produces bit-identical output for a
-    /// given precision: chunks are contiguous frontier ranges
-    /// ([`rf_core::chunk_bounds`]) merged in chunk order under the same
-    /// first-wins tie rule the sequential scan applies.
-    pub threads: usize,
 }
 
 impl Default for KernelOptions {
     fn default() -> Self {
-        KernelOptions { precision: KernelPrecision::F64Exact, adaptive: None, threads: 1 }
+        KernelOptions { precision: KernelPrecision::F64Exact, adaptive: None }
     }
 }
 
@@ -745,19 +737,12 @@ impl KernelOptions {
     }
 
     /// The tolerance-gated fast kernel: `f32` inner loop plus the
-    /// default adaptive beam, single-threaded.
+    /// default adaptive beam.
     pub fn fast() -> KernelOptions {
         KernelOptions {
             precision: KernelPrecision::F32Tolerance,
             adaptive: Some(AdaptiveBeam::default()),
-            threads: 1,
         }
-    }
-
-    /// This kernel with `threads` intra-step workers.
-    pub fn with_threads(mut self, threads: usize) -> KernelOptions {
-        self.threads = threads.max(1);
-        self
     }
 
     /// This kernel with the given adaptive-beam setting.
@@ -868,29 +853,9 @@ fn wrap_pi_f32(mut w: f32) -> f32 {
     w
 }
 
-/// One worker's private buffers for chunked frontier expansion: a
-/// contiguous frontier range plus chunk-local dense maps, a touched
-/// list, and work counters. After the parallel scan the chunks are
-/// merged in chunk index order under the same first-wins
-/// strict-improvement rule the sequential scan applies, which makes the
-/// chunked expansion bit-identical to the sequential one (see
-/// `advance_frontier`).
-#[derive(Debug, Default)]
-struct ChunkScratch {
-    lo: usize,
-    hi: usize,
-    scores: Vec<f64>,
-    scores32: Vec<f32>,
-    preds: Vec<u32>,
-    hyper: Vec<f64>,
-    touched: Vec<u32>,
-    expansions: u64,
-    pruned_below_min: u64,
-}
-
-/// Buffers of one beam step, owned by the decoder. Split out so
-/// `advance_frontier` can borrow the whole kit in one piece alongside
-/// the decoder's frontier and the frame it fills.
+/// Buffers of one beam step, owned by the decoder. Split out so the
+/// step functions can borrow the whole kit in one piece alongside the
+/// decoder's frontier and the frame it fills.
 #[derive(Debug, Default)]
 struct KernelScratch {
     /// Dense per-cell best score this step (`F64Exact`), reset via
@@ -922,8 +887,6 @@ struct KernelScratch {
     /// Next beam under construction — cells only; their scores stay in
     /// the dense map until the beam is final (the SoA shape).
     next_cells: Vec<u32>,
-    /// Per-chunk buffers for intra-step parallel expansion.
-    chunks: Vec<ChunkScratch>,
     /// Radius-keyed local memo of [`shared_stencil`] handles — the hot
     /// loop resolves a radius without touching the global mutex.
     stencils: Vec<Arc<AnnulusStencil>>,
@@ -963,7 +926,7 @@ fn beam_order(a: &(u32, f64), b: &(u32, f64)) -> Ordering {
 ///   evaluated Procrustes-style so the translation washes out).
 /// * `steps` — one observation per window transition.
 /// * `beam_width` — cells kept per step (clamped to ≥ 8).
-/// * `kernel` — inner-loop precision, adaptive beam, intra-step threads.
+/// * `kernel` — inner-loop precision and adaptive beam.
 ///
 /// Exact Viterbi over the full grid would cost `steps × cells ×
 /// annulus`; since the posterior is sharply unimodal (the pen is one
@@ -1009,27 +972,22 @@ fn best_frontier_cell(cells: &[u32], scores: &[f64]) -> u32 {
     best.map(|(c, _)| c).unwrap_or(0)
 }
 
-/// Read-only scoring context of one step, shared by every expansion
-/// variant (sequential or chunked).
+/// Read-only scoring context of one exact-kernel step.
 struct StepCtx<'a> {
     grid: &'a Grid,
-    antennas: [Vec3; 2],
     config: &'a HmmConfig,
     obs: &'a StepObservation,
-    emission: Option<&'a EmissionTable>,
-    /// Cell-centre x of every column and y of every row.
-    xs: &'a [f64],
-    ys: &'a [f64],
+    /// The step's Δθ²¹ measurement and the rig's emission table, on
+    /// hyperbola steps.
+    emission: Option<(f64, &'a EmissionTable)>,
     exact_reach: f64,
     hard_min: f64,
     target: f64,
     dmax: f64,
 }
 
-/// The bit-exact `f64` expansion of one contiguous frontier range,
-/// writing dense maps under the first-wins strict-improvement rule.
-/// Runs over the whole frontier (sequential) or one chunk's range with
-/// chunk-local maps (parallel).
+/// The bit-exact `f64` expansion of the frontier, writing dense maps
+/// under the first-wins strict-improvement rule.
 ///
 /// Every score and counter has the bits [`viterbi_reference`] computes,
 /// but two of its per-candidate libm calls are gone:
@@ -1047,19 +1005,20 @@ struct StepCtx<'a> {
 ///   and offsets near a bound take the `hypot` as before.
 ///
 /// All other arithmetic is the reference's, operation for operation.
-#[allow(clippy::too_many_arguments)]
+///
+/// Kept out of line, like [`expand_f32`]: inlined into its one caller,
+/// `advance_frontier`, each expansion loop ran 10–15% slower.
+#[inline(never)]
 fn expand_f64(
     ctx: &StepCtx<'_>,
-    step_offsets: &[StepOffset],
+    ks: &mut KernelScratch,
     frontier_cells: &[u32],
     frontier_scores: &[f64],
-    scores: &mut [f64],
-    preds: &mut [u32],
-    hyper: &mut [f64],
-    touched: &mut Vec<u32>,
-    expansions: &mut u64,
-    pruned_below_min: &mut u64,
+    stats: &mut DecodeStats,
 ) {
+    let KernelScratch { scores, preds, hyper, touched, step_offsets, xs, ys, .. } = ks;
+    let (scores, preds, hyper) = (&mut scores[..], &mut preds[..], &mut hyper[..]);
+    let (step_offsets, xs, ys) = (&step_offsets[..], &xs[..], &ys[..]);
     let grid = ctx.grid;
     let config = ctx.config;
     let obs = ctx.obs;
@@ -1070,7 +1029,7 @@ fn expand_f64(
         let from_us = from as usize;
         let ix0 = from_us % grid.nx;
         let iy0 = from_us / grid.nx;
-        let (x0, y0) = (ctx.xs[ix0], ctx.ys[iy0]);
+        let (x0, y0) = (xs[ix0], ys[iy0]);
         for off in step_offsets.iter() {
             let ix = ix0 as i64 + off.dx as i64;
             let iy = iy0 as i64 + off.dy as i64;
@@ -1080,7 +1039,7 @@ fn expand_f64(
             let (ix, iy) = (ix as usize, iy as usize);
             let to = iy * grid.nx + ix;
             // `c_to − c_from` on the centre bits `Grid::center` gives.
-            let delta = Vec2::new(ctx.xs[ix] - x0, ctx.ys[iy] - y0);
+            let delta = Vec2::new(xs[ix] - x0, ys[iy] - y0);
             let (d, class) = if off.settled {
                 (off.ideal_dist_m, off.class)
             } else {
@@ -1090,11 +1049,11 @@ fn expand_f64(
             match class {
                 OffsetClass::Beyond => continue,
                 OffsetClass::BelowMin => {
-                    *expansions += 1;
-                    *pruned_below_min += 1;
+                    stats.expansions += 1;
+                    stats.pruned_below_min += 1;
                     continue;
                 }
-                OffsetClass::Scored => *expansions += 1,
+                OffsetClass::Scored => stats.expansions += 1,
             }
             // Scores are always finite, so NEG_INFINITY marks
             // "untouched" on its own (same outcome as the
@@ -1105,17 +1064,9 @@ fn expand_f64(
             }
             let mut s = s_from;
             // Hyperbola term (Fig. 12(c)).
-            if let Some(meas) = obs.dtheta21 {
+            if let Some((meas, table)) = ctx.emission {
                 if first {
-                    let expected = match ctx.emission {
-                        Some(table) => table.expected(to),
-                        None => expected_dtheta21(
-                            Vec2::new(ctx.xs[ix], ctx.ys[iy]),
-                            ctx.antennas,
-                            config.wavelength_m,
-                        ),
-                    };
-                    let err = wrap_pi(meas - expected).abs() / std::f64::consts::PI;
+                    let err = wrap_pi(meas - table.expected(to)).abs() / std::f64::consts::PI;
                     hyper[to] = config.hyperbola_weight * err;
                 }
                 s -= hyper[to];
@@ -1196,27 +1147,25 @@ fn build_f32_plan(
     }
 }
 
-/// The fused `f32` expansion of one contiguous frontier range: per
-/// candidate, a bounds check, one table load, one add, and (for
-/// hyperbola steps) a cast-table lookup with the cheap `f32` wrap — no
-/// `hypot`, no division, no per-candidate geometry. The rejected-offset
-/// pass keeps `expansions`/`pruned_below_min` meaning what they mean in
-/// the exact kernel: in-bounds candidates seen, in-bounds candidates
-/// under the hard annulus bound.
-#[allow(clippy::too_many_arguments)]
+/// The fused `f32` expansion of the frontier: per candidate, a bounds
+/// check, one table load, one add, and (for hyperbola steps) a
+/// cast-table lookup with the cheap `f32` wrap — no `hypot`, no
+/// division, no per-candidate geometry. The rejected-offset pass keeps
+/// `expansions`/`pruned_below_min` meaning what they mean in the exact
+/// kernel: in-bounds candidates seen, in-bounds candidates under the
+/// hard annulus bound.
+#[inline(never)]
 fn expand_f32(
     grid: &Grid,
     hyper: Option<(f32, f32, &EmissionTableF32)>,
-    trans32: &[TransOffset32],
-    rejected32: &[(i32, i32)],
+    ks: &mut KernelScratch,
     frontier_cells: &[u32],
     frontier_scores: &[f64],
-    scores32: &mut [f32],
-    preds: &mut [u32],
-    touched: &mut Vec<u32>,
-    expansions: &mut u64,
-    pruned_below_min: &mut u64,
+    stats: &mut DecodeStats,
 ) {
+    let KernelScratch { scores32, preds, touched, trans32, rejected32, .. } = ks;
+    let (scores32, preds) = (&mut scores32[..], &mut preds[..]);
+    let (trans32, rejected32) = (&trans32[..], &rejected32[..]);
     let nx = grid.nx as i64;
     let ny = grid.ny as i64;
     let nxu = grid.nx;
@@ -1249,13 +1198,13 @@ fn expand_f32(
                 preds[to] = from;
             }
         }
-        *expansions += seen;
+        stats.expansions += seen;
         for &(dx, dy) in rejected32.iter() {
             let ix = ix0 + dx as i64;
             let iy = iy0 + dy as i64;
             if ix >= 0 && iy >= 0 && ix < nx && iy < ny {
-                *expansions += 1;
-                *pruned_below_min += 1;
+                stats.expansions += 1;
+                stats.pruned_below_min += 1;
             }
         }
     }
@@ -1270,33 +1219,87 @@ fn grow_hyper_lane(lane: &mut Vec<f64>, n: usize) {
     }
 }
 
+/// Grow a dense per-cell lane to `n` cells, new entries `fill`.
+fn grow_lane<T: Copy>(lane: &mut Vec<T>, n: usize, fill: T) {
+    if lane.len() < n {
+        lane.resize(n, fill);
+    }
+}
+
+/// One step's kernel precision with its resolved hyperbola input: the
+/// Δθ²¹ measurement and the rig's emission table at that precision, or
+/// `None` on steps without a measurement.
+enum StepEmission<'a> {
+    F64(Option<(f64, &'a EmissionTable)>),
+    /// Measurement, hyperbola weight and cast table — `expand_f32`'s
+    /// `hyper`.
+    F32(Option<(f32, f32, &'a EmissionTableF32)>),
+}
+
+/// A dense per-cell score lane: `f64` for the exact kernel, `f32` for
+/// the tolerance kernel. The beam selection after expansion is written
+/// once over this trait, and every comparison and subtraction in it
+/// runs at the lane's own type.
+trait ScoreLane: Copy + PartialOrd {
+    /// The "not scored this step" marker; real scores are finite.
+    const UNSCORED: Self;
+    fn max(self, other: Self) -> Self;
+    fn total_cmp(&self, other: &Self) -> Ordering;
+    /// `self − margin`, the margin cast to the lane type first.
+    fn minus(self, margin: f64) -> Self;
+    /// The exact `f64` embedding the frontier stores.
+    fn widen(self) -> f64;
+    /// This lane's dense score map in `ks`, alongside the predecessor
+    /// map, the touched list and the next-beam buffer.
+    #[allow(clippy::type_complexity)]
+    fn split(ks: &mut KernelScratch) -> (&mut [Self], &mut [u32], &mut Vec<u32>, &mut Vec<u32>);
+}
+
+// One body for both lanes: `margin as $t` and `self as f64` are the
+// identity on `f64`, so each lane does exactly its kernel's arithmetic.
+macro_rules! score_lane {
+    ($($t:ty => $field:ident),*) => {$(
+        impl ScoreLane for $t {
+            const UNSCORED: $t = <$t>::NEG_INFINITY;
+            fn max(self, other: $t) -> $t {
+                <$t>::max(self, other)
+            }
+            fn total_cmp(&self, other: &$t) -> Ordering {
+                <$t>::total_cmp(self, other)
+            }
+            fn minus(self, margin: f64) -> $t {
+                self - margin as $t
+            }
+            fn widen(self) -> f64 {
+                self as f64
+            }
+            fn split(
+                ks: &mut KernelScratch,
+            ) -> (&mut [$t], &mut [u32], &mut Vec<u32>, &mut Vec<u32>) {
+                (&mut ks.$field, &mut ks.preds, &mut ks.touched, &mut ks.next_cells)
+            }
+        }
+    )*};
+}
+score_lane!(f32 => scores32, f64 => scores);
+
 /// One Viterbi step over the sparse beam frontier: scores every
-/// (frontier × stencil) candidate under the selected
-/// [`KernelOptions`], truncates to the (possibly adaptive) beam under
-/// the canonical order, writes the step's backpointers into `frame`
-/// (overwriting whatever a recycled frame held), and installs the new
-/// frontier into the SoA `frontier_cells`/`frontier_scores` pair. This
-/// is *the* hot loop of [`FixedLagDecoder::step`].
-///
-/// With `kernel.threads > 1` the frontier is split into contiguous
-/// chunks ([`rf_core::chunk_bounds`]), expanded on scoped workers with
-/// chunk-local dense maps, and merged in chunk index order under the
-/// same strict-improvement (first-wins) rule the sequential scan
-/// applies — so the merged maps, the touched order, and every counter
-/// are bit-identical to the single-threaded expansion at any thread
-/// count.
+/// (frontier × stencil) candidate at the step's precision, truncates
+/// to the (possibly adaptive) beam under the canonical order, writes
+/// the step's backpointers into `frame` (overwriting whatever a
+/// recycled frame held), and installs the new frontier into the SoA
+/// `frontier_cells`/`frontier_scores` pair. This is *the* hot loop of
+/// [`FixedLagDecoder::step`].
 ///
 /// Does not touch `stats.steps` — callers own the step count.
 #[allow(clippy::too_many_arguments)]
 fn advance_frontier(
     grid: &Grid,
-    antennas: [Vec3; 2],
     config: &HmmConfig,
     beam_width: usize,
-    kernel: &KernelOptions,
+    adaptive: Option<AdaptiveBeam>,
     obs: &StepObservation,
-    emission: Option<&EmissionTable>,
-    emission32: Option<&EmissionTableF32>,
+    emission: StepEmission<'_>,
     ks: &mut KernelScratch,
     frontier_cells: &mut Vec<u32>,
     frontier_scores: &mut Vec<f64>,
@@ -1306,22 +1309,6 @@ fn advance_frontier(
     let n = grid.len();
     frame.cells.clear();
     frame.prevs.clear();
-    let KernelScratch {
-        scores,
-        scores32,
-        preds,
-        hyper,
-        touched,
-        step_offsets,
-        xs,
-        ys,
-        trans32,
-        rejected32,
-        next_cells,
-        chunks,
-        stencils,
-    } = ks;
-
     stats.total_frontier += frontier_cells.len() as u64;
     stats.max_frontier = stats.max_frontier.max(frontier_cells.len());
 
@@ -1337,7 +1324,7 @@ fn advance_frontier(
     let exact_reach = max_r + 1e-12;
     let prefilter_reach = exact_reach + STENCIL_MARGIN_M;
 
-    let si = cached_stencil(stencils, grid.cell_m, grid.radius_cells(max_r));
+    let si = cached_stencil(&mut ks.stencils, grid.cell_m, grid.radius_cells(max_r));
     // Trim the stencil to this step's radius and classify it once, so
     // the per-pair loop carries no prefilter branch and both precisions
     // read one classification.
@@ -1349,194 +1336,58 @@ fn advance_frontier(
         + (grid.nx.max(grid.ny) as f64 + 1.0) * grid.cell_m;
     let settle = obs.direction.is_some()
         && coord_scale * 64.0 * f64::EPSILON < STENCIL_MARGIN_M;
-    classify_offsets(&stencils[si], prefilter_reach, exact_reach, hard_min, settle, step_offsets);
+    let (stencil, offsets) = (&ks.stencils[si], &mut ks.step_offsets);
+    classify_offsets(stencil, prefilter_reach, exact_reach, hard_min, settle, offsets);
 
-    let f32_kernel = kernel.precision == KernelPrecision::F32Tolerance;
-    let hyper32 = if f32_kernel {
-        build_f32_plan(config, obs, grid.cell_m, step_offsets, target, dmax, trans32, rejected32);
-        obs.dtheta21.map(|m| {
-            let table = emission32
-                .expect("f32 kernel callers resolve the cast emission table for hyperbola steps");
-            (m as f32, config.hyperbola_weight as f32, table)
-        })
-    } else {
-        None
-    };
-    if !f32_kernel {
-        xs.clear();
-        xs.extend(centre_coords(grid.min.x, grid.nx, grid.cell_m));
-        ys.clear();
-        ys.extend(centre_coords(grid.min.y, grid.ny, grid.cell_m));
-    }
-    let ctx = StepCtx {
-        grid,
-        antennas,
-        config,
-        obs,
-        emission,
-        xs,
-        ys,
-        exact_reach,
-        hard_min,
-        target,
-        dmax,
-    };
-
-    // Size the main dense maps (only the lanes the precision uses).
-    if f32_kernel {
-        if scores32.len() < n {
-            scores32.resize(n, f32::NEG_INFINITY);
-        }
-    } else {
-        if scores.len() < n {
-            scores.resize(n, f64::NEG_INFINITY);
-        }
-        if obs.dtheta21.is_some() {
-            grow_hyper_lane(hyper, n);
-        }
-    }
-    if preds.len() < n {
-        preds.resize(n, u32::MAX);
-    }
-
-    let workers = kernel.threads.max(1).min(frontier_cells.len().max(1));
-    if workers > 1 {
-        // Chunked intra-step expansion over scoped workers.
-        if chunks.len() < workers {
-            chunks.resize_with(workers, ChunkScratch::default);
-        }
-        for (i, chunk) in chunks.iter_mut().enumerate().take(workers) {
-            let (lo, hi) = rf_core::chunk_bounds(frontier_cells.len(), workers, i);
-            chunk.lo = lo;
-            chunk.hi = hi;
-            chunk.expansions = 0;
-            chunk.pruned_below_min = 0;
-            if f32_kernel {
-                if chunk.scores32.len() < n {
-                    chunk.scores32.resize(n, f32::NEG_INFINITY);
-                }
-            } else {
-                if chunk.scores.len() < n {
-                    chunk.scores.resize(n, f64::NEG_INFINITY);
-                }
-                if obs.dtheta21.is_some() {
-                    grow_hyper_lane(&mut chunk.hyper, n);
-                }
+    grow_lane(&mut ks.preds, n, u32::MAX);
+    match emission {
+        StepEmission::F64(emission) => {
+            ks.xs.clear();
+            ks.xs.extend(centre_coords(grid.min.x, grid.nx, grid.cell_m));
+            ks.ys.clear();
+            ks.ys.extend(centre_coords(grid.min.y, grid.ny, grid.cell_m));
+            grow_lane(&mut ks.scores, n, f64::NEG_INFINITY);
+            if emission.is_some() {
+                grow_hyper_lane(&mut ks.hyper, n);
             }
-            if chunk.preds.len() < n {
-                chunk.preds.resize(n, u32::MAX);
-            }
+            let ctx =
+                StepCtx { grid, config, obs, emission, exact_reach, hard_min, target, dmax };
+            expand_f64(&ctx, ks, frontier_cells, frontier_scores, stats);
+            select_beam::<f64>(
+                ks, beam_width, adaptive, frontier_cells, frontier_scores, frame, stats,
+            );
         }
-        {
-            let fc: &[u32] = frontier_cells;
-            let fs: &[f64] = frontier_scores;
-            let so: &[StepOffset] = step_offsets;
-            let t32: &[TransOffset32] = trans32;
-            let r32: &[(i32, i32)] = rejected32;
-            rf_core::parallel_for_each_mut(&mut chunks[..workers], workers, |chunk| {
-                let cells = &fc[chunk.lo..chunk.hi];
-                let cell_scores = &fs[chunk.lo..chunk.hi];
-                if f32_kernel {
-                    expand_f32(
-                        grid,
-                        hyper32,
-                        t32,
-                        r32,
-                        cells,
-                        cell_scores,
-                        &mut chunk.scores32,
-                        &mut chunk.preds,
-                        &mut chunk.touched,
-                        &mut chunk.expansions,
-                        &mut chunk.pruned_below_min,
-                    );
-                } else {
-                    expand_f64(
-                        &ctx,
-                        so,
-                        cells,
-                        cell_scores,
-                        &mut chunk.scores,
-                        &mut chunk.preds,
-                        &mut chunk.hyper,
-                        &mut chunk.touched,
-                        &mut chunk.expansions,
-                        &mut chunk.pruned_below_min,
-                    );
-                }
-            });
+        StepEmission::F32(hyper) => {
+            let KernelScratch { step_offsets, trans32, rejected32, .. } = ks;
+            let cell_m = grid.cell_m;
+            build_f32_plan(config, obs, cell_m, step_offsets, target, dmax, trans32, rejected32);
+            grow_lane(&mut ks.scores32, n, f32::NEG_INFINITY);
+            expand_f32(grid, hyper, ks, frontier_cells, frontier_scores, stats);
+            select_beam::<f32>(
+                ks, beam_width, adaptive, frontier_cells, frontier_scores, frame, stats,
+            );
         }
-        // Deterministic merge: chunk index order with the strict `>`
-        // improvement rule — exactly the first-wins tie behaviour of
-        // the sequential frontier scan over the same contiguous
-        // ranges, so maps, touched order, and counters all match the
-        // single-threaded expansion bit-for-bit. Chunk entries are
-        // reset during the merge, leaving every chunk clean.
-        for chunk in chunks.iter_mut().take(workers) {
-            stats.expansions += chunk.expansions;
-            stats.pruned_below_min += chunk.pruned_below_min;
-            if f32_kernel {
-                for &c in chunk.touched.iter() {
-                    let cu = c as usize;
-                    let s = chunk.scores32[cu];
-                    let best = &mut scores32[cu];
-                    if *best == f32::NEG_INFINITY {
-                        touched.push(c);
-                    }
-                    if s > *best {
-                        *best = s;
-                        preds[cu] = chunk.preds[cu];
-                    }
-                    chunk.scores32[cu] = f32::NEG_INFINITY;
-                    chunk.preds[cu] = u32::MAX;
-                }
-            } else {
-                for &c in chunk.touched.iter() {
-                    let cu = c as usize;
-                    let s = chunk.scores[cu];
-                    let best = &mut scores[cu];
-                    if *best == f64::NEG_INFINITY {
-                        touched.push(c);
-                    }
-                    if s > *best {
-                        *best = s;
-                        preds[cu] = chunk.preds[cu];
-                    }
-                    chunk.scores[cu] = f64::NEG_INFINITY;
-                    chunk.preds[cu] = u32::MAX;
-                }
-            }
-            chunk.touched.clear();
-        }
-    } else if f32_kernel {
-        expand_f32(
-            grid,
-            hyper32,
-            trans32,
-            rejected32,
-            frontier_cells,
-            frontier_scores,
-            scores32,
-            preds,
-            touched,
-            &mut stats.expansions,
-            &mut stats.pruned_below_min,
-        );
-    } else {
-        expand_f64(
-            &ctx,
-            step_offsets,
-            frontier_cells,
-            frontier_scores,
-            scores,
-            preds,
-            hyper,
-            touched,
-            &mut stats.expansions,
-            &mut stats.pruned_below_min,
-        );
     }
+}
 
+/// The lane-generic tail of a beam step. Keeps the scored (`touched`)
+/// cells' top `eff_beam` under the canonical order — score descending
+/// via the `L` lane, cell index ascending — where `eff_beam` is the
+/// configured width, shrunk to the within-margin set when the adaptive
+/// beam is on and the score mass concentrates. Writes them with their
+/// predecessors into `frame`, installs them as the new SoA frontier,
+/// and resets the lane and `preds` through `touched`. A step that
+/// scored nothing carries the frontier through unchanged.
+fn select_beam<L: ScoreLane>(
+    ks: &mut KernelScratch,
+    beam_width: usize,
+    adaptive: Option<AdaptiveBeam>,
+    frontier_cells: &mut Vec<u32>,
+    frontier_scores: &mut Vec<f64>,
+    frame: &mut BeamFrame,
+    stats: &mut DecodeStats,
+) {
+    let (lane, preds, touched, next_cells) = L::split(ks);
     if touched.is_empty() {
         // Inconsistent step: carry the frontier through unchanged.
         stats.carried_steps += 1;
@@ -1549,25 +1400,11 @@ fn advance_frontier(
     next_cells.clear();
     next_cells.extend_from_slice(touched);
 
-    // Effective beam: the configured width, shrunk to the within-margin
-    // set when the adaptive beam is on and the score mass concentrates.
     let mut eff_beam = beam_width;
-    if let Some(adaptive) = kernel.adaptive {
-        let within = if f32_kernel {
-            let best = next_cells
-                .iter()
-                .map(|&c| scores32[c as usize])
-                .fold(f32::NEG_INFINITY, f32::max);
-            let floor = best - adaptive.margin as f32;
-            next_cells.iter().filter(|&&c| scores32[c as usize] >= floor).count()
-        } else {
-            let best = next_cells
-                .iter()
-                .map(|&c| scores[c as usize])
-                .fold(f64::NEG_INFINITY, f64::max);
-            let floor = best - adaptive.margin;
-            next_cells.iter().filter(|&&c| scores[c as usize] >= floor).count()
-        };
+    if let Some(adaptive) = adaptive {
+        let best = next_cells.iter().map(|&c| lane[c as usize]).fold(L::UNSCORED, L::max);
+        let floor = best.minus(adaptive.margin);
+        let within = next_cells.iter().filter(|&&c| lane[c as usize] >= floor).count();
         let kept = within.max(adaptive.min_keep).min(beam_width);
         if kept < next_cells.len().min(beam_width) {
             stats.adaptive_shrunk_steps += 1;
@@ -1575,35 +1412,19 @@ fn advance_frontier(
         eff_beam = kept;
     }
 
-    // Keep the top `eff_beam` states under the canonical order (score
-    // descending via the dense map, cell index ascending): an O(n)
-    // partition plus a sort of the kept beam. The comparator reads the
-    // dense score lanes directly — the SoA shape; for f32 the compare
-    // happens on the f32 lane (`total_cmp` over the cast scores orders
-    // identically to comparing their exact f64 embeddings).
-    if f32_kernel {
-        let lane: &[f32] = scores32;
-        let cmp = |a: &u32, b: &u32| {
-            lane[*b as usize].total_cmp(&lane[*a as usize]).then_with(|| a.cmp(b))
-        };
-        if next_cells.len() > eff_beam {
-            stats.pruned_beam += (next_cells.len() - eff_beam) as u64;
-            next_cells.select_nth_unstable_by(eff_beam - 1, cmp);
-            next_cells.truncate(eff_beam);
-        }
-        next_cells.sort_unstable_by(cmp);
-    } else {
-        let lane: &[f64] = scores;
-        let cmp = |a: &u32, b: &u32| {
-            lane[*b as usize].total_cmp(&lane[*a as usize]).then_with(|| a.cmp(b))
-        };
-        if next_cells.len() > eff_beam {
-            stats.pruned_beam += (next_cells.len() - eff_beam) as u64;
-            next_cells.select_nth_unstable_by(eff_beam - 1, cmp);
-            next_cells.truncate(eff_beam);
-        }
-        next_cells.sort_unstable_by(cmp);
+    // An O(n) partition plus a sort of the kept beam. For f32 the
+    // compare happens on the f32 lane (`total_cmp` over the cast scores
+    // orders identically to comparing their exact f64 embeddings).
+    let ro: &[L] = lane;
+    let cmp = |a: &u32, b: &u32| {
+        ro[*b as usize].total_cmp(&ro[*a as usize]).then_with(|| a.cmp(b))
+    };
+    if next_cells.len() > eff_beam {
+        stats.pruned_beam += (next_cells.len() - eff_beam) as u64;
+        next_cells.select_nth_unstable_by(eff_beam - 1, cmp);
+        next_cells.truncate(eff_beam);
     }
+    next_cells.sort_unstable_by(cmp);
 
     // Backpointer frame in canonical beam order (sized exactly: a batch
     // decode retains every frame); install the new SoA frontier from the
@@ -1613,20 +1434,10 @@ fn advance_frontier(
     frontier_cells.clear();
     frontier_cells.extend_from_slice(next_cells);
     frontier_scores.clear();
-    frontier_scores.extend(next_cells.iter().map(|&c| {
-        if f32_kernel {
-            scores32[c as usize] as f64
-        } else {
-            scores[c as usize]
-        }
-    }));
+    frontier_scores.extend(next_cells.iter().map(|&c| lane[c as usize].widen()));
     for &c in touched.iter() {
         let cu = c as usize;
-        if f32_kernel {
-            scores32[cu] = f32::NEG_INFINITY;
-        } else {
-            scores[cu] = f64::NEG_INFINITY;
-        }
+        lane[cu] = L::UNSCORED;
         preds[cu] = u32::MAX;
     }
     touched.clear();
@@ -1742,32 +1553,35 @@ impl FixedLagDecoder {
     /// Consume one observation; returns how many points were committed
     /// (0 while within the lag, 1 once the pipeline is full).
     pub fn step(&mut self, obs: &StepObservation) -> usize {
-        // Resolve the rig's shared emission table(s) only when a step
-        // carries a hyperbola measurement. The rig never changes, so the
-        // first such step resolves the entry for good; N concurrent
-        // sessions on one rig resolve to one process-wide table.
-        let (emission, emission32) = match obs.dtheta21 {
-            None => (None, None),
-            Some(_) => {
-                let arts: &DecodeArtifacts = self.artifacts.get_or_insert_with(|| {
-                    artifacts_for(&self.grid, self.antennas, self.config.wavelength_m)
-                });
-                let f32_kernel = self.kernel.precision == KernelPrecision::F32Tolerance;
-                (Some(arts.emission().as_ref()), f32_kernel.then(|| arts.emission_f32().as_ref()))
+        // Resolve the rig's shared emission table, at the kernel's
+        // precision, only when a step carries a hyperbola measurement.
+        // The rig never changes, so the first such step resolves the
+        // entry for good; N concurrent sessions on one rig resolve to
+        // one process-wide table.
+        let arts = obs.dtheta21.map(|meas| {
+            let arts: &DecodeArtifacts = self.artifacts.get_or_insert_with(|| {
+                artifacts_for(&self.grid, self.antennas, self.config.wavelength_m)
+            });
+            (meas, arts)
+        });
+        let emission = match self.kernel.precision {
+            KernelPrecision::F64Exact => {
+                StepEmission::F64(arts.map(|(meas, a)| (meas, a.emission().as_ref())))
             }
+            KernelPrecision::F32Tolerance => StepEmission::F32(arts.map(|(meas, a)| {
+                (meas as f32, self.config.hyperbola_weight as f32, a.emission_f32().as_ref())
+            })),
         };
 
         self.stats.steps += 1;
         let mut frame = self.pool.pop().unwrap_or_default();
         advance_frontier(
             &self.grid,
-            self.antennas,
             &self.config,
             self.beam_width,
-            &self.kernel,
+            self.kernel.adaptive,
             obs,
             emission,
-            emission32,
             &mut self.ks,
             &mut self.frontier_cells,
             &mut self.frontier_scores,
@@ -2191,42 +2005,13 @@ mod tests {
     }
 
     #[test]
-    fn exact_kernel_with_threads_matches_sequential_bitwise() {
-        let g = small_grid();
-        let start = Vec2::new(0.02, 0.05);
-        let cfg = HmmConfig::default();
-        let steps = mixed_steps();
-        for beam in [2usize, 64, 2500] {
-            let (want, want_stats) =
-                decode(&g, rig(), start, &steps, &cfg, beam, KernelOptions::exact());
-            for threads in [1usize, 2, 8] {
-                let kernel = KernelOptions::exact().with_threads(threads);
-                let (got, got_stats) =
-                    decode(&g, rig(), start, &steps, &cfg, beam, kernel);
-                assert_eq!(got.len(), want.len(), "beam {beam} threads {threads}");
-                for (a, b) in got.iter().zip(&want) {
-                    assert!(
-                        a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits(),
-                        "beam {beam} threads {threads}: {a:?} vs {b:?}"
-                    );
-                }
-                assert_eq!(got_stats, want_stats, "beam {beam} threads {threads}");
-            }
-        }
-    }
-
-    #[test]
     fn f32_kernel_stays_on_the_board_and_near_the_exact_track() {
         let g = small_grid();
         let start = Vec2::new(0.02, 0.05);
         let cfg = HmmConfig::default();
         let steps = mixed_steps();
         let (exact, _) = decode(&g, rig(), start, &steps, &cfg, 256, KernelOptions::exact());
-        let kernel = KernelOptions {
-            precision: KernelPrecision::F32Tolerance,
-            adaptive: None,
-            threads: 1,
-        };
+        let kernel = KernelOptions { precision: KernelPrecision::F32Tolerance, adaptive: None };
         let (got, stats) = decode(&g, rig(), start, &steps, &cfg, 256, kernel);
         assert_eq!(got.len(), exact.len());
         assert_eq!(stats.steps, steps.len());

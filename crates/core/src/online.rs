@@ -79,9 +79,9 @@ pub struct OnlineOptions {
     /// Decode kernel configuration forwarded to the [`FixedLagDecoder`]:
     /// precision ([`KernelPrecision::F64Exact`] keeps the bit-exact
     /// batch-equivalence contract; `F32Tolerance` trades it for speed
-    /// under the tolerance oracle), intra-step expansion threads, and
-    /// the optional adaptive beam. Checkpoints carry it, so a restored
-    /// session keeps running the same kernel.
+    /// under the tolerance oracle) and the optional adaptive beam.
+    /// Checkpoints carry it, so a restored session keeps running the
+    /// same kernel.
     pub kernel: KernelOptions,
 }
 
@@ -1210,7 +1210,8 @@ fn kernel_options_json(k: &KernelOptions) -> Json {
                 KernelPrecision::F32Tolerance => "f32",
             }),
         ),
-        ("threads", usize_json(k.threads)),
+        // A v1/v2 format constant: the decode step is single-threaded.
+        ("threads", usize_json(1)),
         (
             "adaptive",
             match &k.adaptive {
@@ -1224,11 +1225,11 @@ fn kernel_options_json(k: &KernelOptions) -> Json {
     ])
 }
 
-/// Ceiling on a restored kernel's `threads`. Each intra-step worker
-/// holds its own full-grid score, predecessor and hyperbola lanes, so
-/// the field is a thread-spawn count and a memory multiplier: a value
-/// taken unchecked from checkpoint bytes would turn the next step into
-/// thousands of threads and gigabytes of lanes.
+/// Ceiling on a restored kernel's `threads`, kept as format
+/// validation: the decode step no longer reads the field, but v1/v2
+/// envelopes carry it, and a document above the ceiling stays the typed
+/// field error it always was, so the set of envelopes that open does
+/// not change.
 const MAX_RESTORED_KERNEL_THREADS: usize = 64;
 
 fn kernel_options_from(v: &Json) -> Result<KernelOptions, JsonError> {
@@ -1250,7 +1251,7 @@ fn kernel_options_from(v: &Json) -> Result<KernelOptions, JsonError> {
             "kernel `threads` {threads} above the ceiling of {MAX_RESTORED_KERNEL_THREADS}"
         )));
     }
-    Ok(KernelOptions { precision, adaptive, threads })
+    Ok(KernelOptions { precision, adaptive })
 }
 
 #[cfg(test)]

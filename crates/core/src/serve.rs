@@ -23,15 +23,12 @@
 //!
 //! Sessions choose their own decode kernel: `OnlineOptions::with_kernel`
 //! carries a [`hmm::KernelOptions`](crate::hmm::KernelOptions) (exact
-//! f64 vs f32-table fast path, adaptive beam, intra-step threads) into
-//! each tracker, and the pool passes it through untouched. Every kernel
-//! is deterministic given its input sequence — the f32 path trades
-//! f64-exactness, not reproducibility — so the bitwise contract above
-//! holds for mixed-kernel fleets too (same tests, mixed kernels). Note
-//! a session with `kernel.threads > 1` parallelizes *within* its own
-//! decode steps via the same [`rf_core::par`] primitives the pool uses;
-//! a fleet deployment typically keeps session kernels single-threaded
-//! and lets the pool own the cores.
+//! f64 vs f32-table fast path, adaptive beam) into each tracker, and
+//! the pool passes it through untouched. Every kernel is deterministic
+//! given its input sequence — the f32 path trades f64-exactness, not
+//! reproducibility — so the bitwise contract above holds for
+//! mixed-kernel fleets too (same tests, mixed kernels). A session's
+//! decode step runs on one thread; the pool owns the cores.
 //!
 //! Memory stays sublinear in session count because every session on one
 //! rig resolves the same [`hmm::DecodeArtifacts`](crate::hmm::DecodeArtifacts)

@@ -93,10 +93,9 @@ where
 /// `0..n` in order, without gaps or overlap.
 ///
 /// This is the fan-out geometry for work that must stay *ordered* while
-/// being claimed in parallel — the decoder's chunked frontier expansion
-/// splits its frontier with this and merges chunk results back in chunk
-/// index order, which is what makes the parallel expansion bit-identical
-/// to the sequential scan.
+/// split across workers — the emission-table row build cuts the grid's
+/// rows into one contiguous band per worker with it, so every band
+/// writes its own disjoint slice of one table in row order.
 pub fn chunk_bounds(n: usize, chunks: usize, i: usize) -> (usize, usize) {
     let chunks = chunks.max(1);
     assert!(i < chunks, "chunk index {i} out of {chunks}");

@@ -77,18 +77,20 @@ echo "== verify: decode kernel equivalence =="
 # FixedLagDecoder; hmm::decode is that decoder at unbounded lag, and
 # viterbi_reference is the naive oracle both files hold it to:
 # - tests/kernel_equivalence.rs pins the two precision contracts: the
-#   f64 SoA path bit-identical to viterbi_reference at threads 1/2/8
-#   (random scenarios, plus steps whose bounds land exactly on stencil
-#   distances, where scores and DecodeStats are pinned per step),
-#   and the f32 fast path inside the quantitative tolerance oracle
-#   (per-step best scores, glyph-trail Procrustes < 1 cm, fig13
-#   reduced-config letter-accuracy parity),
+#   f64 SoA path bit-identical to viterbi_reference (random scenarios,
+#   plus steps whose bounds land exactly on stencil distances, where
+#   scores and DecodeStats are pinned per step), and the f32 fast path
+#   inside the quantitative tolerance oracle (per-step best scores,
+#   glyph-trail Procrustes < 1 cm, fig13 reduced-config letter-accuracy
+#   parity),
 # - tests/decoder_equivalence.rs holds hmm::decode to viterbi_reference
-#   bit for bit over randomized scenarios and sweeps the
-#   intra-step-parallel merge through the degenerate paths (collapse,
-#   carry-through, tiny beams).
+#   bit for bit over randomized scenarios and through the degenerate
+#   paths: carry-through and collapse steps (beams 8 to 2500) and tiny
+#   beams under the `max(8)` clamp, each gated by name.
 ran kernel_equivalence
 ran decoder_equivalence
+ran decoder_equivalence carry_through_steps_stay_equivalent
+ran decoder_equivalence tiny_beam_widths_stay_equivalent
 
 echo "== verify: polarimetric channel =="
 # Explicit tier-1 gates for the Jones channel layer:
@@ -173,10 +175,11 @@ echo "== verify: durability & crash recovery =="
 # Explicit tier-1 gates for the crash-safe durability layer:
 # - tests/durability.rs sweeps 2000 mutated checkpoint.v2 envelopes
 #   through the typed-error parser (every semantic mutation rejected,
-#   every accepted envelope bit-identical), bounds the restored kernel
-#   thread count, pins the v1 → v2 migration golden snapshot, and
-#   proves the store's stage-then-commit atomicity plus generation
-#   walk-back over corrupted blobs,
+#   every accepted envelope bit-identical), keeps rejecting a kernel
+#   `threads` format field above its ceiling (gated by name), pins the
+#   v1 → v2 migration golden snapshot, and proves the store's
+#   stage-then-commit atomicity plus generation walk-back over
+#   corrupted blobs,
 # - tests/chaos.rs is the deterministic chaos soak: swept kill points ×
 #   thread counts, corrupted-checkpoint fallbacks, duplicate recovery,
 #   stalled drains, and random ChaosPlans — no panics, zero report
@@ -185,6 +188,7 @@ echo "== verify: durability & crash recovery =="
 #   the chaos-plan/mutator unit tests in rfid-sim (chaos), and the
 #   parser recursion-depth bound in rf-core (json).
 ran durability
+ran durability restore_bounds_the_kernel_thread_count
 ran chaos
 ran polardraw_core durability
 ran rfid_sim chaos

@@ -122,8 +122,8 @@ fn restore_survives_2000_mutated_envelopes() {
 
 /// Rewrite the decode kernel's `threads` inside a sealed envelope and
 /// re-seal it with a valid CRC — what a hostile or buggy writer could
-/// hand to restore. Returns the edited envelope and its edited payload.
-fn reseal_with_kernel_threads(sealed: &str, threads: f64) -> (String, String) {
+/// hand to restore. Returns the edited envelope.
+fn reseal_with_kernel_threads(sealed: &str, threads: f64) -> String {
     let mut doc = Json::parse(sealed).expect("sealed envelope parses");
     let Json::Obj(env) = &mut doc else { panic!("envelope is an object") };
     env.remove("crc");
@@ -132,12 +132,11 @@ fn reseal_with_kernel_threads(sealed: &str, threads: f64) -> (String, String) {
     let Some(Json::Obj(opts)) = p.get_mut("options") else { panic!("options object") };
     let Some(Json::Obj(kernel)) = opts.get_mut("kernel") else { panic!("kernel object") };
     kernel.insert("threads".to_string(), Json::num(threads));
-    let payload = payload.to_json_string();
     let crc = crc32(doc.to_json_string().as_bytes());
     if let Json::Obj(env) = &mut doc {
         env.insert("crc".to_string(), Json::num(crc as f64));
     }
-    (doc.to_json_string(), payload)
+    doc.to_json_string()
 }
 
 #[test]
@@ -145,21 +144,23 @@ fn restore_bounds_the_kernel_thread_count() {
     let tracker = warmed_tracker();
     let sealed = seal_checkpoint(&tracker, 3);
 
-    // A re-CRC'd envelope asking for a billion intra-step workers is a
-    // typed field error, not a restore that spawns them on the next step.
-    let (hostile, _) = reseal_with_kernel_threads(&sealed, 1e9);
+    // `threads` is a format field the decode step no longer reads, but
+    // a re-CRC'd envelope above its ceiling stays a typed field error.
+    let hostile = reseal_with_kernel_threads(&sealed, 1e9);
     match open_checkpoint(coarse_config(), &hostile) {
         Err(RestoreError::Field(msg)) => assert!(msg.contains("threads"), "{msg}"),
         other => panic!("threads = 1e9 must be rejected as a field error, got {other:?}"),
     }
 
-    // A sane worker count restores to exactly the edited state, and
-    // (thread count never changes a bit) decodes the rest of the
-    // stream exactly like the untouched tracker.
-    let (edited, payload) = reseal_with_kernel_threads(&sealed, 8.0);
+    // A value within the ceiling restores, is normalised back to the
+    // format constant 1 (so the state re-serialises as the untouched
+    // tracker's), and decodes the rest of the stream exactly like the
+    // untouched tracker.
+    let edited = reseal_with_kernel_threads(&sealed, 8.0);
+    assert!(edited.contains(r#""threads":8"#), "precondition: the edit reached the envelope");
     let restored = open_checkpoint(coarse_config(), &edited).expect("threads = 8 restores");
     assert_eq!(restored.generation, 3);
-    assert_eq!(restored.tracker.checkpoint_string(), payload);
+    assert_eq!(restored.tracker.checkpoint_string(), tracker.checkpoint_string());
     let mut want = tracker;
     let mut got = restored.tracker;
     for r in stream(120, 1.2) {

@@ -4,10 +4,10 @@
 //! The decoder now has two precision contracts (see `KernelOptions` in
 //! `polardraw_core::hmm`), and this file is where each is enforced:
 //!
-//! * **`F64Exact` — bit-for-bit.** The SoA frontier, chunked intra-step
-//!   parallel expansion, and scratch plumbing must not change a single
-//!   bit of the output relative to `viterbi_reference`, at any thread
-//!   count. Checked by `to_bits` comparison over derived-seed sweeps.
+//! * **`F64Exact` — bit-for-bit.** The SoA frontier, the per-step
+//!   offset classification, and scratch plumbing must not change a
+//!   single bit of the output relative to `viterbi_reference`. Checked
+//!   by `to_bits` comparison over derived-seed sweeps.
 //! * **`F32Tolerance` — quantitative oracle, not bitwise.** Dropping to
 //!   f32 tables rounds every transition/emission term, so bitwise
 //!   identity is impossible by construction. Instead the path is gated
@@ -117,7 +117,7 @@ fn assert_tracks_identical(fast: &[Vec2], slow: &[Vec2], ctx: &str) {
 }
 
 // ---------------------------------------------------------------------
-// 1. The f64 path: bit-identical to the reference at any thread count.
+// 1. The f64 path: bit-identical to the reference.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -127,13 +127,16 @@ fn exact_kernel_is_bit_identical_to_reference_across_threads() {
         let want = viterbi_reference(
             &sc.grid, sc.antennas, sc.start, &sc.steps, &sc.config, sc.beam_width,
         );
-        for threads in [1usize, 2, 8] {
-            let kernel = KernelOptions::exact().with_threads(threads);
-            let (got, _) = decode(
-                &sc.grid, sc.antennas, sc.start, &sc.steps, &sc.config, sc.beam_width, kernel,
-            );
-            assert_tracks_identical(&got, &want, &format!("{ctx} threads {threads}"));
-        }
+        let (got, _) = decode(
+            &sc.grid,
+            sc.antennas,
+            sc.start,
+            &sc.steps,
+            &sc.config,
+            sc.beam_width,
+            KernelOptions::exact(),
+        );
+        assert_tracks_identical(&got, &want, ctx);
     });
 }
 
@@ -196,9 +199,9 @@ fn bound_landing_steps(
     steps
 }
 
-/// Pins the exact kernel on [`bound_landing_steps`] at threads 1/2/8:
-/// batch tracks bit-for-bit against `viterbi_reference`, and a
-/// `FixedLagDecoder` at infinite lag replayed step by step against
+/// Pins the exact kernel on [`bound_landing_steps`]: batch tracks
+/// bit-for-bit against `viterbi_reference`, and a `FixedLagDecoder` at
+/// infinite lag replayed step by step against
 /// [`replay_against_reference`] — every frontier score and every
 /// `DecodeStats` counter — with its tracks and counters equal to the
 /// batch decode's. Three boards (the paper's 2.5 mm cell at its board
@@ -221,19 +224,15 @@ fn exact_kernel_is_bit_identical_when_bounds_land_on_stencil_distances() {
         for start in [grid.center(grid.len() / 2 + grid.nx / 3), grid.min, corner] {
             for beam in [8usize, 2500] {
                 let want = viterbi_reference(&grid, antennas, start, &steps, &config, beam);
-                for threads in [1usize, 2, 8] {
-                    let ctx = format!("cell {cell} start {start:?} beam {beam} threads {threads}");
-                    let kernel = KernelOptions::exact().with_threads(threads);
-                    let (got, stats) =
-                        decode(&grid, antennas, start, &steps, &config, beam, kernel);
-                    assert_tracks_identical(&got, &want, &format!("{ctx} batch"));
-                    let mut dec =
-                        FixedLagDecoder::new(grid, antennas, start, config, beam, usize::MAX);
-                    dec.set_kernel(kernel);
-                    replay_against_reference(&mut dec, &grid, antennas, &config, &steps, &ctx);
-                    assert_eq!(dec.stats(), stats, "{ctx}: fixed-lag vs batch stats");
-                    assert_tracks_identical(&dec.finish(), &want, &format!("{ctx} fixed-lag"));
-                }
+                let ctx = format!("cell {cell} start {start:?} beam {beam}");
+                let kernel = KernelOptions::exact();
+                let (got, stats) = decode(&grid, antennas, start, &steps, &config, beam, kernel);
+                assert_tracks_identical(&got, &want, &format!("{ctx} batch"));
+                let mut dec = FixedLagDecoder::new(grid, antennas, start, config, beam, usize::MAX);
+                dec.set_kernel(kernel);
+                replay_against_reference(&mut dec, &grid, antennas, &config, &steps, &ctx);
+                assert_eq!(dec.stats(), stats, "{ctx}: fixed-lag vs batch stats");
+                assert_tracks_identical(&dec.finish(), &want, &format!("{ctx} fixed-lag"));
             }
         }
     }
@@ -338,11 +337,7 @@ fn best_score(frontier: &[(u32, f64)]) -> f64 {
 /// merge) blows through it immediately.
 #[test]
 fn f32_per_step_best_scores_stay_within_tolerance() {
-    let f32_kernel = KernelOptions {
-        precision: KernelPrecision::F32Tolerance,
-        adaptive: None,
-        threads: 1,
-    };
+    let f32_kernel = KernelOptions { precision: KernelPrecision::F32Tolerance, adaptive: None };
     sweep("kernel_f32_scores", 64, |rng, ctx| {
         let sc = random_scenario(rng, &[16, 64, 256, 2500]);
         let mut exact = FixedLagDecoder::new(
@@ -364,37 +359,6 @@ fn f32_per_step_best_scores_stay_within_tolerance() {
                 "{ctx}: step {k} best-score delta {delta:e} > tol {tol:e} \
                  (f64 {b64}, f32 {b32})"
             );
-        }
-    });
-}
-
-/// The chunked f32 expansion must be deterministic too: threads 1/2/8
-/// produce bit-identical tracks (the f32 path gives up exactness vs
-/// f64, *not* run-to-run determinism).
-#[test]
-fn f32_kernel_is_deterministic_across_threads() {
-    sweep("kernel_f32_threads", 64, |rng, ctx| {
-        let sc = random_scenario(rng, &[8, 64, 2500]);
-        let base = KernelOptions {
-            precision: KernelPrecision::F32Tolerance,
-            adaptive: None,
-            threads: 1,
-        };
-        let (want, want_stats) = decode(
-            &sc.grid, sc.antennas, sc.start, &sc.steps, &sc.config, sc.beam_width, base,
-        );
-        for threads in [2usize, 8] {
-            let (got, got_stats) = decode(
-                &sc.grid,
-                sc.antennas,
-                sc.start,
-                &sc.steps,
-                &sc.config,
-                sc.beam_width,
-                base.with_threads(threads),
-            );
-            assert_tracks_identical(&got, &want, &format!("{ctx} threads {threads}"));
-            assert_eq!(got_stats, want_stats, "{ctx} threads {threads}: stats differ");
         }
     });
 }

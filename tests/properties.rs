@@ -654,7 +654,7 @@ fn adaptive_frontier_counters_monotone_and_bounded_under_shrink_regrow() {
         } else {
             KernelPrecision::F32Tolerance
         };
-        let kernel = KernelOptions { precision, adaptive: None, threads: 1 }
+        let kernel = KernelOptions { precision, adaptive: None }
             .with_adaptive(Some(AdaptiveBeam {
                 margin: rng.gen_range(0.5..8.0),
                 min_keep: 8 + rng.gen_index(64),
