@@ -13,7 +13,7 @@ use pen_sim::kinematics::{PenPose, WristModel};
 use polardraw_core::model::{classify_rss_trend, Rotation, Sector};
 use rf_core::Vec3;
 use rf_physics::ChannelModel;
-use rfid_sim::Reader;
+use rfid_sim::{Reader, TagReport};
 
 const GAMMA_DEG: f64 = 30.0;
 
@@ -44,13 +44,19 @@ fn sweep_poses() -> Vec<PenPose> {
     poses
 }
 
+/// The scripted sweep's poses and the report stream the reader returns
+/// for them at `seed`.
+pub fn sweep_stream(seed: u64) -> (Vec<PenPose>, Vec<TagReport>) {
+    let channel = ChannelModel::two_antenna_whiteboard(GAMMA_DEG.to_radians(), 0.56, 0.30);
+    let poses = sweep_poses();
+    let reports = Reader::new(channel).inventory(&to_tag_poses(&poses), seed);
+    (poses, reports)
+}
+
 /// Run the trend-classification audit.
 pub fn run(opts: &RunOpts) -> Vec<Report> {
     let gamma = GAMMA_DEG.to_radians();
-    let channel = ChannelModel::two_antenna_whiteboard(gamma, 0.56, 0.30);
-    let reader = Reader::new(channel);
-    let poses = sweep_poses();
-    let reports = reader.inventory(&to_tag_poses(&poses), opts.seed);
+    let (poses, reports) = sweep_stream(opts.seed);
 
     // Window RSS per antenna (50 ms).
     let windows = polardraw_core::preprocess::preprocess(

@@ -27,8 +27,8 @@
 use experiments::setup::{polardraw_config_for, simulate_reports, TrialSetup};
 use polardraw_core::distance::{expected_dtheta21, FeasibleRegion};
 use polardraw_core::hmm::{
-    decode, viterbi_reference, FixedLagDecoder, Grid, HmmConfig, KernelOptions,
-    KernelPrecision, StepObservation,
+    decode, viterbi_reference, AdaptiveBeam, DecodeStats, FixedLagDecoder, Grid, HmmConfig,
+    KernelOptions, KernelPrecision, StepObservation,
 };
 use polardraw_core::{OnlineOptions, OnlineTracker};
 use recognition::{procrustes_distance, LetterRecognizer};
@@ -435,4 +435,118 @@ fn fast_kernel_letter_accuracy_parity_on_reduced_fig13() {
         "fast kernel lost letter accuracy: {fast_correct}/{total} vs exact \
          {exact_correct}/{total}"
     );
+}
+
+// ---------------------------------------------------------------------
+// 5. The adaptive beam: output bits pinned to a recorded snapshot.
+// ---------------------------------------------------------------------
+
+/// The adaptive settings the pin covers: the default margin on the
+/// exact kernel, the fleet ladder's `{4.0, 64}` rung, a tighter one,
+/// and the full fast kernel (f32 tables plus the default margin).
+fn adaptive_kernels() -> [(&'static str, KernelOptions); 4] {
+    let exact_with = |margin, min_keep| {
+        KernelOptions::exact().with_adaptive(Some(AdaptiveBeam { margin, min_keep }))
+    };
+    let default = AdaptiveBeam::default();
+    [
+        ("exact/adaptive_default", exact_with(default.margin, default.min_keep)),
+        ("exact/adaptive_4_64", exact_with(4.0, 64)),
+        ("exact/adaptive_1.5_16", exact_with(1.5, 16)),
+        ("fast", KernelOptions::fast()),
+    ]
+}
+
+/// One decode, pinned: track length, CRC-32 over every point's bits,
+/// and every `DecodeStats` counter.
+fn decode_digest(name: &str, track: &[Vec2], stats: &DecodeStats) -> String {
+    use rf_core::Json;
+    let bytes: Vec<u8> = track
+        .iter()
+        .flat_map(|p| [p.x.to_bits(), p.y.to_bits()])
+        .flat_map(u64::to_le_bytes)
+        .collect();
+    let n = |x: u64| Json::num(x as f64);
+    Json::obj([
+        ("name", Json::str(name)),
+        ("points", n(track.len() as u64)),
+        ("crc", n(u64::from(rf_core::crc32(&bytes)))),
+        ("steps", n(stats.steps as u64)),
+        ("carried_steps", n(stats.carried_steps as u64)),
+        ("expansions", n(stats.expansions)),
+        ("pruned_below_min", n(stats.pruned_below_min)),
+        ("pruned_beam", n(stats.pruned_beam)),
+        ("touched_cells", n(stats.touched_cells)),
+        ("max_frontier", n(stats.max_frontier as u64)),
+        ("total_frontier", n(stats.total_frontier)),
+        ("adaptive_shrunk_steps", n(stats.adaptive_shrunk_steps as u64)),
+    ])
+    .to_json_string()
+}
+
+/// Every pinned decode, one digest per line: the random scenario
+/// family, the stencil-boundary family on its three boards, and the
+/// full pipeline on glyph streams, each under every adaptive kernel.
+fn adaptive_decode_document() -> String {
+    let kernels = adaptive_kernels();
+    let mut lines = Vec::new();
+    sweep("kernel_adaptive_pin", 48, |rng, _| {
+        let sc = random_scenario(rng, &[64, 256, 2500]);
+        let case = lines.len() / kernels.len();
+        for (kname, kernel) in kernels {
+            let (track, stats) = decode(
+                &sc.grid, sc.antennas, sc.start, &sc.steps, &sc.config, sc.beam_width, kernel,
+            );
+            lines.push(decode_digest(&format!("random/{case}/{kname}"), &track, &stats));
+        }
+    });
+    let antennas = [Vec3::new(-0.25, 0.1, 0.6), Vec3::new(0.25, 0.1, 0.6)];
+    for (bi, (min, cell)) in [
+        (Vec2::new(-0.45, 0.35), 0.0025),
+        (Vec2::new(-0.3137, 0.4219), 0.004),
+        (Vec2::new(0.0123, 0.3), 0.0071),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let grid = Grid::covering(min, min + Vec2::new(32.0 * cell, 24.0 * cell), cell);
+        let config = HmmConfig { cell_m: cell, ..HmmConfig::default() };
+        let steps = bound_landing_steps(&grid, antennas, config.wavelength_m);
+        let start = grid.center(grid.len() / 2 + grid.nx / 3);
+        for (kname, kernel) in kernels {
+            let (track, stats) = decode(&grid, antennas, start, &steps, &config, 2500, kernel);
+            lines.push(decode_digest(&format!("stencil/{bi}/{kname}"), &track, &stats));
+        }
+    }
+    for (i, ch) in ['L', 'O', 'V'].into_iter().enumerate() {
+        let seed = derive_seed_indexed(BASE_SEED, "kernel_glyph", i as u64 * 100);
+        let setup = TrialSetup::letter(ch).with_cell_scale(4.0);
+        let (_, reports) = simulate_reports(&setup, seed);
+        for (kname, kernel) in kernels {
+            let options = OnlineOptions::batch().with_kernel(kernel);
+            let mut online = OnlineTracker::new(polardraw_config_for(&setup), options);
+            online.extend(&reports);
+            let out = online.finalize();
+            let name = format!("glyph/{ch}/{kname}");
+            lines.push(decode_digest(&name, &out.trail.points, &out.decode_stats));
+        }
+    }
+    lines.join("\n") + "\n"
+}
+
+/// The adaptive beam's outputs on every pinned decode match
+/// `tests/snapshots/adaptive_decode.json` bit for bit: the track and
+/// every work counter. The tolerance oracles above cannot see a
+/// changed beam cut that stays within tolerance; this can. Recorded
+/// before the pin existed in any other form; never regenerated.
+#[test]
+fn adaptive_beam_decodes_match_the_pinned_bits() {
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/snapshots/adaptive_decode.json");
+    let expected = std::fs::read_to_string(path).expect("committed adaptive-decode snapshot");
+    let actual = adaptive_decode_document();
+    for (line, (want, got)) in expected.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(want, got, "adaptive decode drifted at line {}", line + 1);
+    }
+    assert_eq!(expected.lines().count(), actual.lines().count(), "decode count drifted");
 }

@@ -451,27 +451,34 @@ fn carve_gap(rng: &mut Rng64, reports: &mut Vec<TagReport>) {
     reports.drain(start..end);
 }
 
+/// One `adversarial_preprocess` case: a random stream with a carved
+/// gap, then duplicated and reordered by the fault injector.
+fn adversarial_preprocess_stream(rng: &mut Rng64) -> Vec<TagReport> {
+    use rfid_sim::faults::{Duplication, FaultInjector, FaultPlan, Reordering};
+
+    let n = 60 + rng.gen_index(240);
+    let mut reports = random_stream(rng, n);
+    carve_gap(rng, &mut reports);
+    let plan = FaultPlan {
+        duplication: Some(Duplication {
+            p_duplicate: rng.gen_range(0.0..0.3),
+            max_copies: 1 + rng.gen_index(3),
+        }),
+        reordering: Some(Reordering {
+            p_displace: rng.gen_range(0.0..0.5),
+            max_shift_s: rng.gen_range(0.005..0.08),
+        }),
+        ..FaultPlan::identity()
+    };
+    FaultInjector::new(plan, rng.next_u64()).inject(&reports)
+}
+
 #[test]
 fn adversarial_streams_preprocess_cleanly() {
     use polardraw_core::preprocess::{preprocess_with_stats, PreprocessConfig};
-    use rfid_sim::faults::{Duplication, FaultInjector, FaultPlan, Reordering};
 
     sweep("adversarial_preprocess", 128, |rng, ctx| {
-        let n = 60 + rng.gen_index(240);
-        let mut reports = random_stream(rng, n);
-        carve_gap(rng, &mut reports);
-        let plan = FaultPlan {
-            duplication: Some(Duplication {
-                p_duplicate: rng.gen_range(0.0..0.3),
-                max_copies: 1 + rng.gen_index(3),
-            }),
-            reordering: Some(Reordering {
-                p_displace: rng.gen_range(0.0..0.5),
-                max_shift_s: rng.gen_range(0.005..0.08),
-            }),
-            ..FaultPlan::identity()
-        };
-        let injected = FaultInjector::new(plan, rng.next_u64()).inject(&reports);
+        let injected = adversarial_preprocess_stream(rng);
 
         let cfg = PreprocessConfig::default();
         let (windows, stats) = preprocess_with_stats(&injected, &cfg);
@@ -502,6 +509,205 @@ fn adversarial_streams_preprocess_cleanly() {
             "{ctx}: ignored-port accounting inconsistent"
         );
     });
+}
+
+// ---------------------------------------------------------------------
+// The windowing pin: `preprocess_with_stats` against
+// `tests/snapshots/preprocess_windows.json`, bit for bit. Recorded
+// from the batch windowing loop before it was folded into the online
+// engine's windower; never regenerated.
+// ---------------------------------------------------------------------
+
+fn report_at(t: f64, antenna: usize, rssi_dbm: f64, phase_rad: f64) -> TagReport {
+    TagReport { t, antenna, rssi_dbm, phase_rad, channel: 7, epc: 0xE280_1160_6000_0001 }
+}
+
+/// The pinned edge cases: no reports, one report, only reports from
+/// ports the two-antenna pipeline ignores, and a burst that shares one
+/// timestamp (including an exact duplicate and a wrap-straddling pair).
+fn preprocess_edge_streams() -> Vec<(&'static str, Vec<TagReport>)> {
+    let same_t = 1.234;
+    vec![
+        ("edge/empty", Vec::new()),
+        ("edge/single", vec![report_at(0.5, 1, -47.25, 2.5)]),
+        (
+            "edge/extra_ports_only",
+            (0..6).map(|i| report_at(0.013 * i as f64, 2 + i % 2, -40.0, 0.3 * i as f64)).collect(),
+        ),
+        (
+            "edge/same_timestamp",
+            vec![
+                report_at(same_t, 0, -41.0, 0.1),
+                report_at(same_t, 1, -52.5, 3.0),
+                report_at(same_t, 0, -43.0, TAU - 0.1),
+                report_at(same_t, 1, -52.5, 3.0),
+                report_at(same_t, 2, -30.0, 1.0),
+                report_at(same_t, 1, -50.0, 3.1),
+            ],
+        ),
+    ]
+}
+
+fn stats_json(s: &polardraw_core::preprocess::PreprocessStats) -> rf_core::Json {
+    use rf_core::Json;
+    let n = |x: usize| Json::num(x as f64);
+    Json::obj([
+        ("input_reports", n(s.input_reports)),
+        ("input_unsorted", Json::Bool(s.input_unsorted)),
+        ("duplicates_removed", n(s.duplicates_removed)),
+        ("ignored_ports", n(s.ignored_ports)),
+        ("windows", n(s.windows)),
+        ("empty_windows", n(s.empty_windows)),
+        ("single_antenna_windows", n(s.single_antenna_windows)),
+        ("spurious_rejected", n(s.spurious_rejected)),
+        ("largest_empty_run", n(s.largest_empty_run)),
+    ])
+}
+
+/// One window, every field: shortest round-trip numbers, `None` as
+/// null.
+fn window_json(w: &polardraw_core::preprocess::Windowed) -> String {
+    use rf_core::json::ToJson;
+    use rf_core::Json;
+    let pair = |v: [Option<f64>; 2]| Json::arr(v, |x| x.to_json());
+    Json::obj([
+        ("t", Json::num(w.t)),
+        ("rssi", pair(w.rssi)),
+        ("phase", pair(w.phase)),
+        ("reads", Json::arr(w.reads, |n| Json::num(n as f64))),
+        ("empty", Json::Bool(w.flags.empty)),
+        ("single_antenna", Json::Bool(w.flags.single_antenna)),
+        ("spurious", Json::arr(w.flags.spurious, Json::Bool)),
+    ])
+    .to_json_string()
+}
+
+/// CRC-32 over every field's bit pattern, window by window.
+fn windows_crc(windows: &[polardraw_core::preprocess::Windowed]) -> u32 {
+    let mut bytes = Vec::new();
+    for w in windows {
+        bytes.extend_from_slice(&w.t.to_bits().to_le_bytes());
+        for ant in 0..2 {
+            for v in [w.rssi[ant], w.phase[ant]] {
+                bytes.push(u8::from(v.is_some()));
+                bytes.extend_from_slice(&v.map_or(0, f64::to_bits).to_le_bytes());
+            }
+            bytes.extend_from_slice(&(w.reads[ant] as u64).to_le_bytes());
+            bytes.push(u8::from(w.flags.spurious[ant]));
+        }
+        bytes.push(u8::from(w.flags.empty));
+        bytes.push(u8::from(w.flags.single_antenna));
+    }
+    rf_core::crc::crc32(&bytes)
+}
+
+/// Every pinned stream: the 128 `adversarial_preprocess` cases (pinned
+/// by CRC), then two clean simulated letters, the fig09 azimuth sweep
+/// and the edge cases (pinned in full). The flag says "in full".
+fn preprocess_pin_streams() -> Vec<(String, Vec<TagReport>, bool)> {
+    use experiments::setup::{simulate_reports, TrialSetup};
+
+    let mut out = Vec::new();
+    sweep("adversarial_preprocess", 128, |rng, _| {
+        out.push((format!("adversarial/{}", out.len()), adversarial_preprocess_stream(rng), false));
+    });
+    for (ch, seed) in [('L', 7u64), ('S', 11)] {
+        let (_, reports) = simulate_reports(&TrialSetup::letter(ch), seed);
+        out.push((format!("letter/{ch}/seed{seed}"), reports, true));
+    }
+    out.push(("fig09/sweep/seed42".to_string(), experiments::exp::fig09::sweep_stream(42).1, true));
+    for (name, reports) in preprocess_edge_streams() {
+        out.push((name.to_string(), reports, true));
+    }
+    out
+}
+
+/// Render every pinned stream's windows and stats, one window (or one
+/// CRC'd stream) per line.
+fn preprocess_windows_document() -> String {
+    use polardraw_core::preprocess::{preprocess_with_stats, PreprocessConfig};
+    use rf_core::Json;
+
+    let cfg = PreprocessConfig::default();
+    let cases = preprocess_pin_streams();
+    let mut out = String::from("{\"format\":\"polardraw.preprocess_windows.v1\",\"cases\":[\n");
+    for (ci, (name, reports, full)) in cases.iter().enumerate() {
+        let (windows, stats) = preprocess_with_stats(reports, &cfg);
+        let head = format!(
+            "{{\"name\":{},\"stats\":{}",
+            Json::str(name.as_str()).to_json_string(),
+            stats_json(&stats).to_json_string()
+        );
+        if *full {
+            out.push_str(&head);
+            out.push_str(",\"windows\":[\n");
+            for (wi, w) in windows.iter().enumerate() {
+                out.push_str(&window_json(w));
+                out.push_str(if wi + 1 < windows.len() { ",\n" } else { "\n" });
+            }
+            out.push_str("]}");
+        } else {
+            out.push_str(&format!("{head},\"windows_crc\":{}}}", windows_crc(&windows)));
+        }
+        out.push_str(if ci + 1 < cases.len() { ",\n" } else { "\n" });
+    }
+    out.push_str("]}\n");
+    out
+}
+
+/// `preprocess_with_stats` reproduces the pinned windows and counters
+/// bit for bit on every pinned stream, and on the fully pinned clean
+/// streams the batch-equivalent online tracker closes the same windows
+/// and reports the same pre-processing census.
+#[test]
+fn preprocess_windows_match_the_pinned_snapshot() {
+    use experiments::setup::{polardraw_config_for, simulate_reports, TrialSetup};
+    use polardraw_core::preprocess::{preprocess_with_stats, PreprocessConfig};
+    use polardraw_core::OnlineTracker;
+
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/snapshots/preprocess_windows.json");
+    let expected = std::fs::read_to_string(path).expect("committed windowing snapshot");
+    let actual = preprocess_windows_document();
+    let mut case = "";
+    for (line, (want, got)) in expected.lines().zip(actual.lines()).enumerate() {
+        if want.starts_with("{\"name\"") {
+            case = want;
+        }
+        assert_eq!(want, got, "windowing snapshot drifted at line {} ({case})", line + 1);
+    }
+    assert_eq!(expected.lines().count(), actual.lines().count(), "window count drifted");
+
+    let cfg = PreprocessConfig::default();
+    let mut streams: Vec<(String, Vec<TagReport>, polardraw_core::PolarDrawConfig)> = Vec::new();
+    // Coarse grids keep the decodes cheap; windowing never sees the grid.
+    let config_for = |ch: char| polardraw_config_for(&TrialSetup::letter(ch).with_cell_scale(8.0));
+    for (ch, seed) in [('L', 7u64), ('S', 11)] {
+        let reports = simulate_reports(&TrialSetup::letter(ch), seed).1;
+        streams.push((format!("letter {ch}"), reports, config_for(ch)));
+    }
+    streams.push(("fig09 sweep".into(), experiments::exp::fig09::sweep_stream(42).1, config_for('L')));
+    for (name, reports, config) in streams {
+        let (windows, stats) = preprocess_with_stats(&reports, &cfg);
+        let mut online = OnlineTracker::batch(config);
+        online.extend(&reports);
+        let out = online.finalize();
+        let render = |ws: &[polardraw_core::preprocess::Windowed]| {
+            ws.iter().map(window_json).collect::<Vec<_>>()
+        };
+        assert_eq!(render(&out.windows), render(&windows), "{name}: online windows differ");
+        let d = out.degradation;
+        assert_eq!(
+            (d.input_reports, d.input_unsorted, d.duplicates_removed, d.windows),
+            (stats.input_reports, stats.input_unsorted, stats.duplicates_removed, stats.windows),
+            "{name}: online stream census differs"
+        );
+        assert_eq!(
+            (d.empty_windows, d.single_antenna_windows, d.spurious_rejected),
+            (stats.empty_windows, stats.single_antenna_windows, stats.spurious_rejected),
+            "{name}: online window census differs"
+        );
+    }
 }
 
 #[test]
