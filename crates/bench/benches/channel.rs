@@ -10,8 +10,9 @@
 //!   matrix. `per_link` is the honest pre-batch baseline: one
 //!   `expected_dtheta21(grid.center(idx))` per cell, exactly the loop
 //!   `EmissionTable::build` used to run. `batch` is the bitwise row
-//!   kernel; `batch_f32` is the `F32Tolerance`-tier direct build
-//!   (`EmissionTableF32::build_direct`) the fast decode kernel rides.
+//!   kernel. The fast decode kernel's `f32` table is this table cast
+//!   per cell (`EmissionTableF32::from_table`), so it has no build of
+//!   its own.
 //! * `channel/link/{scalar,jones}/poses512` — the simulator's
 //!   whiteboard rig frozen once (`RigFactors::freeze`), then
 //!   `RigFactors::evaluate` over the same 512 poses, on the legacy
@@ -19,7 +20,7 @@
 
 use polardraw_bench::harness::Bench;
 use polardraw_core::distance::expected_dtheta21;
-use polardraw_core::hmm::{EmissionTable, EmissionTableF32, Grid};
+use polardraw_core::hmm::{EmissionTable, Grid};
 use polardraw_core::PolarDrawConfig;
 use rf_core::rng::rng_from_seed;
 use rf_core::Vec3;
@@ -72,9 +73,6 @@ fn main() {
         });
         bench.bench(&format!("channel/emission/batch/{cell_label}"), || {
             EmissionTable::build(&grid, cfg.antennas, lambda, 1)
-        });
-        bench.bench(&format!("channel/emission/batch_f32/{cell_label}"), || {
-            EmissionTableF32::build_direct(&grid, cfg.antennas, lambda, 1)
         });
     }
 

@@ -26,7 +26,7 @@
 //!   Aggregate reports/s per fleet size lands in the notes.
 //! * `fleet/step/sessions256/overload8x` and `…/p99` — the same fleet
 //!   offered 8× its queue capacity each round: backpressure defers the
-//!   excess and the `DegradePolicy` ladder steps in. The committed
+//!   excess and the degradation ladder steps in. The committed
 //!   no-collapse floor (`scripts/bench.sh --suite fleet`) gates this
 //!   row's p99 at ≤ 10× the unloaded `sessions256` p50 — degradation,
 //!   not collapse, under 8× overload.
@@ -243,7 +243,7 @@ fn main() {
              peak queue {} of cap, {} of {} offered reports admitted (rest deferred, \
              none dropped: {} of {} sessions live at finish)",
             stats.peak_level,
-            run.fleet.config().policy.max_level(),
+            polardraw_core::fleet::MAX_LEVEL,
             stats.degrade_steps,
             stats.recover_steps,
             stats.peak_pending,
@@ -297,8 +297,7 @@ fn main() {
             threads_per_shard: 1,
             queue_cap: usize::MAX / 2,
             soft_session_cap: usize::MAX / 2,
-            checkpoint: CheckpointPolicy { every_drains: 1, ..CheckpointPolicy::default() },
-            ..FleetConfig::default()
+            checkpoint: CheckpointPolicy { every_drains: 1 },
         });
         fleet.attach_store(CheckpointStore::in_memory(3));
         let streams = traffic_streams(sessions);

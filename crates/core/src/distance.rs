@@ -180,21 +180,6 @@ fn distances_row(src: Vec3, xs: &[f64], y: f64, z: f64, out: &mut [f64]) {
     }
 }
 
-/// [`distances_row`] in `f32` (twice the SIMD lanes of the `f64` row).
-/// Inputs are cast once per call/row; accuracy is a tolerance contract,
-/// not a bitwise one.
-fn distances_row_f32(src: Vec3, xs: &[f32], y: f32, z: f32, out: &mut [f32]) {
-    let sx = src.x as f32;
-    let dy = y - src.y as f32;
-    let dy2 = dy * dy;
-    let dz = z - src.z as f32;
-    let dz2 = dz * dz;
-    for (o, &x) in out.iter_mut().zip(xs) {
-        let dx = x - sx;
-        *o = ((dx * dx + dy2) + dz2).sqrt();
-    }
-}
-
 /// Row-batched [`expected_dtheta21`]: evaluate a whole grid row of
 /// board points `(xs[i], y)` at once, streaming per-antenna distances
 /// through the row kernel [`distances_row`] and combining them in
@@ -243,68 +228,6 @@ impl DthetaRowKernel {
             *o = wrap_pi(4.0 * std::f64::consts::PI * (self.d1[i] - self.d0[i]) / wavelength_m);
         }
     }
-}
-
-/// [`DthetaRowKernel`] in `f32` — the tolerance-tier grid kernel
-/// behind the direct single-precision emission build. Distances run
-/// 4-wide instead of 2-wide; the combine folds `4π/λ` into one factor
-/// and wraps in `f32`. Accuracy is a *tolerance* contract (wrap-aware
-/// per-cell error ≲ 1e-5 rad on board-scale rigs, gated at 1e-4 by
-/// `tests/channel_batch.rs`), not a bitwise one.
-#[derive(Debug, Clone, Default)]
-pub struct DthetaRowKernelF32 {
-    xs32: Vec<f32>,
-    d0: Vec<f32>,
-    d1: Vec<f32>,
-}
-
-impl DthetaRowKernelF32 {
-    /// An empty kernel (scratch grows to the first row's width).
-    pub fn new() -> DthetaRowKernelF32 {
-        DthetaRowKernelF32::default()
-    }
-
-    /// Evaluate one row of `expected_dtheta21` in `f32`.
-    ///
-    /// # Panics
-    /// Panics if `xs` and `out` lengths differ.
-    pub fn row(
-        &mut self,
-        xs: &[f64],
-        y: f64,
-        antennas: [Vec3; 2],
-        wavelength_m: f64,
-        out: &mut [f32],
-    ) {
-        assert_eq!(xs.len(), out.len(), "xs/out length mismatch");
-        self.xs32.clear();
-        self.xs32.extend(xs.iter().map(|&x| x as f32));
-        self.d0.resize(xs.len(), 0.0);
-        self.d1.resize(xs.len(), 0.0);
-        let y32 = y as f32;
-        distances_row_f32(antennas[0], &self.xs32, y32, 0.0, &mut self.d0);
-        distances_row_f32(antennas[1], &self.xs32, y32, 0.0, &mut self.d1);
-        let k = (4.0 * std::f64::consts::PI / wavelength_m) as f32;
-        for ((o, &a), &b) in out.iter_mut().zip(&self.d1).zip(&self.d0) {
-            *o = wrap_pi_f32(k * (a - b));
-        }
-    }
-}
-
-/// `wrap_pi` in `f32`, branchless: wrap into `[−π, π]`.
-///
-/// `a − τ·round(a/τ)` with round-to-nearest implemented by the magic
-/// constant `1.5·2²³` (exact for `|x| < 2²²`, the entire geometric
-/// domain here — `|a| ≤ 4π·spacing/λ`, tens of radians). No `fmodf`
-/// call, no branch, so the combine loop above stays 4-wide. Unlike
-/// `rf_core::wrap_pi` the boundary maps to −π rather than +π — the same
-/// angle, and this tier's contract is wrap-aware tolerance, not bits.
-#[inline]
-fn wrap_pi_f32(a: f32) -> f32 {
-    const MAGIC: f32 = 12_582_912.0; // 1.5 · 2²³
-    debug_assert!(a.abs() < 4_194_304.0, "wrap_pi_f32 domain: |a| < 2²²");
-    let n = (a * (1.0 / std::f32::consts::TAU) + MAGIC) - MAGIC;
-    a - std::f32::consts::TAU * n
 }
 
 #[cfg(test)]
@@ -411,23 +334,6 @@ mod tests {
             for (i, &x) in xs.iter().enumerate() {
                 let want = expected_dtheta21(Vec2::new(x, y), rig, CFG.wavelength_m);
                 assert_eq!(want.to_bits(), out[i].to_bits(), "row {row} col {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn dtheta_row_kernel_f32_stays_in_tolerance() {
-        let rig = [Vec3::new(-0.28, 0.15, 0.65), Vec3::new(0.28, 0.15, 0.65)];
-        let xs: Vec<f64> = (0..97).map(|i| -0.45 + 0.01 * i as f64).collect();
-        let mut kernel = DthetaRowKernelF32::new();
-        let mut out = vec![0.0f32; xs.len()];
-        for row in 0..5 {
-            let y = 0.4 + 0.11 * row as f64;
-            kernel.row(&xs, y, rig, CFG.wavelength_m, &mut out);
-            for (i, &x) in xs.iter().enumerate() {
-                let want = expected_dtheta21(Vec2::new(x, y), rig, CFG.wavelength_m);
-                let delta = wrap_pi(out[i] as f64 - want).abs();
-                assert!(delta < 1e-4, "row {row} col {i}: |Δ| = {delta}");
             }
         }
     }

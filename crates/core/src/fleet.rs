@@ -20,12 +20,13 @@
 //!   the producer (reader links already buffer — `resume_after` in
 //!   `rfid_sim::session`). No report, and no session, is ever dropped
 //!   by the fleet.
-//! * **Adaptive degradation with hysteresis.** A declarative
-//!   [`DegradePolicy`] ladder (shorter lag → tighter adaptive beam →
-//!   f32 kernel) is applied per shard when ingest occupancy stays above
-//!   a high watermark, and unwound when it stays below a low one. The
-//!   controller keys on queue occupancy only — never wall-clock — so
-//!   fleet runs are deterministic and testable.
+//! * **Adaptive degradation with hysteresis.** A fixed three-rung
+//!   ladder (shorter lag → tighter adaptive beam → f32 kernel, see
+//!   [`MAX_LEVEL`] and [`RECOVER_AFTER`]) is applied per shard when
+//!   ingest occupancy stays above a high watermark, and unwound when
+//!   it stays below a low one. The controller keys on queue occupancy
+//!   only — never wall-clock — so fleet runs are deterministic and
+//!   testable.
 //!
 //! Live sessions migrate between shards with
 //! [`migrate`](FleetRouter::migrate): release from the source pool
@@ -114,113 +115,90 @@ impl ShardKey {
 /// effect when the controller steps down to (or past) this rung. Rungs
 /// apply cumulatively — at level `k` every rung `0..k` is in effect —
 /// and `None` fields leave the session's requested value untouched.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradeRung {
+struct DegradeRung {
     /// Cap the decoder decision lag at this many steps (commits come
     /// earlier; bounded-hindsight accuracy trade, no kernel change).
-    pub max_lag: Option<usize>,
+    max_lag: Option<usize>,
     /// Force the adaptive beam to (at least) this aggressive a setting.
-    pub adaptive: Option<AdaptiveBeam>,
+    adaptive: Option<AdaptiveBeam>,
     /// Drop the kernel to f32 tables ([`KernelPrecision::F32Tolerance`]).
-    pub f32_kernel: bool,
+    f32_kernel: bool,
 }
 
-/// Declarative per-shard overload policy: watermark thresholds,
-/// hysteresis counts, and the degradation ladder itself. The
-/// controller runs once per [`FleetRouter::drain`] round on each
-/// shard's ingest occupancy (queued reports ÷ `queue_cap`), entering
-/// the round:
+/// The per-shard overload ladder, mildest first. The controller runs
+/// once per [`FleetRouter::drain`] round on each shard's ingest
+/// occupancy (queued reports ÷ `queue_cap`), entering the round:
 ///
-/// * occupancy ≥ `high_watermark` for `degrade_after` consecutive
+/// * occupancy ≥ [`HIGH_WATERMARK`] for [`DEGRADE_AFTER`] consecutive
 ///   rounds → step down one rung;
-/// * occupancy ≤ `low_watermark` for `recover_after` consecutive
+/// * occupancy ≤ [`LOW_WATERMARK`] for [`RECOVER_AFTER`] consecutive
 ///   rounds → step back up one rung;
 /// * anything in between resets both streaks (hysteresis — the fleet
 ///   neither flaps nor recovers into a still-loaded shard).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradePolicy {
-    /// Occupancy fraction at or above which a round counts as
-    /// pressured.
-    pub high_watermark: f64,
-    /// Occupancy fraction at or below which a round counts as calm.
-    pub low_watermark: f64,
-    /// Consecutive pressured rounds before stepping down one rung.
-    pub degrade_after: usize,
-    /// Consecutive calm rounds before stepping back up one rung.
-    pub recover_after: usize,
-    /// The ladder, mildest first.
-    pub ladder: Vec<DegradeRung>,
-}
+const LADDER: [DegradeRung; 3] = [
+    // Rung 1: shorter hindsight. Pure latency/accuracy trade, no
+    // kernel change — the mildest knob.
+    DegradeRung { max_lag: Some(16), adaptive: None, f32_kernel: false },
+    // Rung 2: tight adaptive beam — the frontier shrinks wherever the
+    // survivor mass allows.
+    DegradeRung {
+        max_lag: None,
+        adaptive: Some(AdaptiveBeam { margin: 4.0, min_keep: 64 }),
+        f32_kernel: false,
+    },
+    // Rung 3: f32 tables — the full fast kernel.
+    DegradeRung { max_lag: None, adaptive: None, f32_kernel: true },
+];
 
-impl Default for DegradePolicy {
-    fn default() -> DegradePolicy {
-        DegradePolicy {
-            high_watermark: 0.75,
-            low_watermark: 0.25,
-            degrade_after: 2,
-            recover_after: 4,
-            ladder: vec![
-                // Rung 1: shorter hindsight. Pure latency/accuracy
-                // trade, no kernel change — the mildest knob.
-                DegradeRung { max_lag: Some(16), adaptive: None, f32_kernel: false },
-                // Rung 2: tight adaptive beam — the frontier shrinks
-                // wherever the survivor mass allows.
-                DegradeRung {
-                    max_lag: None,
-                    adaptive: Some(AdaptiveBeam { margin: 4.0, min_keep: 64 }),
-                    f32_kernel: false,
-                },
-                // Rung 3: f32 tables — the full fast kernel.
-                DegradeRung { max_lag: None, adaptive: None, f32_kernel: true },
-            ],
+/// The deepest degradation level: the number of ladder rungs.
+pub const MAX_LEVEL: usize = LADDER.len();
+
+/// Occupancy fraction at or above which a round counts as pressured.
+const HIGH_WATERMARK: f64 = 0.75;
+
+/// Occupancy fraction at or below which a round counts as calm.
+const LOW_WATERMARK: f64 = 0.25;
+
+/// Consecutive pressured rounds before stepping down one rung.
+const DEGRADE_AFTER: usize = 2;
+
+/// Consecutive calm rounds before stepping back up one rung.
+pub const RECOVER_AFTER: usize = 4;
+
+/// The effective streaming options at degradation `level` for a session
+/// that requested `requested` (level 0 = requested verbatim; levels
+/// clamp at the ladder length).
+fn options_at(requested: OnlineOptions, level: usize) -> OnlineOptions {
+    let mut out = requested;
+    for rung in LADDER.iter().take(level) {
+        if let Some(cap) = rung.max_lag {
+            out.lag = out.lag.min(cap.max(1));
+        }
+        if let Some(ab) = rung.adaptive {
+            out.kernel.adaptive = Some(ab);
+        }
+        if rung.f32_kernel {
+            out.kernel.precision = KernelPrecision::F32Tolerance;
         }
     }
-}
-
-impl DegradePolicy {
-    /// The effective streaming options at degradation `level` for a
-    /// session that requested `requested` (level 0 = requested
-    /// verbatim; levels clamp at the ladder length).
-    pub fn options_at(&self, requested: OnlineOptions, level: usize) -> OnlineOptions {
-        let mut out = requested;
-        for rung in self.ladder.iter().take(level) {
-            if let Some(cap) = rung.max_lag {
-                out.lag = out.lag.min(cap.max(1));
-            }
-            if let Some(ab) = rung.adaptive {
-                out.kernel.adaptive = Some(ab);
-            }
-            if rung.f32_kernel {
-                out.kernel.precision = KernelPrecision::F32Tolerance;
-            }
-        }
-        out
-    }
-
-    /// Number of rungs (the maximum degradation level).
-    pub fn max_level(&self) -> usize {
-        self.ladder.len()
-    }
+    out
 }
 
 /// When the router seals live sessions into an attached
-/// [`CheckpointStore`]. Checkpoints are only ever taken at post-drain
-/// boundaries (every queue empty), so a sealed generation plus the
-/// escrowed reports admitted after it reconstructs the exact push
-/// sequence of an uncrashed run.
+/// [`CheckpointStore`]: every `every_drains`-th drain round, and always
+/// on migration and on a degrade-rung change. Checkpoints are only ever
+/// taken at post-drain boundaries (every queue empty), so a sealed
+/// generation plus the escrowed reports admitted after it reconstructs
+/// the exact push sequence of an uncrashed run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointPolicy {
     /// Checkpoint every K-th drain round (0 disables the timer).
     pub every_drains: usize,
-    /// Checkpoint a session as part of migrating it.
-    pub on_migrate: bool,
-    /// Checkpoint a shard's sessions when its degrade rung changes.
-    pub on_rung_change: bool,
 }
 
 impl Default for CheckpointPolicy {
     fn default() -> CheckpointPolicy {
-        CheckpointPolicy { every_drains: 8, on_migrate: true, on_rung_change: true }
+        CheckpointPolicy { every_drains: 8 }
     }
 }
 
@@ -241,8 +219,6 @@ pub struct FleetConfig {
     /// this count, otherwise a new colony starts on the least-loaded
     /// shard (one giant rig must not pin the whole fleet to one shard).
     pub soft_session_cap: usize,
-    /// Overload policy, applied independently per shard.
-    pub policy: DegradePolicy,
     /// Durability checkpoint policy (inert until a store is attached
     /// via [`FleetRouter::attach_store`]).
     pub checkpoint: CheckpointPolicy,
@@ -255,7 +231,6 @@ impl Default for FleetConfig {
             threads_per_shard: 1,
             queue_cap: 4096,
             soft_session_cap: 256,
-            policy: DegradePolicy::default(),
             checkpoint: CheckpointPolicy::default(),
         }
     }
@@ -639,7 +614,7 @@ impl FleetRouter {
             let due = self.store.is_some()
                 && ((self.config.checkpoint.every_drains > 0
                     && self.drains % self.config.checkpoint.every_drains == 0)
-                    || (changed && self.config.checkpoint.on_rung_change));
+                    || changed);
             if due {
                 let hosted: Vec<FleetSessionId> = self.shards[si].sessions.clone();
                 for id in hosted {
@@ -815,25 +790,23 @@ impl FleetRouter {
     /// The watermark/hysteresis controller for one shard. Returns
     /// whether the level changed.
     fn run_controller(&mut self, si: usize, report: &mut FleetDrainReport) -> bool {
-        let policy = &self.config.policy;
         let cap = self.config.queue_cap.max(1);
         let shard = &mut self.shards[si];
         let occupancy = shard.pending as f64 / cap as f64;
-        if occupancy >= policy.high_watermark {
+        if occupancy >= HIGH_WATERMARK {
             shard.calm_rounds = 0;
             shard.pressured_rounds += 1;
-            if shard.pressured_rounds >= policy.degrade_after && shard.level < policy.ladder.len()
-            {
+            if shard.pressured_rounds >= DEGRADE_AFTER && shard.level < MAX_LEVEL {
                 shard.level += 1;
                 shard.pressured_rounds = 0;
                 shard.degrade_steps += 1;
                 report.degraded += 1;
                 return true;
             }
-        } else if occupancy <= policy.low_watermark {
+        } else if occupancy <= LOW_WATERMARK {
             shard.pressured_rounds = 0;
             shard.calm_rounds += 1;
-            if shard.calm_rounds >= policy.recover_after && shard.level > 0 {
+            if shard.calm_rounds >= RECOVER_AFTER && shard.level > 0 {
                 shard.level -= 1;
                 shard.calm_rounds = 0;
                 shard.recover_steps += 1;
@@ -857,7 +830,7 @@ impl FleetRouter {
         if applied == level {
             return;
         }
-        let eff = self.config.policy.options_at(requested, level);
+        let eff = options_at(requested, level);
         let tracker = self.shards[shard_idx].pool.tracker_mut(local);
         tracker.set_kernel(eff.kernel);
         let _ = tracker.set_lag(eff.lag);
@@ -911,7 +884,7 @@ impl FleetRouter {
         self.migrations += 1;
         // The target may run a different rung than the source did.
         self.apply_level(id);
-        if self.store.is_some() && self.config.checkpoint.on_migrate {
+        if self.store.is_some() {
             self.checkpoint_session(id);
         }
         text.len()
@@ -941,7 +914,7 @@ impl FleetRouter {
     /// (its request, degraded to the hosting shard's applied rung).
     pub fn effective_options(&self, id: FleetSessionId) -> OnlineOptions {
         let r = &self.routes[id];
-        self.config.policy.options_at(r.requested, r.applied_level)
+        options_at(r.requested, r.applied_level)
     }
 
     /// Read-only access to a live session's tracker (checkpointing,
@@ -1114,11 +1087,9 @@ mod tests {
 
     #[test]
     fn controller_degrades_under_pressure_and_recovers_with_hysteresis() {
-        let policy = DegradePolicy::default();
         let mut fleet = FleetRouter::new(FleetConfig {
             shards: 1,
             queue_cap: 100,
-            policy: policy.clone(),
             ..FleetConfig::default()
         });
         let id = fleet.add_session(coarse_config(), OnlineOptions::default());
@@ -1139,7 +1110,7 @@ mod tests {
             seen_levels.push(fleet.level(0));
             t += 2.0;
         }
-        assert_eq!(fleet.level(0), policy.max_level(), "sustained overload walks the ladder");
+        assert_eq!(fleet.level(0), MAX_LEVEL, "sustained overload walks the ladder");
         for w in seen_levels.windows(2) {
             assert!(w[1] >= w[0], "degradation is monotone under sustained pressure");
         }
@@ -1158,15 +1129,15 @@ mod tests {
         }
         assert_eq!(
             rounds_to_recover,
-            policy.recover_after * policy.max_level(),
+            RECOVER_AFTER * MAX_LEVEL,
             "hysteresis: one rung per {} calm rounds",
-            policy.recover_after
+            RECOVER_AFTER
         );
         assert_eq!(fleet.effective_options(id), requested, "full fidelity restored");
         let s = fleet.stats();
-        assert_eq!(s.degrade_steps, policy.max_level());
-        assert_eq!(s.recover_steps, policy.max_level());
-        assert_eq!(s.peak_level, policy.max_level());
+        assert_eq!(s.degrade_steps, MAX_LEVEL);
+        assert_eq!(s.recover_steps, MAX_LEVEL);
+        assert_eq!(s.peak_level, MAX_LEVEL);
         assert_eq!(s.live, 1, "no session was dropped");
     }
 
@@ -1175,7 +1146,7 @@ mod tests {
         let config = FleetConfig {
             shards: 1,
             queue_cap: 100_000,
-            checkpoint: CheckpointPolicy { every_drains: 1, ..CheckpointPolicy::default() },
+            checkpoint: CheckpointPolicy { every_drains: 1 },
             ..FleetConfig::default()
         };
         let run = |kill: bool| -> (String, FleetStats) {
@@ -1218,7 +1189,7 @@ mod tests {
             queue_cap: 100_000,
             // Checkpoint every 2nd drain: a kill after an odd drain
             // lands one full round past the last sealed generation.
-            checkpoint: CheckpointPolicy { every_drains: 2, ..CheckpointPolicy::default() },
+            checkpoint: CheckpointPolicy { every_drains: 2 },
             ..FleetConfig::default()
         };
         let run = |kill: bool| -> String {
@@ -1247,7 +1218,7 @@ mod tests {
         let config = FleetConfig {
             shards: 1,
             queue_cap: 100_000,
-            checkpoint: CheckpointPolicy { every_drains: 1, ..CheckpointPolicy::default() },
+            checkpoint: CheckpointPolicy { every_drains: 1 },
             ..FleetConfig::default()
         };
         let run = |corrupt: bool| -> String {
@@ -1314,7 +1285,7 @@ mod tests {
         let mut fleet = FleetRouter::new(FleetConfig {
             shards: 2,
             queue_cap: 100_000,
-            checkpoint: CheckpointPolicy { every_drains: 1, ..CheckpointPolicy::default() },
+            checkpoint: CheckpointPolicy { every_drains: 1 },
             ..FleetConfig::default()
         });
         fleet.attach_store(CheckpointStore::in_memory(3));

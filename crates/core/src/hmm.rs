@@ -66,7 +66,7 @@
 //! [`viterbi_reference`]; the f32/adaptive paths are instead gated by
 //! the quantitative tolerance oracle in `tests/kernel_equivalence.rs`.
 
-use crate::distance::{expected_dtheta21, DthetaRowKernel, DthetaRowKernelF32, FeasibleRegion};
+use crate::distance::{expected_dtheta21, DthetaRowKernel, FeasibleRegion};
 use rf_core::{wrap_pi, Vec2, Vec3};
 use std::cmp::Ordering;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -310,15 +310,16 @@ pub struct EmissionTable {
 
 impl EmissionTable {
     /// Precompute the expected Δθ²¹ for every cell of `grid`, on
-    /// `workers` contiguous row bands (clamped to the row count).
+    /// `workers` contiguous row bands (clamped to `1..=ny`).
     ///
     /// Runs row-batched over the SoA distance kernels
     /// ([`DthetaRowKernel`]): the cell-centre x coordinates are
     /// materialized once, each row hoists its `Δy²`/`Δz²` terms, and
     /// the per-cell `idx → (ix, iy)` divmod of [`Grid::center`]
-    /// disappears entirely. Every cell's value is **bit-identical** to
-    /// `expected_dtheta21(grid.center(idx), …)` at any worker count —
-    /// the row kernel's contract, pinned by
+    /// disappears entirely. Bands are disjoint `&mut` slices of one
+    /// buffer — no per-row `Vec`, no merge copy. Every cell's value is
+    /// **bit-identical** to `expected_dtheta21(grid.center(idx), …)` at
+    /// any worker count — the row kernel's contract, pinned by
     /// `emission_table_matches_direct_computation` below and
     /// `tests/channel_batch.rs`.
     pub fn build(
@@ -327,12 +328,34 @@ impl EmissionTable {
         wavelength_m: f64,
         workers: usize,
     ) -> EmissionTable {
-        let values = build_rows(grid, workers, || {
+        let nx = grid.nx;
+        let mut values = vec![0.0; grid.len()];
+        if nx == 0 {
+            return EmissionTable { values };
+        }
+        let xs: Vec<f64> = centre_coords(grid.min.x, nx, grid.cell_m).collect();
+        let fill = |lo: usize, band: &mut [f64]| {
             let mut kernel = DthetaRowKernel::new();
-            move |xs: &[f64], y: f64, row: &mut [f64]| {
-                kernel.row(xs, y, antennas, wavelength_m, row)
+            for (r, row) in band.chunks_mut(nx).enumerate() {
+                let y = grid.min.y + ((lo + r) as f64 + 0.5) * grid.cell_m;
+                kernel.row(&xs, y, antennas, wavelength_m, row);
             }
-        });
+        };
+        let workers = workers.clamp(1, grid.ny.max(1));
+        if workers == 1 {
+            fill(0, &mut values);
+        } else {
+            std::thread::scope(|scope| {
+                let mut rest = values.as_mut_slice();
+                for w in 0..workers {
+                    let (lo, hi) = rf_core::chunk_bounds(grid.ny, workers, w);
+                    let (band, tail) = std::mem::take(&mut rest).split_at_mut((hi - lo) * nx);
+                    rest = tail;
+                    let fill = &fill;
+                    scope.spawn(move || fill(lo, band));
+                }
+            });
+        }
         EmissionTable { values }
     }
 
@@ -367,30 +390,6 @@ impl EmissionTableF32 {
     /// Cast every cell of an exact table.
     pub fn from_table(table: &EmissionTable) -> EmissionTableF32 {
         EmissionTableF32 { values: table.values.iter().map(|&v| v as f32).collect() }
-    }
-
-    /// Build the `f32` table *directly* over the single-precision row
-    /// kernels ([`DthetaRowKernelF32`]) on `workers` row bands — no
-    /// `f64` table first, and the distance sqrts run with twice the SIMD
-    /// lanes. This is the `F32Tolerance`-tier build: per-cell values
-    /// differ from the [`from_table`](Self::from_table) cast by ≲ 1e-5
-    /// rad (wrap-aware), gated by the emission-delta + fig13
-    /// letter-parity oracle in `tests/channel_batch.rs`. Opt-in only —
-    /// the cast remains the spec and the default; nothing routes here
-    /// except [`DecodeArtifacts::prewarm_f32_direct`] and the benches.
-    pub fn build_direct(
-        grid: &Grid,
-        antennas: [Vec3; 2],
-        wavelength_m: f64,
-        workers: usize,
-    ) -> EmissionTableF32 {
-        let values = build_rows(grid, workers, || {
-            let mut kernel = DthetaRowKernelF32::new();
-            move |xs: &[f64], y: f64, row: &mut [f32]| {
-                kernel.row(xs, y, antennas, wavelength_m, row)
-            }
-        });
-        EmissionTableF32 { values }
     }
 
     /// The cast `expected_dtheta21` of a cell.
@@ -479,23 +478,6 @@ impl DecodeArtifacts {
         let _ = self.emission_f32();
     }
 
-    /// Opt this entry into the **direct** `f32` emission build
-    /// ([`EmissionTableF32::build_direct`]) instead of the cast-of-f64
-    /// default. Only effective before anything resolved
-    /// [`emission_f32`](Self::emission_f32); returns whether the direct
-    /// table won the slot. Tolerance-tier only — callers that need the
-    /// cast contract must simply never call this.
-    pub fn prewarm_f32_direct(&self, workers: usize) -> bool {
-        self.emission32
-            .set(Arc::new(EmissionTableF32::build_direct(
-                &self.grid,
-                self.antennas,
-                self.wavelength_m,
-                workers,
-            )))
-            .is_ok()
-    }
-
     /// The grid this entry is keyed on.
     pub fn grid(&self) -> &Grid {
         &self.grid
@@ -507,48 +489,6 @@ impl DecodeArtifacts {
 /// them.
 fn centre_coords(min: f64, n: usize, cell_m: f64) -> impl Iterator<Item = f64> {
     (0..n).map(move |i| min + (i as f64 + 0.5) * cell_m)
-}
-
-/// Fill a per-cell table row by row on `workers` contiguous row bands
-/// (clamped to `1..=ny`). `make_row` gives each band its own row writer,
-/// called as `row(xs, y, out)` with the cell-centre x of every column,
-/// the row's centre y, and the row's slice of the table. Bands are
-/// disjoint `&mut` slices of one buffer — no per-row `Vec`, no merge
-/// copy — and a cell's value never depends on its band, so the table
-/// is the same at any worker count.
-fn build_rows<T, R>(grid: &Grid, workers: usize, make_row: impl Fn() -> R + Sync) -> Vec<T>
-where
-    T: Copy + Default + Send,
-    R: FnMut(&[f64], f64, &mut [T]),
-{
-    let nx = grid.nx;
-    let mut values = vec![T::default(); grid.len()];
-    if nx == 0 {
-        return values;
-    }
-    let xs: Vec<f64> = centre_coords(grid.min.x, nx, grid.cell_m).collect();
-    let fill = |lo: usize, band: &mut [T]| {
-        let mut row = make_row();
-        for (r, out) in band.chunks_mut(nx).enumerate() {
-            row(&xs, grid.min.y + ((lo + r) as f64 + 0.5) * grid.cell_m, out);
-        }
-    };
-    let workers = workers.clamp(1, grid.ny.max(1));
-    if workers == 1 {
-        fill(0, &mut values);
-        return values;
-    }
-    std::thread::scope(|scope| {
-        let mut rest = values.as_mut_slice();
-        for w in 0..workers {
-            let (lo, hi) = rf_core::chunk_bounds(grid.ny, workers, w);
-            let (band, tail) = std::mem::take(&mut rest).split_at_mut((hi - lo) * nx);
-            rest = tail;
-            let fill = &fill;
-            scope.spawn(move || fill(lo, band));
-        }
-    });
-    values
 }
 
 /// Cells below which the row-parallel emission build cannot amortize

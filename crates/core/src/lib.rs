@@ -53,7 +53,7 @@ pub mod translation;
 mod pipeline;
 
 pub use durability::{open_checkpoint, seal_checkpoint, CheckpointStore, RestoreError};
-pub use fleet::{DegradePolicy, FleetConfig, FleetRouter, ShardKey};
+pub use fleet::{FleetConfig, FleetRouter, ShardKey};
 pub use online::{OnlineOptions, OnlineTracker};
 pub use serve::ServePool;
 pub use pipeline::{DegradationReport, PolarDraw, PolarDrawConfig, StepEstimate, StepKind, TrackOutput};

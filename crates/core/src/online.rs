@@ -16,14 +16,11 @@
 //! infinite hold, [`finalize`](OnlineTracker::finalize). Every stage is
 //! the per-window restriction of the batch computation:
 //!
-//! * **Windowing** — a window's reports are stably sorted by timestamp
-//!   and exact adjacent duplicates dropped. Reports sharing a timestamp
-//!   share a window, so this is exactly the batch global
-//!   sort-and-dedup restricted to the window — same accumulation
-//!   order, bit-identical sums, identical duplicate counts.
-//! * **Spurious screen** — the per-antenna previous-measured-phase
-//!   reference is carried across window closes, in close order ==
-//!   window order, so strikes land on the same windows.
+//! * **Windowing and spurious screen** — one implementation: the
+//!   tracker owns a `preprocess::Windower`, the same type the batch
+//!   [`preprocess`](crate::preprocess::preprocess) drives, and pulls
+//!   closed windows from it — after each push the windows behind the
+//!   hold, in [`finalize`](OnlineTracker::finalize) the rest.
 //! * **Gap bridging** — runs of empty windows are buffered and
 //!   resolved with the batch loop's exact one-window-at-a-time
 //!   re-evaluation semantics; a trailing run (stream just ends) keeps
@@ -55,9 +52,9 @@ use crate::hmm::{
 };
 use crate::model::{direction_from_azimuth, rotation_angle, Cardinal, Rotation, Sector};
 use crate::pipeline::{DegradationReport, PolarDrawConfig, StepEstimate, StepKind, TrackOutput};
-use crate::preprocess::{build_window, PreprocessStats, Windowed};
+use crate::preprocess::{PreprocessStats, Windowed, Windower};
 use crate::rotation::{AzimuthSnapshot, AzimuthTracker};
-use rf_core::angle::{phase_diff, phase_distance};
+use rf_core::angle::phase_diff;
 use rf_core::json::{FromJson, ToJson};
 use rf_core::{wrap_pi, Json, JsonError, Vec2};
 use rfid_sim::tracking::Trail;
@@ -114,19 +111,9 @@ impl OnlineOptions {
 pub struct OnlineTracker {
     config: PolarDrawConfig,
     options: OnlineOptions,
-    // Stream conditioning.
-    first_t: Option<f64>,
-    max_t: f64,
-    prev_push_t: Option<f64>,
-    pending: Vec<TagReport>,
-    next_window: usize,
-    late_dropped: usize,
-    // Pre-processing carry.
-    pre_stats: PreprocessStats,
-    empty_run: usize,
-    prev_measured: [Option<f64>; 2],
+    // Windowing, spurious screen, and the closed windows.
+    windower: Windower,
     // Diagnostics (retained for TrackOutput parity with batch).
-    windows: Vec<Windowed>,
     steps: Vec<StepEstimate>,
     // Gap-bridge state.
     run_buf: Vec<Windowed>,
@@ -141,8 +128,6 @@ pub struct OnlineTracker {
     pos_est: Vec2,
     // Decoder.
     decoder: FixedLagDecoder,
-    // Scratch.
-    close_buf: Vec<TagReport>,
 }
 
 impl OnlineTracker {
@@ -161,16 +146,7 @@ impl OnlineTracker {
         OnlineTracker {
             config,
             options,
-            first_t: None,
-            max_t: 0.0,
-            prev_push_t: None,
-            pending: Vec::new(),
-            next_window: 0,
-            late_dropped: 0,
-            pre_stats: PreprocessStats::default(),
-            empty_run: 0,
-            prev_measured: [None; 2],
-            windows: Vec::new(),
+            windower: Windower::new(config.preprocess, options.hold),
             steps: Vec::new(),
             run_buf: Vec::new(),
             has_kept: false,
@@ -182,7 +158,6 @@ impl OnlineTracker {
             offset21: None,
             pos_est: config.start_hint,
             decoder,
-            close_buf: Vec::new(),
         }
     }
 
@@ -228,52 +203,9 @@ impl OnlineTracker {
 
     /// Consume one report.
     pub fn push(&mut self, r: TagReport) {
-        self.pre_stats.input_reports += 1;
-        if let Some(prev) = self.prev_push_t {
-            if r.t < prev {
-                self.pre_stats.input_unsorted = true;
-            }
-        }
-        self.prev_push_t = Some(r.t);
-
-        let wlen = self.config.preprocess.window_s;
-        match self.first_t {
-            None => {
-                assert!(wlen > 0.0, "window length must be positive");
-                self.first_t = Some(r.t);
-                self.max_t = r.t;
-            }
-            Some(f) if r.t < f => {
-                if self.next_window == 0 {
-                    // Nothing closed yet: the window origin is still
-                    // free to move back (batch anchors at the stream's
-                    // minimum timestamp).
-                    self.first_t = Some(r.t);
-                } else {
-                    self.late_dropped += 1;
-                    return;
-                }
-            }
-            _ => {}
-        }
-        // Invariant, not input validation: the match above always
-        // leaves `first_t` set (a fresh stream takes the `None` arm).
-        let first = self.first_t.unwrap();
-        let idx = ((r.t - first) / wlen).floor() as usize;
-        if idx < self.next_window {
-            // Belongs to an already-closed window: too late.
-            self.late_dropped += 1;
-            return;
-        }
-        self.max_t = self.max_t.max(r.t);
-        self.pending.push(r);
-
-        // Close every window the stream head has left more than `hold`
-        // windows behind.
-        let cur = ((self.max_t - first) / wlen).floor() as usize;
-        while self.next_window < cur.saturating_sub(self.options.hold) {
-            self.close_window();
-        }
+        let closed = self.windower.windows.len();
+        self.windower.push(r);
+        self.admit_windows_from(closed);
     }
 
     /// Consume a burst of reports.
@@ -297,13 +229,13 @@ impl OnlineTracker {
 
     /// Windows closed so far.
     pub fn windows_so_far(&self) -> &[Windowed] {
-        &self.windows
+        &self.windower.windows
     }
 
     /// Reports dropped because they arrived after their window closed
     /// (streaming mode only; batch options never drop).
     pub fn late_reports_dropped(&self) -> usize {
-        self.late_dropped
+        self.windower.late_dropped
     }
 
     /// Decoder work counters so far.
@@ -321,90 +253,25 @@ impl OnlineTracker {
     /// The degradation census as of now (same accounting the final
     /// [`TrackOutput`] carries, minus not-yet-closed windows).
     pub fn degradation_so_far(&self) -> DegradationReport {
-        let mut d = DegradationReport::from_preprocess(&self.pre_stats);
+        let mut d = DegradationReport::from_preprocess(&self.windower.stats);
         d.gaps_bridged = self.gaps_bridged;
         d.largest_gap_bridged_s = self.largest_gap_bridged_s;
         d.carried_steps = self.decoder.stats().carried_steps;
         d
     }
 
-    /// Close the oldest open window: extract its reports, normalize
-    /// them (the per-window restriction of batch sort-and-dedup),
-    /// average, screen spurious phases, then hand the window to the
-    /// gap-bridge / step machinery.
-    fn close_window(&mut self) {
-        let i = self.next_window;
-        // Invariant, not input validation: every caller gates on a
-        // non-empty stream (`first_t` set by the first `push`).
-        let first = self.first_t.expect("close_window with no stream");
-        let wlen = self.config.preprocess.window_s;
-
-        // Drain window `i`'s reports, preserving arrival order both in
-        // the extracted buffer and among the survivors.
-        self.close_buf.clear();
-        let mut kept = 0;
-        for k in 0..self.pending.len() {
-            let r = self.pending[k];
-            let idx = ((r.t - first) / wlen).floor() as usize;
-            if idx == i {
-                self.close_buf.push(r);
+    /// Hand the windows the windower closed from index `from` on to
+    /// the gap-bridge / step machinery, in window order.
+    fn admit_windows_from(&mut self, from: usize) {
+        for i in from..self.windower.windows.len() {
+            let w = self.windower.windows[i];
+            if w.flags.empty {
+                // Empty windows buffer until we know whether the run is
+                // interior (bridgeable) or trailing.
+                self.run_buf.push(w);
             } else {
-                self.pending[kept] = r;
-                kept += 1;
+                self.resolve_run_then_keep(w);
             }
-        }
-        self.pending.truncate(kept);
-
-        // Per-window normalize: stable sort by timestamp (equal stamps
-        // keep arrival order — exactly the global stable sort restricted
-        // to this window) and adjacent exact-duplicate removal.
-        self.close_buf.sort_by(|a, b| a.t.total_cmp(&b.t));
-        let before = self.close_buf.len();
-        self.close_buf.dedup();
-        self.pre_stats.duplicates_removed += before - self.close_buf.len();
-
-        let t = first + (i as f64 + 0.5) * wlen;
-        let (mut w, ignored) = build_window(t, &self.close_buf);
-        self.pre_stats.ignored_ports += ignored;
-
-        // Spurious screen, with the per-antenna previous-measured-phase
-        // reference carried across closes (batch `reject_spurious`,
-        // incrementalized; the reference updates to the measured value
-        // even when the window is struck).
-        let thr = self.config.preprocess.spurious_threshold_rad;
-        for ant in 0..2 {
-            if let Some(p) = w.phase[ant] {
-                if let Some(prev) = self.prev_measured[ant] {
-                    if phase_distance(p, prev) > thr {
-                        w.phase[ant] = None;
-                        w.flags.spurious[ant] = true;
-                        self.pre_stats.spurious_rejected += 1;
-                    }
-                }
-                self.prev_measured[ant] = Some(p);
-            }
-        }
-
-        self.pre_stats.windows += 1;
-        if w.flags.empty {
-            self.pre_stats.empty_windows += 1;
-            self.empty_run += 1;
-            self.pre_stats.largest_empty_run = self.pre_stats.largest_empty_run.max(self.empty_run);
-        } else {
-            self.empty_run = 0;
-        }
-        if w.flags.single_antenna {
-            self.pre_stats.single_antenna_windows += 1;
-        }
-        self.windows.push(w);
-        self.next_window += 1;
-
-        if w.flags.empty {
-            // Empty windows buffer until we know whether the run is
-            // interior (bridgeable) or trailing.
-            self.run_buf.push(w);
-        } else {
-            self.resolve_run_then_keep(w);
         }
     }
 
@@ -558,22 +425,16 @@ impl OnlineTracker {
     /// the batch pipeline.
     pub fn finalize(mut self) -> TrackOutput {
         let cfg = self.config;
-        if let Some(first) = self.first_t {
-            let wlen = cfg.preprocess.window_s;
-            let cur = ((self.max_t - first) / wlen).floor() as usize;
-            while self.next_window <= cur {
-                self.close_window();
-            }
-            // A trailing empty run has nothing to anchor a bridge after
-            // it: keep every window individually (batch semantics).
-            let mut k = 0;
-            while k < self.run_buf.len() {
-                let w = self.run_buf[k];
-                self.keep(w);
-                k += 1;
-            }
-            self.run_buf.clear();
+        let closed = self.windower.windows.len();
+        self.windower.close_all();
+        self.admit_windows_from(closed);
+        // A trailing empty run has nothing to anchor a bridge after it:
+        // keep every window individually (batch semantics).
+        for k in 0..self.run_buf.len() {
+            let w = self.run_buf[k];
+            self.keep(w);
         }
+        self.run_buf.clear();
 
         let mut points = self.decoder.finish();
         let decode_stats = self.decoder.stats();
@@ -590,14 +451,14 @@ impl OnlineTracker {
             points = crate::smoother::smooth(&times, &points, &cfg.smoother);
         }
         let trail = Trail::new(times, points);
-        let mut degradation = DegradationReport::from_preprocess(&self.pre_stats);
+        let mut degradation = DegradationReport::from_preprocess(&self.windower.stats);
         degradation.gaps_bridged = self.gaps_bridged;
         degradation.largest_gap_bridged_s = self.largest_gap_bridged_s;
         degradation.carried_steps = decode_stats.carried_steps;
         TrackOutput {
             trail,
             steps: self.steps,
-            windows: self.windows,
+            windows: self.windower.windows,
             initial_azimuth_error,
             decode_stats,
             degradation,
@@ -616,6 +477,8 @@ impl OnlineTracker {
     pub fn checkpoint(&self) -> Json {
         let cfg = &self.config;
         let snap = self.azimuth_tracker.snapshot();
+        let win = &self.windower;
+        let pre = &win.stats;
         Json::obj([
             ("format", Json::str(Self::CHECKPOINT_FORMAT)),
             ("fingerprint", fingerprint_json(cfg)),
@@ -630,31 +493,28 @@ impl OnlineTracker {
             (
                 "stream",
                 Json::obj([
-                    ("first_t", self.first_t.to_json()),
-                    ("max_t", Json::num(self.max_t)),
-                    ("prev_push_t", self.prev_push_t.to_json()),
-                    ("next_window", usize_json(self.next_window)),
-                    ("late_dropped", usize_json(self.late_dropped)),
-                    ("pending", Json::arr(self.pending.iter(), |r| r.to_json())),
+                    ("first_t", win.first_t.to_json()),
+                    ("max_t", Json::num(win.max_t)),
+                    ("prev_push_t", win.prev_push_t.to_json()),
+                    ("next_window", usize_json(win.next_window)),
+                    ("late_dropped", usize_json(win.late_dropped)),
+                    ("pending", Json::arr(win.pending.iter(), |r| r.to_json())),
                 ]),
             ),
             (
                 "pre",
                 Json::obj([
-                    ("input_reports", usize_json(self.pre_stats.input_reports)),
-                    ("input_unsorted", Json::Bool(self.pre_stats.input_unsorted)),
-                    ("duplicates_removed", usize_json(self.pre_stats.duplicates_removed)),
-                    ("ignored_ports", usize_json(self.pre_stats.ignored_ports)),
-                    ("windows", usize_json(self.pre_stats.windows)),
-                    ("empty_windows", usize_json(self.pre_stats.empty_windows)),
-                    (
-                        "single_antenna_windows",
-                        usize_json(self.pre_stats.single_antenna_windows),
-                    ),
-                    ("spurious_rejected", usize_json(self.pre_stats.spurious_rejected)),
-                    ("largest_empty_run", usize_json(self.pre_stats.largest_empty_run)),
-                    ("empty_run", usize_json(self.empty_run)),
-                    ("prev_measured", Json::arr(self.prev_measured, |p| p.to_json())),
+                    ("input_reports", usize_json(pre.input_reports)),
+                    ("input_unsorted", Json::Bool(pre.input_unsorted)),
+                    ("duplicates_removed", usize_json(pre.duplicates_removed)),
+                    ("ignored_ports", usize_json(pre.ignored_ports)),
+                    ("windows", usize_json(pre.windows)),
+                    ("empty_windows", usize_json(pre.empty_windows)),
+                    ("single_antenna_windows", usize_json(pre.single_antenna_windows)),
+                    ("spurious_rejected", usize_json(pre.spurious_rejected)),
+                    ("largest_empty_run", usize_json(pre.largest_empty_run)),
+                    ("empty_run", usize_json(win.empty_run)),
+                    ("prev_measured", Json::arr(win.prev_measured, |p| p.to_json())),
                 ]),
             ),
             (
@@ -685,7 +545,7 @@ impl OnlineTracker {
                     ("pos_est", vec2_json(self.pos_est)),
                 ]),
             ),
-            ("windows", Json::arr(self.windows.iter(), windowed_json)),
+            ("windows", Json::arr(win.windows.iter(), windowed_json)),
             ("steps", Json::arr(self.steps.iter(), step_estimate_json)),
             (
                 "decoder",
@@ -760,19 +620,20 @@ impl OnlineTracker {
 
         let mut tracker = OnlineTracker::new(config, options);
 
+        let win = &mut tracker.windower;
         let stream = v.get("stream").ok_or_else(|| jerr("missing `stream`"))?;
-        tracker.first_t = opt_f64(stream, "first_t")?;
-        tracker.max_t = stream.req_f64("max_t")?;
-        tracker.prev_push_t = opt_f64(stream, "prev_push_t")?;
-        tracker.next_window = req_usize(stream, "next_window")?;
-        tracker.late_dropped = req_usize(stream, "late_dropped")?;
-        tracker.pending = req_arr(stream, "pending")?
+        win.first_t = opt_f64(stream, "first_t")?;
+        win.max_t = stream.req_f64("max_t")?;
+        win.prev_push_t = opt_f64(stream, "prev_push_t")?;
+        win.next_window = req_usize(stream, "next_window")?;
+        win.late_dropped = req_usize(stream, "late_dropped")?;
+        win.pending = req_arr(stream, "pending")?
             .iter()
             .map(TagReport::from_json)
             .collect::<Result<_, _>>()?;
 
         let pre = v.get("pre").ok_or_else(|| jerr("missing `pre`"))?;
-        tracker.pre_stats = PreprocessStats {
+        win.stats = PreprocessStats {
             input_reports: req_usize(pre, "input_reports")?,
             input_unsorted: req_bool(pre, "input_unsorted")?,
             duplicates_removed: req_usize(pre, "duplicates_removed")?,
@@ -783,12 +644,12 @@ impl OnlineTracker {
             spurious_rejected: req_usize(pre, "spurious_rejected")?,
             largest_empty_run: req_usize(pre, "largest_empty_run")?,
         };
-        tracker.empty_run = req_usize(pre, "empty_run")?;
+        win.empty_run = req_usize(pre, "empty_run")?;
         let pm = req_arr(pre, "prev_measured")?;
         if pm.len() != 2 {
             return Err(jerr("`prev_measured` must have 2 entries").into());
         }
-        tracker.prev_measured = [null_or_f64(&pm[0])?, null_or_f64(&pm[1])?];
+        win.prev_measured = [null_or_f64(&pm[0])?, null_or_f64(&pm[1])?];
 
         let bridge = v.get("bridge").ok_or_else(|| jerr("missing `bridge`"))?;
         tracker.run_buf =
@@ -819,7 +680,7 @@ impl OnlineTracker {
         tracker.offset21 = opt_f64(est, "offset21")?;
         tracker.pos_est = vec2_from(est.get("pos_est").ok_or_else(|| jerr("missing `pos_est`"))?)?;
 
-        tracker.windows =
+        tracker.windower.windows =
             req_arr(v, "windows")?.iter().map(windowed_from).collect::<Result<_, _>>()?;
         tracker.steps =
             req_arr(v, "steps")?.iter().map(step_estimate_from).collect::<Result<_, _>>()?;

@@ -7,10 +7,14 @@
 //! antenna, and then rejects windows whose phase jumps implausibly far
 //! from the previous window — the signature of a cross-polarized tag
 //! briefly powered through a reflection (§2's "spurious" readings).
+//!
+//! Both steps live in one place, `Windower`: the batch [`preprocess`]
+//! feeds it a whole stream and closes every window, and the online
+//! engine (`OnlineTracker`) feeds it report by report and pulls windows
+//! as they close.
 
 use rf_core::angle::{circular_mean, phase_distance};
 use rfid_sim::TagReport;
-use std::borrow::Cow;
 
 /// One aligned pre-processing window across both antennas.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -87,128 +91,232 @@ impl Default for PreprocessConfig {
 /// report; windows with no reads on either antenna are retained (with
 /// `None` entries) so that downstream timing stays uniform.
 ///
-/// The input does **not** have to be sorted or duplicate-free: unsorted
-/// streams are stably sorted by timestamp and exact adjacent duplicates
-/// (LLRP redelivery) are removed before windowing. On an already-clean
-/// stream normalization is a borrow — no copy, no behaviour change.
+/// The input does **not** have to be sorted or duplicate-free: each
+/// window's reports are stably sorted by timestamp and exact adjacent
+/// duplicates (LLRP redelivery) removed before averaging.
 pub fn preprocess(reports: &[TagReport], config: &PreprocessConfig) -> Vec<Windowed> {
     preprocess_with_stats(reports, config).0
 }
 
 /// [`preprocess`], also returning [`PreprocessStats`] describing what
-/// the stream needed tolerated.
+/// the stream needed tolerated: a `Windower` that holds nothing back,
+/// fed the whole stream and then closed.
 pub fn preprocess_with_stats(
     reports: &[TagReport],
     config: &PreprocessConfig,
 ) -> (Vec<Windowed>, PreprocessStats) {
-    let mut stats = PreprocessStats { input_reports: reports.len(), ..Default::default() };
-    let reports = normalize(reports, &mut stats);
-    let (first, last) = match (reports.first(), reports.last()) {
-        (Some(f), Some(l)) => (f.t, l.t),
-        _ => return (Vec::new(), stats),
-    };
-    assert!(config.window_s > 0.0, "window length must be positive");
-    let n_windows = ((last - first) / config.window_s).floor() as usize + 1;
-    let mut acc: Vec<[WindowAcc; 2]> = vec![Default::default(); n_windows];
-    for r in reports.iter() {
-        if r.antenna >= 2 {
-            stats.ignored_ports += 1;
-            continue; // PolarDraw is strictly two-antenna
-        }
-        let w = (((r.t - first) / config.window_s).floor() as usize).min(n_windows - 1);
-        acc[w][r.antenna].push(r.rssi_dbm, r.phase_rad);
+    let mut windower = Windower::new(*config, usize::MAX);
+    for &r in reports {
+        windower.push(r);
     }
-
-    let mut out: Vec<Windowed> = Vec::with_capacity(n_windows);
-    let mut empty_run = 0usize;
-    for (i, pair) in acc.iter().enumerate() {
-        let t = first + (i as f64 + 0.5) * config.window_s;
-        let mut w = Windowed { t, ..Default::default() };
-        for ant in 0..2 {
-            w.reads[ant] = pair[ant].n;
-            w.rssi[ant] = pair[ant].mean_rssi();
-            w.phase[ant] = pair[ant].mean_phase();
-        }
-        w.flags.empty = w.reads == [0, 0];
-        w.flags.single_antenna = (w.reads[0] == 0) != (w.reads[1] == 0);
-        if w.flags.empty {
-            stats.empty_windows += 1;
-            empty_run += 1;
-            stats.largest_empty_run = stats.largest_empty_run.max(empty_run);
-        } else {
-            empty_run = 0;
-        }
-        if w.flags.single_antenna {
-            stats.single_antenna_windows += 1;
-        }
-        out.push(w);
-    }
-    stats.windows = out.len();
-
-    stats.spurious_rejected = reject_spurious(&mut out, config.spurious_threshold_rad);
-    (out, stats)
+    windower.close_all();
+    (windower.windows, windower.stats)
 }
 
-/// Sort-and-dedup tolerance: stable-sort by timestamp when the stream is
-/// out of order and remove exact adjacent duplicates. Clean streams
-/// (sorted, duplicate-free — what [`rfid_sim::Reader`] emits) take the
-/// borrow path and are untouched.
+/// The one implementation of §3.1 windowing, shared by the batch
+/// [`preprocess`] and the online engine (`OnlineTracker` owns one).
 ///
-/// The stable sort by `t` alone means reports sharing a timestamp keep
-/// their arrival order, so window accumulation order — and therefore the
-/// floating-point sums — are bit-identical to the unsorted-unaware code
-/// on any already-sorted stream.
-fn normalize<'a>(reports: &'a [TagReport], stats: &mut PreprocessStats) -> Cow<'a, [TagReport]> {
-    let unsorted = reports.windows(2).any(|w| w[1].t < w[0].t);
-    let has_adjacent_dupes = reports.windows(2).any(|w| w[1] == w[0]);
-    if !unsorted && !has_adjacent_dupes {
-        return Cow::Borrowed(reports);
-    }
-    stats.input_unsorted = unsorted;
-    let mut v = reports.to_vec();
-    v.sort_by(|a, b| a.t.total_cmp(&b.t));
-    let before = v.len();
-    v.dedup();
-    stats.duplicates_removed = before - v.len();
-    Cow::Owned(v)
+/// Reports arrive one at a time. Window 0 is anchored at the smallest
+/// timestamp seen before the first window closes, and a window closes
+/// once the stream head is more than `hold` windows past it (`usize::MAX`
+/// closes nothing before [`close_all`](Self::close_all)). Closing a
+/// window stably sorts its reports by timestamp and drops exact
+/// adjacent duplicates; reports sharing a timestamp share a window, so
+/// this is exactly a global sort-and-dedup restricted to the window.
+/// The window is then averaged ([`build_window`]) and screened for
+/// spurious phases against the previous window's *measured* phase per
+/// antenna — even when that window itself was struck, as the paper
+/// states ("comparing phase readings of adjacent windows"). Holding a
+/// stale reference instead would cascade: legitimate pen motion drifts
+/// the phase away from it and every later window would be rejected. The
+/// cost is that an isolated glitch strikes two windows (the glitch and
+/// the re-entry jump), after which the stream is back.
+///
+/// Reports for an already-closed window are dropped and counted. The
+/// fields are the online checkpoint's `stream` and `pre` state.
+#[derive(Debug, Clone)]
+pub(crate) struct Windower {
+    config: PreprocessConfig,
+    hold: usize,
+    // Stream state.
+    pub(crate) first_t: Option<f64>,
+    pub(crate) max_t: f64,
+    pub(crate) prev_push_t: Option<f64>,
+    pub(crate) pending: Vec<TagReport>,
+    pub(crate) next_window: usize,
+    pub(crate) late_dropped: usize,
+    // Per-window carry.
+    pub(crate) stats: PreprocessStats,
+    pub(crate) empty_run: usize,
+    pub(crate) prev_measured: [Option<f64>; 2],
+    /// Every window closed so far, in window order.
+    pub(crate) windows: Vec<Windowed>,
+    // Scratch.
+    close_buf: Vec<TagReport>,
 }
 
-/// Strike phases that jump more than `threshold` radians from the
-/// previous window's phase on the same antenna (§3.1, second step).
-///
-/// The comparison reference is always the *measured* phase of the
-/// previous window — even when that window itself was rejected — exactly
-/// as the paper states ("comparing phase readings of adjacent windows").
-/// Holding a stale reference instead would cascade: legitimate pen
-/// motion drifts the phase away from it and every later window would be
-/// rejected. The cost is that an isolated glitch rejects two windows
-/// (the glitch and the re-entry jump), after which the stream is back.
-fn reject_spurious(windows: &mut [Windowed], threshold: f64) -> usize {
-    let mut rejected = 0;
-    for ant in 0..2 {
-        let mut prev_measured: Option<f64> = None;
-        for w in windows.iter_mut() {
-            if let Some(p) = w.phase[ant] {
-                if let Some(prev) = prev_measured {
-                    if phase_distance(p, prev) > threshold {
-                        w.phase[ant] = None;
-                        w.flags.spurious[ant] = true;
-                        rejected += 1;
-                    }
-                }
-                prev_measured = Some(p);
+impl Windower {
+    /// An empty stream that closes windows `hold` windows behind its
+    /// head.
+    pub(crate) fn new(config: PreprocessConfig, hold: usize) -> Windower {
+        Windower {
+            config,
+            hold,
+            first_t: None,
+            max_t: 0.0,
+            prev_push_t: None,
+            pending: Vec::new(),
+            next_window: 0,
+            late_dropped: 0,
+            stats: PreprocessStats::default(),
+            empty_run: 0,
+            prev_measured: [None; 2],
+            windows: Vec::new(),
+            close_buf: Vec::new(),
+        }
+    }
+
+    /// Consume one report, then close every window the stream head has
+    /// left more than `hold` windows behind.
+    pub(crate) fn push(&mut self, r: TagReport) {
+        self.stats.input_reports += 1;
+        if let Some(prev) = self.prev_push_t {
+            if r.t < prev {
+                self.stats.input_unsorted = true;
             }
         }
+        self.prev_push_t = Some(r.t);
+
+        let wlen = self.config.window_s;
+        match self.first_t {
+            None => {
+                assert!(wlen > 0.0, "window length must be positive");
+                self.first_t = Some(r.t);
+                self.max_t = r.t;
+            }
+            Some(f) if r.t < f => {
+                if self.next_window == 0 {
+                    // Nothing closed yet: the window origin is still
+                    // free to move back to the smallest timestamp.
+                    self.first_t = Some(r.t);
+                } else {
+                    self.late_dropped += 1;
+                    return;
+                }
+            }
+            _ => {}
+        }
+        let first = self.first_t.expect("the match above sets `first_t`");
+        if window_index(r.t, first, wlen) < self.next_window {
+            // Belongs to an already-closed window: too late.
+            self.late_dropped += 1;
+            return;
+        }
+        self.max_t = self.max_t.max(r.t);
+        self.pending.push(r);
+
+        let cur = window_index(self.max_t, first, wlen);
+        while self.next_window < cur.saturating_sub(self.hold) {
+            // Drain the oldest open window's reports, preserving arrival
+            // order both in the extracted buffer and among the survivors.
+            let i = self.next_window;
+            self.close_buf.clear();
+            let mut kept = 0;
+            for k in 0..self.pending.len() {
+                let r = self.pending[k];
+                if window_index(r.t, first, wlen) == i {
+                    self.close_buf.push(r);
+                } else {
+                    self.pending[kept] = r;
+                    kept += 1;
+                }
+            }
+            self.pending.truncate(kept);
+            self.close_buffered(first);
+        }
     }
-    rejected
+
+    /// Close every window up to the stream head (end of stream). One
+    /// stable sort of the pending reports by window, instead of one scan
+    /// of them per window, hands each window its reports in arrival
+    /// order all the same.
+    pub(crate) fn close_all(&mut self) {
+        let Some(first) = self.first_t else { return };
+        let wlen = self.config.window_s;
+        let cur = window_index(self.max_t, first, wlen);
+        let mut keyed: Vec<(usize, TagReport)> =
+            self.pending.drain(..).map(|r| (window_index(r.t, first, wlen), r)).collect();
+        keyed.sort_by_key(|&(w, _)| w);
+        let mut rest = keyed.as_slice();
+        while self.next_window <= cur {
+            let i = self.next_window;
+            let n = rest.iter().take_while(|&&(w, _)| w == i).count();
+            self.close_buf.clear();
+            self.close_buf.extend(rest[..n].iter().map(|&(_, r)| r));
+            rest = &rest[n..];
+            self.close_buffered(first);
+        }
+    }
+
+    /// Close window `next_window` over its reports in `close_buf`: sort
+    /// and dedup them, average, screen spurious phases, and count.
+    fn close_buffered(&mut self, first: f64) {
+        let i = self.next_window;
+        let wlen = self.config.window_s;
+
+        // Stable sort by timestamp (equal stamps keep arrival order) and
+        // adjacent exact-duplicate removal.
+        self.close_buf.sort_by(|a, b| a.t.total_cmp(&b.t));
+        let before = self.close_buf.len();
+        self.close_buf.dedup();
+        self.stats.duplicates_removed += before - self.close_buf.len();
+
+        let t = first + (i as f64 + 0.5) * wlen;
+        let (mut w, ignored) = build_window(t, &self.close_buf);
+        self.stats.ignored_ports += ignored;
+
+        // Spurious screen; the reference updates to the measured value
+        // even when the window is struck.
+        for ant in 0..2 {
+            if let Some(p) = w.phase[ant] {
+                if let Some(prev) = self.prev_measured[ant] {
+                    if phase_distance(p, prev) > self.config.spurious_threshold_rad {
+                        w.phase[ant] = None;
+                        w.flags.spurious[ant] = true;
+                        self.stats.spurious_rejected += 1;
+                    }
+                }
+                self.prev_measured[ant] = Some(p);
+            }
+        }
+
+        self.stats.windows += 1;
+        if w.flags.empty {
+            self.stats.empty_windows += 1;
+            self.empty_run += 1;
+            self.stats.largest_empty_run = self.stats.largest_empty_run.max(self.empty_run);
+        } else {
+            self.empty_run = 0;
+        }
+        if w.flags.single_antenna {
+            self.stats.single_antenna_windows += 1;
+        }
+        self.windows.push(w);
+        self.next_window += 1;
+    }
 }
 
-/// Build one window from its (already normalized) reports: the exact
-/// accumulation, averaging, and flagging the batch path performs,
-/// factored out so the online engine produces bit-identical windows.
-/// Returns the window and how many reports were ignored for being on
-/// `antenna >= 2`.
-pub(crate) fn build_window(t: f64, reports: &[TagReport]) -> (Windowed, usize) {
+/// The window a timestamp falls in, counting from the stream origin
+/// `first`.
+#[inline]
+fn window_index(t: f64, first: f64, wlen: f64) -> usize {
+    ((t - first) / wlen).floor() as usize
+}
+
+/// Build one window from its (sorted, deduplicated) reports: accumulate
+/// per antenna, average, and flag. Returns the window and how many
+/// reports were ignored for being on `antenna >= 2`.
+fn build_window(t: f64, reports: &[TagReport]) -> (Windowed, usize) {
     let mut acc: [WindowAcc; 2] = Default::default();
     let mut ignored = 0;
     for r in reports {
@@ -408,7 +516,7 @@ mod tests {
     }
 
     #[test]
-    fn clean_streams_take_the_borrow_path_bit_identically() {
+    fn clean_streams_need_no_sort_or_dedup() {
         let reports: Vec<TagReport> =
             (0..40).map(|i| report(i as f64 * 0.011, i % 2, -40.0, 1.0 + 0.01 * i as f64)).collect();
         let cfg = PreprocessConfig::default();

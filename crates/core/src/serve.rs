@@ -150,12 +150,6 @@ impl ServePool {
         self.threads
     }
 
-    /// Change the worker count (takes effect next drain). Thread count
-    /// never affects any session's output, only wall-clock time.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
     /// Add a fresh session; returns its handle.
     pub fn add_session(&mut self, config: PolarDrawConfig, options: OnlineOptions) -> SessionId {
         self.adopt(OnlineTracker::new(config, options))

@@ -99,8 +99,7 @@ fn run_case(
         threads_per_shard: 1,
         queue_cap: usize::MAX / 2,
         soft_session_cap: usize::MAX / 2,
-        checkpoint: CheckpointPolicy { every_drains, ..CheckpointPolicy::default() },
-        ..FleetConfig::default()
+        checkpoint: CheckpointPolicy { every_drains },
     });
     fleet.attach_store(CheckpointStore::in_memory(3));
     let ids: Vec<_> =

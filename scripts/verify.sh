@@ -68,9 +68,13 @@ echo "== verify: golden traces + fault layer =="
 # - tests/golden.rs pins bit-identical reports/traces vs committed
 #   snapshots (the identity-FaultPlan no-op proof rides on these),
 # - the fault-injection unit tests live in rfid-sim,
-# - the adversarial-stream sweeps live in tests/properties.rs.
+# - the adversarial-stream sweeps live in tests/properties.rs, which
+#   also holds the one windower (batch preprocess and the online
+#   engine share it) to tests/snapshots/preprocess_windows.json bit for
+#   bit (gated by name).
 ran golden
 ran rfid_sim faults
+ran properties preprocess_windows_match_the_pinned_snapshot
 
 echo "== verify: decode kernel equivalence =="
 # Explicit tier-1 gates for the beam decoder. There is one driver,
@@ -82,12 +86,16 @@ echo "== verify: decode kernel equivalence =="
 #   scores and DecodeStats are pinned per step), and the f32 fast path
 #   inside the quantitative tolerance oracle (per-step best scores,
 #   glyph-trail Procrustes < 1 cm, fig13 reduced-config letter-accuracy
-#   parity),
+#   parity), and holds the adaptive beam's decodes (three exact-kernel
+#   margins and the fast kernel, over the random, stencil-boundary and
+#   glyph families) to tests/snapshots/adaptive_decode.json bit for bit
+#   (gated by name),
 # - tests/decoder_equivalence.rs holds hmm::decode to viterbi_reference
 #   bit for bit over randomized scenarios and through the degenerate
 #   paths: carry-through and collapse steps (beams 8 to 2500) and tiny
 #   beams under the `max(8)` clamp, each gated by name.
 ran kernel_equivalence
+ran kernel_equivalence adaptive_beam_decodes_match_the_pinned_bits
 ran decoder_equivalence
 ran decoder_equivalence carry_through_steps_stay_equivalent
 ran decoder_equivalence tiny_beam_widths_stay_equivalent
@@ -115,14 +123,13 @@ echo "== verify: channel evaluator + emission builds =="
 #   across every branch (scalar/Jones, linear/circular/elliptical
 #   readers, Empirical/Fresnel reflectors, static/walking bystanders,
 #   Dipole/Reconfigurable tags, fixed and hopping plans, both ports),
-# - tests/channel_batch.rs pins the emission builds: the f64 row build
-#   bit-identical to the per-cell spec at every worker count, and the
-#   f32 direct build inside its tolerance oracle (wrap-aware emission
-#   deltas vs the cast spec + fig13 reduced-config letter parity) and
-#   bit-identical across worker counts, and holds RigFactors::evaluate
-#   to tests/snapshots/channel_per_link_{scalar,jones}.json (recorded
-#   from the per-link ChannelModel bodies over 12 scalar and 8 Jones
-#   derived-seed rigs) bit for bit,
+# - tests/channel_batch.rs pins the one emission build: the f64 row
+#   build bit-identical to the per-cell spec at every worker count (the
+#   fast kernel's f32 table is that table cast per cell, held by the
+#   golden f32 oracles and kernel_equivalence), and holds
+#   RigFactors::evaluate to tests/snapshots/channel_per_link_{scalar,
+#   jones}.json (recorded from the per-link ChannelModel bodies over 12
+#   scalar and 8 Jones derived-seed rigs) bit for bit,
 # - the row-kernel bitwise pins live in polardraw-core.
 ran channel_equivalence link_model_matches_the_pinned_snapshot_bitwise
 ran channel_batch
@@ -218,7 +225,8 @@ lint_unwraps crates/rf-core/src/json.rs 0
 lint_unwraps crates/rf-core/src/crc.rs 0
 lint_unwraps crates/rf-core/src/store.rs 0
 lint_unwraps crates/rfid-sim/src/chaos.rs 0
-lint_unwraps crates/core/src/online.rs 2
+lint_unwraps crates/core/src/online.rs 0
+lint_unwraps crates/core/src/preprocess.rs 1
 lint_unwraps crates/core/src/fleet.rs 1
 lint_unwraps crates/rfid-sim/src/llrp.rs 2
 

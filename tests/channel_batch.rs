@@ -2,16 +2,15 @@
 //! scripts/verify.sh).
 //!
 //! The decoder's Δθ emission tables are built row by row on SoA
-//! distance kernels (`polardraw_core::distance`). Three contracts are
+//! distance kernels (`polardraw_core::distance`). Two contracts are
 //! pinned here:
 //!
 //! 1. **f64 bitwise** — `EmissionTable::build` equals the per-cell
-//!    `expected_dtheta21` spec bit for bit, at every worker count.
-//! 2. **f32 tier by tolerance oracle** — the direct `f32` emission
-//!    build is gated quantitatively (wrap-aware per-cell deltas vs the
-//!    cast-of-f64 spec, plus fig13 reduced-config letter-accuracy
-//!    parity), and is bit-identical across worker counts.
-//! 3. **Per-link bitwise** — over two derived-seed whiteboard-rig
+//!    `expected_dtheta21` spec bit for bit, at every worker count. The
+//!    fast kernel's `f32` table is this table cast per cell
+//!    (`EmissionTableF32::from_table`); its oracles live in
+//!    `tests/golden.rs` and `tests/kernel_equivalence.rs`.
+//! 2. **Per-link bitwise** — over two derived-seed whiteboard-rig
 //!    families (scalar, incl. reconfigurable tags; Jones, incl.
 //!    circular readers), `RigFactors::evaluate` reproduces the
 //!    observables recorded from the per-link `ChannelModel` bodies it
@@ -20,16 +19,11 @@
 //! The branch-by-branch link snapshot lives in
 //! `tests/channel_equivalence.rs`.
 
-use experiments::setup::{polardraw_config_for, simulate_reports, TrialSetup};
 use polardraw_core::distance::expected_dtheta21;
-use polardraw_core::hmm::{
-    artifacts_for, EmissionTable, EmissionTableF32, Grid, KernelOptions,
-};
-use polardraw_core::{OnlineOptions, OnlineTracker};
-use recognition::LetterRecognizer;
+use polardraw_core::hmm::{EmissionTable, Grid};
 use rf_core::json::Json;
 use rf_core::rng::{derive_seed_indexed, rng_from_seed, Rng64};
-use rf_core::{wrap_pi, Vec2, Vec3};
+use rf_core::{Vec2, Vec3};
 use rf_physics::{
     Bystander, BystanderMotion, ChannelModel, LinkObservation, Polarimetry, Polarization,
     RigFactors, TagPolarization,
@@ -82,93 +76,7 @@ fn emission_build_is_bitwise_vs_per_cell_spec_at_all_worker_counts() {
 }
 
 // ---------------------------------------------------------------------
-// 2. The f32 tier: tolerance oracle (emission deltas + letter parity).
-// ---------------------------------------------------------------------
-
-#[test]
-fn f32_direct_emission_build_stays_in_tolerance_and_is_thread_deterministic() {
-    let (antennas, _) = paper_rig();
-    let lambda = 0.3276;
-    for grid in emission_grids() {
-        let rows = grid.ny;
-        let exact = EmissionTable::build(&grid, antennas, lambda, 1);
-        let cast = EmissionTableF32::from_table(&exact);
-        let direct = EmissionTableF32::build_direct(&grid, antennas, lambda, 1);
-        assert_eq!(direct.len(), grid.len());
-        let mut worst = 0.0f64;
-        for idx in 0..grid.len() {
-            let delta = wrap_pi(direct.expected(idx) as f64 - cast.expected(idx) as f64).abs();
-            worst = worst.max(delta);
-            assert!(delta <= 1e-4, "{rows} rows cell {idx}: |Δ| = {delta} vs the cast spec");
-        }
-        println!("f32 direct-vs-cast worst wrap-aware delta ({rows} rows): {worst:.3e} rad");
-        for workers in EMISSION_WORKERS {
-            let par = EmissionTableF32::build_direct(&grid, antennas, lambda, workers);
-            assert_eq!(par.len(), grid.len());
-            for idx in 0..grid.len() {
-                assert_eq!(
-                    direct.expected(idx).to_bits(),
-                    par.expected(idx).to_bits(),
-                    "{rows} rows, workers {workers}, cell {idx}"
-                );
-            }
-        }
-    }
-}
-
-fn track_with_kernel(setup: &TrialSetup, seed: u64, kernel: KernelOptions) -> Vec<Vec2> {
-    let (_, reports) = simulate_reports(setup, seed);
-    let cfg = polardraw_config_for(setup);
-    let mut online = OnlineTracker::new(cfg, OnlineOptions::batch().with_kernel(kernel));
-    online.extend(&reports);
-    online.finalize().trail.points
-}
-
-/// The end-to-end oracle for the f32 grid tier:
-/// with the fig13 reduced config's shared artifact entry prewarmed by
-/// the *direct* f32 build (so the fast kernel decodes against
-/// direct-built tables, not the cast), letter accuracy must hold parity
-/// with the exact kernel up to the usual one-trial slack.
-#[test]
-fn f32_direct_letter_accuracy_parity_on_reduced_fig13() {
-    const LETTERS: [char; 8] = ['C', 'I', 'L', 'N', 'O', 'S', 'U', 'Z'];
-    // One rig serves every letter at this fidelity; win its f32 slot
-    // with the direct build before any tracker resolves it.
-    let cfg = polardraw_config_for(&TrialSetup::letter('L').with_cell_scale(8.0));
-    let grid = Grid::covering(cfg.board_min, cfg.board_max, cfg.hmm.cell_m);
-    let arts = artifacts_for(&grid, cfg.antennas, cfg.hmm.wavelength_m);
-    assert!(
-        arts.prewarm_f32_direct(2),
-        "direct f32 build must win the artifact slot before any decode"
-    );
-
-    let rec = LetterRecognizer::new();
-    let mut exact_correct = 0usize;
-    let mut fast_correct = 0usize;
-    let mut total = 0usize;
-    for (i, ch) in LETTERS.into_iter().enumerate() {
-        for t in 0..2u64 {
-            let seed = derive_seed_indexed(42, "fig13_parity", i as u64 * 10 + t);
-            let setup = TrialSetup::letter(ch).with_cell_scale(8.0);
-            let exact = track_with_kernel(&setup, seed, KernelOptions::exact());
-            let fast = track_with_kernel(&setup, seed, KernelOptions::fast());
-            exact_correct += usize::from(rec.classify(&exact) == Some(ch));
-            fast_correct += usize::from(rec.classify(&fast) == Some(ch));
-            total += 1;
-        }
-    }
-    println!(
-        "fig13 direct-f32 parity: exact {exact_correct}/{total}, fast {fast_correct}/{total}"
-    );
-    assert!(
-        fast_correct + 1 >= exact_correct,
-        "direct f32 tables lost letter accuracy: {fast_correct}/{total} vs exact \
-         {exact_correct}/{total}"
-    );
-}
-
-// ---------------------------------------------------------------------
-// 3. The link model vs the per-link channel it replaced: bitwise.
+// 2. The link model vs the per-link channel it replaced: bitwise.
 // ---------------------------------------------------------------------
 //
 // `RigFactors::evaluate` took over from the per-link `ChannelModel`

@@ -70,8 +70,7 @@ fn run_soak(
         threads_per_shard: threads,
         queue_cap: usize::MAX / 2,
         soft_session_cap: usize::MAX / 2,
-        checkpoint: CheckpointPolicy { every_drains, ..CheckpointPolicy::default() },
-        ..FleetConfig::default()
+        checkpoint: CheckpointPolicy { every_drains },
     });
     fleet.attach_store(CheckpointStore::in_memory(3));
     let ids: Vec<_> =

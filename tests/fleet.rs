@@ -13,7 +13,7 @@
 //!    load, and recovers hysteretically once the pressure lifts.
 
 use experiments::setup::{polardraw_config_for, simulate_reports, TrialSetup};
-use polardraw_core::fleet::{FleetConfig, FleetRouter};
+use polardraw_core::fleet::{FleetConfig, FleetRouter, MAX_LEVEL, RECOVER_AFTER};
 use polardraw_core::{OnlineOptions, OnlineTracker, PolarDrawConfig, TrackOutput};
 use rf_core::rng::derive_seed_indexed;
 use rfid_sim::faults::FaultPlan;
@@ -260,7 +260,7 @@ fn overload_is_bounded_monotone_and_recoverable() {
 
         // Recovery: calm rounds unwind the ladder completely, and the
         // sessions' effective options return to what they requested.
-        for _ in 0..fleet.config().policy.recover_after * fleet.config().policy.max_level() + 1 {
+        for _ in 0..RECOVER_AFTER * MAX_LEVEL + 1 {
             fleet.drain();
         }
         let recovered = fleet.stats();

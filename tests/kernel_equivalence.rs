@@ -19,6 +19,10 @@
 //!      trails on real simulated glyph streams;
 //!   3. *letter-accuracy parity* on the fig13 reduced config (the
 //!      golden suite snapshots the same table; here it is asserted).
+//! * **Adaptive beam — pinned bits.** Every adaptive setting in use
+//!   (three exact-kernel margins and the fast kernel) is held to the
+//!   tracks and `DecodeStats` recorded in
+//!   `tests/snapshots/adaptive_decode.json`.
 //!
 //! Every sweep draws from `derive_seed_indexed(BASE_SEED, label, i)`
 //! (the `tests/properties.rs` convention), so a failing case is
@@ -537,8 +541,9 @@ fn adaptive_decode_document() -> String {
 /// The adaptive beam's outputs on every pinned decode match
 /// `tests/snapshots/adaptive_decode.json` bit for bit: the track and
 /// every work counter. The tolerance oracles above cannot see a
-/// changed beam cut that stays within tolerance; this can. Recorded
-/// before the pin existed in any other form; never regenerated.
+/// changed beam cut that stays within tolerance; this can. The file is
+/// a recording, never regenerated: a change that moves it changes the
+/// adaptive beam.
 #[test]
 fn adaptive_beam_decodes_match_the_pinned_bits() {
     let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
