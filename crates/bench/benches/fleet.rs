@@ -33,9 +33,16 @@
 //! * `fleet/migrate/warm` — one live migration (drain → checkpoint →
 //!   re-adopt on the other shard) of a warmed session, ping-ponged
 //!   between shards.
-//! * `fleet/seal/session` — one `seal_checkpoint` of a warmed
-//!   128-report session (the sessions the recover row restores): the
-//!   per-session cost a sealing drain pays.
+//! * `fleet/seal/session/cold` and `…/warm` — one `seal_checkpoint`
+//!   per session of a 16-session fleet warmed 128 reports deep, the
+//!   sample being wall time ÷ sessions. Each round first drains one
+//!   more [`CHUNK`] of reports per session; `warm` then seals the live
+//!   trackers, whose seal caches hold the text of everything they
+//!   sealed the round before, and `cold` seals trackers just restored
+//!   from those seals, whose caches are empty (every history item and
+//!   lag frame formatted). Same state, same bytes: the gap is what the
+//!   cache saves a periodic seal. Bytes sealed and bytes formatted per
+//!   seal land in the notes (deterministic counters).
 //! * `fleet/recover/session` — per-session crash recovery: a warmed,
 //!   checkpointed one-shard fleet is killed and recovered each
 //!   iteration; the sample is `recover()` wall time ÷ sessions
@@ -281,14 +288,64 @@ fn main() {
         ));
     }
 
-    // Seal and crash recovery cost: seal every session of a warmed,
-    // checkpointed one-shard fleet, then kill it and rebuild every
-    // session from the store. Boundary kills (the
+    // Seal cost, warm and cold, on the same sessions in the same state
+    // (see the module docs).
+    {
+        use polardraw_core::durability::{open_checkpoint, seal_checkpoint};
+        let sessions = 16usize;
+        let iters = if quick { 4 } else { 24 };
+        let cfg = rig();
+        let mut run = RoundLoop::new(sessions, usize::MAX / 2);
+        run.warm(128);
+        for &id in &run.ids {
+            seal_checkpoint(run.fleet.tracker(id), 1);
+        }
+        let (mut warm, mut cold) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
+        let (mut sealed_bytes, mut warm_formatted, mut cold_formatted) = (0usize, 0u64, 0u64);
+        for _ in 0..iters {
+            run.round(CHUNK);
+            let formatted = |fleet: &FleetRouter| {
+                run.ids.iter().map(|&id| fleet.tracker(id).checkpoint_bytes_formatted()).sum::<u64>()
+            };
+            let before = formatted(&run.fleet);
+            let t0 = Instant::now();
+            let texts: Vec<String> =
+                run.ids.iter().map(|&id| seal_checkpoint(run.fleet.tracker(id), 2)).collect();
+            warm.push(t0.elapsed().as_nanos() as f64 / sessions as f64);
+            warm_formatted += formatted(&run.fleet) - before;
+            sealed_bytes += texts.iter().map(String::len).sum::<usize>();
+
+            let restored: Vec<_> = texts
+                .iter()
+                .map(|text| open_checkpoint(cfg, text).expect("a fresh seal opens").tracker)
+                .collect();
+            let t0 = Instant::now();
+            for tracker in &restored {
+                seal_checkpoint(tracker, 2);
+            }
+            cold.push(t0.elapsed().as_nanos() as f64 / sessions as f64);
+            cold_formatted += restored.iter().map(|t| t.checkpoint_bytes_formatted()).sum::<u64>();
+        }
+        bench.record_ns("fleet/seal/session/cold", &cold);
+        bench.record_ns("fleet/seal/session/warm", &warm);
+        let seals = (iters * sessions) as u64;
+        bench.note(format!(
+            "seal rows: {sessions} sessions warmed 128 reports deep, then {iters} rounds of \
+             {CHUNK} reports per session; per seal {} bytes sealed, {} bytes formatted warm, \
+             {} bytes formatted cold (deterministic counters)",
+            sealed_bytes as u64 / seals,
+            warm_formatted / seals,
+            cold_formatted / seals,
+        ));
+    }
+
+    // Crash recovery cost: kill a warmed, checkpointed one-shard fleet
+    // and rebuild every session from the store. Boundary kills (the
     // checkpoint policy seals every drain) keep the escrow tail empty,
     // so the sample isolates restore cost — parse + CRC verify +
     // decoder rebuild — not replay decode work.
     {
-        use polardraw_core::durability::{seal_checkpoint, CheckpointStore};
+        use polardraw_core::durability::CheckpointStore;
         use polardraw_core::fleet::CheckpointPolicy;
         let cfg = rig();
         let sessions = 16usize;
@@ -309,25 +366,6 @@ fn main() {
         }
         fleet.drain(); // seals generation 1 for every session
         let iters = if quick { 4 } else { 24 };
-
-        // Seal cost on the same warmed sessions: every session sealed
-        // once per iteration; the sample is wall time ÷ sessions.
-        let mut samples = Vec::with_capacity(iters);
-        let mut sealed_bytes = 0;
-        for _ in 0..iters {
-            let t0 = Instant::now();
-            sealed_bytes = ids
-                .iter()
-                .map(|&id| seal_checkpoint(fleet.tracker(id), 2).len())
-                .sum::<usize>();
-            samples.push(t0.elapsed().as_nanos() as f64 / sessions as f64);
-        }
-        bench.record_ns("fleet/seal/session", &samples);
-        bench.note(format!(
-            "seal row: seal_checkpoint on each of the same {sessions} warm sessions \
-             ({} bytes per envelope on average)",
-            sealed_bytes / sessions
-        ));
 
         let mut samples = Vec::with_capacity(iters);
         for _ in 0..iters {

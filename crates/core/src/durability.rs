@@ -28,12 +28,20 @@
 //! * **[`RestoreError`]** — the typed error surface shared with
 //!   [`OnlineTracker::restore`](crate::online::OnlineTracker::restore).
 //!
+//! Sealing writes the envelope straight into one buffer: the payload
+//! text comes from
+//! [`OnlineTracker::write_checkpoint`](crate::online::OnlineTracker::write_checkpoint),
+//! which formats only what changed since the tracker's previous seal
+//! and copies the rest from its seal cache, then one CRC pass and a
+//! splice of the `crc` field. Opening parses the text into a `Json`
+//! tree and checks the CRC over its canonical re-serialization.
+//!
 //! The fleet layer ([`crate::fleet`]) drives this with a checkpoint
 //! policy and an escrow ledger so that crash recovery is loss-free;
 //! the chaos harness (`rfid_sim::chaos` + `tests/chaos.rs`) proves it.
 
 use rf_core::crc::crc32;
-use rf_core::json::{Json, JsonError};
+use rf_core::json::{write_escaped, write_integer, write_number, Json, JsonError};
 use rf_core::store::{BlobStore, MemBlobStore};
 
 use crate::online::{fingerprint_json, OnlineTracker};
@@ -123,24 +131,31 @@ pub fn rig_crc(config: &PolarDrawConfig) -> u32 {
 /// it must stay below 2^53 to survive the JSON number round trip,
 /// which a per-session counter always does.
 ///
-/// The document is serialized once. `"crc"` sorts before every other
+/// The envelope is written once, straight into one buffer, with no
+/// `Json` tree: the payload comes from
+/// [`OnlineTracker::write_checkpoint`], which copies the text of
+/// history items and lag frames sealed before from the tracker's seal
+/// cache and formats only what is new. `"crc"` sorts before every other
 /// envelope key, so the canonical envelope is `{"crc":N,` followed by
 /// the CRC'd body minus its opening brace: splicing the two gives the
 /// same bytes as inserting `crc` and serializing again.
 pub fn seal_checkpoint(tracker: &OnlineTracker, generation: u64) -> String {
-    let body = Json::obj([
-        ("format", Json::str(CHECKPOINT_FORMAT_V2)),
-        ("generation", Json::num(generation as f64)),
-        ("rig_crc", Json::num(rig_crc(tracker.config()) as f64)),
-        ("payload", tracker.checkpoint()),
-    ])
-    .to_json_string();
-    let crc = crc32(body.as_bytes());
+    // Envelope keys in sorted order: format, generation, payload, rig_crc.
+    let mut out = String::from("{\"format\":");
+    write_escaped(CHECKPOINT_FORMAT_V2, &mut out);
+    out.push_str(",\"generation\":");
+    write_number(generation as f64, &mut out);
+    out.push_str(",\"payload\":");
+    tracker.write_checkpoint(&mut out);
+    out.push_str(",\"rig_crc\":");
+    write_integer(rig_crc(tracker.config()).into(), &mut out);
+    out.push('}');
+    let crc = crc32(out.as_bytes());
     // A u32 prints the same digits as the f64 it widens to.
-    let head = format!("{{\"crc\":{crc},");
-    let mut out = String::with_capacity(head.len() + body.len() - 1);
-    out.push_str(&head);
-    out.push_str(&body[1..]);
+    let mut head = String::from("{\"crc\":");
+    write_integer(crc.into(), &mut head);
+    head.push(',');
+    out.replace_range(..1, &head);
     out
 }
 
@@ -228,7 +243,7 @@ pub struct Recovered {
 ///
 /// Key scheme: `ckpt/{session:016x}/{generation:016x}` — fixed-width
 /// hex, so the store's sorted keys enumerate generations in order.
-/// Writes go to `stage/…` first and are only then copied to their
+/// Writes go to `stage/…` first and are only then moved to their
 /// final key; recovery never looks at `stage/…`, so a crash between
 /// the two steps leaves the previous generation intact.
 #[derive(Debug)]
@@ -314,16 +329,15 @@ impl CheckpointStore {
         self.backend.put(&Self::stage_key(session, generation), bytes);
     }
 
-    /// Second half of a write: publish the staged bytes at their final
-    /// key, drop the staging copy, and prune old generations. Returns
-    /// `false` (and changes nothing) if nothing was staged.
+    /// Second half of a write: move the staged bytes to their final
+    /// key ([`BlobStore::rename`], so an in-memory store copies
+    /// nothing) and prune old generations. Returns `false` (and changes
+    /// nothing) if nothing was staged.
     pub fn commit(&mut self, session: u64, generation: u64) -> bool {
         let stage = Self::stage_key(session, generation);
-        let Some(bytes) = self.backend.get(&stage) else {
+        if !self.backend.rename(&stage, &Self::final_key(session, generation)) {
             return false;
-        };
-        self.backend.put(&Self::final_key(session, generation), &bytes);
-        self.backend.remove(&stage);
+        }
         let gens = self.generations(session);
         for &old in gens.iter().take(gens.len().saturating_sub(self.keep)) {
             self.backend.remove(&Self::final_key(session, old));
@@ -431,7 +445,7 @@ mod tests {
             ("format", Json::str(CHECKPOINT_FORMAT_V2)),
             ("generation", Json::num(generation as f64)),
             ("rig_crc", Json::num(rig_crc(tracker.config()) as f64)),
-            ("payload", tracker.checkpoint()),
+            ("payload", Json::parse(&tracker.checkpoint_string()).expect("checkpoint parses")),
         ]);
         let crc = crc32(doc.to_json_string().as_bytes());
         if let Json::Obj(map) = &mut doc {

@@ -33,8 +33,8 @@
 //!
 //! ## Checkpoint format
 //!
-//! [`checkpoint`](OnlineTracker::checkpoint) serializes the complete
-//! logical state through [`rf_core::json`] (format tag
+//! [`write_checkpoint`](OnlineTracker::write_checkpoint) writes the
+//! complete logical state as canonical JSON (format tag
 //! `polardraw.online.checkpoint.v1`): stream conditioning carry,
 //! pre-processing census, bridge state, estimator state (azimuth
 //! tracker snapshot, phase calibration, dead-reckoned position), all
@@ -43,6 +43,19 @@
 //! bit-exactly (shortest round-trip formatting), so a restored session
 //! converges to the same trail as an uninterrupted one — asserted at
 //! every cut point by `tests/online_equivalence.rs`.
+//!
+//! The writer builds no `Json` tree. It writes keys in the sorted
+//! order `Json::Obj` would, through `rf_core::json`'s own number and
+//! string writers, so its text is exactly what
+//! `Json::parse(text).to_json_string()` returns. History items and
+//! retained lag frames never change once pushed, so each tracker keeps
+//! their text in a seal cache: formatted the first time a checkpoint
+//! is written, copied on every later one. A seal therefore formats only
+//! the items new since the previous seal plus the live state (stream,
+//! bridge, estimator, frontier, counters), though the bytes it writes
+//! still grow with the session. [`restore`](OnlineTracker::restore)
+//! parses into a `Json` tree as before, and a restored tracker starts
+//! with an empty cache.
 
 use crate::distance::{directional_displacement, expected_dtheta21, feasible_region};
 use crate::durability::RestoreError;
@@ -55,10 +68,12 @@ use crate::pipeline::{DegradationReport, PolarDrawConfig, StepEstimate, StepKind
 use crate::preprocess::{PreprocessStats, Windowed, Windower};
 use crate::rotation::{AzimuthSnapshot, AzimuthTracker};
 use rf_core::angle::phase_diff;
-use rf_core::json::{FromJson, ToJson};
+use rf_core::json::{write_escaped, write_integer, write_number, FromJson, ToJson};
 use rf_core::{wrap_pi, Json, JsonError, Vec2};
 use rfid_sim::tracking::Trail;
 use rfid_sim::TagReport;
+use std::cell::RefCell;
+use std::collections::VecDeque;
 
 /// Streaming knobs for an [`OnlineTracker`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,9 +100,11 @@ pub struct OnlineOptions {
 impl Default for OnlineOptions {
     fn default() -> Self {
         // 64 steps of lag is 3.2 s of hindsight at the paper's 50 ms
-        // windows — glyph-scale, far beyond where the beam's survivor
-        // paths merge in practice; hold 2 tolerates LLRP reorderings of
-        // up to a full window without stalling commits.
+        // windows — glyph-scale, far beyond where the best path's
+        // ancestor settles in practice (the survivor set as a whole
+        // often has not merged yet; see EXPERIMENTS.md); hold 2
+        // tolerates LLRP reorderings of up to a full window without
+        // stalling commits.
         OnlineOptions { lag: 64, hold: 2, kernel: KernelOptions::default() }
     }
 }
@@ -128,6 +145,9 @@ pub struct OnlineTracker {
     pos_est: Vec2,
     // Decoder.
     decoder: FixedLagDecoder,
+    // Text of the immutable parts of the last checkpoint written (see
+    // `SealCache`). Not logical state: a restored tracker starts empty.
+    seal_cache: RefCell<SealCache>,
 }
 
 impl OnlineTracker {
@@ -158,6 +178,7 @@ impl OnlineTracker {
             offset21: None,
             pos_est: config.start_hint,
             decoder,
+            seal_cache: RefCell::default(),
         }
     }
 
@@ -472,115 +493,126 @@ impl OnlineTracker {
     /// Format tag carried by every checkpoint document.
     pub const CHECKPOINT_FORMAT: &'static str = "polardraw.online.checkpoint.v1";
 
-    /// Serialize the complete logical state to a JSON value. See the
-    /// module docs for the format.
-    pub fn checkpoint(&self) -> Json {
-        let cfg = &self.config;
-        let snap = self.azimuth_tracker.snapshot();
-        let win = &self.windower;
-        let pre = &win.stats;
-        Json::obj([
-            ("format", Json::str(Self::CHECKPOINT_FORMAT)),
-            ("fingerprint", fingerprint_json(cfg)),
-            (
-                "options",
-                Json::obj([
-                    ("lag", usize_json(self.options.lag)),
-                    ("hold", usize_json(self.options.hold)),
-                    ("kernel", kernel_options_json(&self.options.kernel)),
-                ]),
-            ),
-            (
-                "stream",
-                Json::obj([
-                    ("first_t", win.first_t.to_json()),
-                    ("max_t", Json::num(win.max_t)),
-                    ("prev_push_t", win.prev_push_t.to_json()),
-                    ("next_window", usize_json(win.next_window)),
-                    ("late_dropped", usize_json(win.late_dropped)),
-                    ("pending", Json::arr(win.pending.iter(), |r| r.to_json())),
-                ]),
-            ),
-            (
-                "pre",
-                Json::obj([
-                    ("input_reports", usize_json(pre.input_reports)),
-                    ("input_unsorted", Json::Bool(pre.input_unsorted)),
-                    ("duplicates_removed", usize_json(pre.duplicates_removed)),
-                    ("ignored_ports", usize_json(pre.ignored_ports)),
-                    ("windows", usize_json(pre.windows)),
-                    ("empty_windows", usize_json(pre.empty_windows)),
-                    ("single_antenna_windows", usize_json(pre.single_antenna_windows)),
-                    ("spurious_rejected", usize_json(pre.spurious_rejected)),
-                    ("largest_empty_run", usize_json(pre.largest_empty_run)),
-                    ("empty_run", usize_json(win.empty_run)),
-                    ("prev_measured", Json::arr(win.prev_measured, |p| p.to_json())),
-                ]),
-            ),
-            (
-                "bridge",
-                Json::obj([
-                    ("run_buf", Json::arr(self.run_buf.iter(), windowed_json)),
-                    ("has_kept", Json::Bool(self.has_kept)),
-                    ("last_kept_t", Json::num(self.last_kept_t)),
-                    (
-                        "prev_kept",
-                        match &self.prev_kept {
-                            Some(w) => windowed_json(w),
-                            None => Json::Null,
-                        },
-                    ),
-                    ("gaps_bridged", usize_json(self.gaps_bridged)),
-                    ("largest_gap_bridged_s", Json::num(self.largest_gap_bridged_s)),
-                ]),
-            ),
-            (
-                "estimator",
-                Json::obj([
-                    ("azimuth", snap.azimuth.to_json()),
-                    ("sector", snap.sector.map(sector_code).to_json()),
-                    ("accumulated_error", Json::num(snap.accumulated_error)),
-                    ("corrections", usize_json(snap.corrections)),
-                    ("offset21", self.offset21.to_json()),
-                    ("pos_est", vec2_json(self.pos_est)),
-                ]),
-            ),
-            ("windows", Json::arr(win.windows.iter(), windowed_json)),
-            ("steps", Json::arr(self.steps.iter(), step_estimate_json)),
-            (
-                "decoder",
-                Json::obj([
-                    (
-                        "frontier",
-                        Json::arr(self.decoder.frontier().iter(), |&(c, s)| {
-                            Json::Arr(vec![Json::num(c as f64), Json::num(s)])
-                        }),
-                    ),
-                    (
-                        "frames",
-                        Json::arr(self.decoder.frames(), |f| {
-                            Json::obj([
-                                (
-                                    "cells",
-                                    Json::arr(f.cells.iter(), |&c| Json::num(c as f64)),
-                                ),
-                                (
-                                    "prevs",
-                                    Json::arr(f.prevs.iter(), |&c| Json::num(c as f64)),
-                                ),
-                            ])
-                        }),
-                    ),
-                    ("committed", Json::arr(self.decoder.committed().iter(), |&p| vec2_json(p))),
-                    ("stats", decode_stats_json(&self.decoder.stats())),
-                ]),
-            ),
-        ])
+    /// Write the complete logical state to `out` as canonical
+    /// checkpoint JSON (see the module docs for the format): keys in
+    /// sorted order, numbers in shortest round-trip form, so the text
+    /// is exactly what `Json::parse(text).to_json_string()` gives back.
+    ///
+    /// History items (windows, steps, committed points) and retained
+    /// lag frames never change once pushed, so the first call formats
+    /// them into the tracker's seal cache and later calls copy that
+    /// text, formatting only the items pushed since and the live state.
+    /// The bytes are the same either way.
+    pub fn write_checkpoint(&self, out: &mut String) {
+        match self.seal_cache.try_borrow_mut() {
+            Ok(mut cache) => self.write_checkpoint_with(&mut cache, out),
+            // Nothing re-enters the writer, so the cache is never
+            // borrowed here; a cold cache would still be correct.
+            Err(_) => self.write_checkpoint_with(&mut SealCache::default(), out),
+        }
     }
 
-    /// [`checkpoint`](Self::checkpoint) as a compact JSON string.
+    /// [`write_checkpoint`](Self::write_checkpoint) into a new string.
     pub fn checkpoint_string(&self) -> String {
-        self.checkpoint().to_json_string()
+        let mut out = String::new();
+        self.write_checkpoint(&mut out);
+        out
+    }
+
+    /// Bytes the checkpoint writer formatted afresh, rather than copied
+    /// from the seal cache, over every checkpoint this tracker wrote.
+    /// A deterministic work counter: the difference across one seal is
+    /// that seal's formatting work.
+    pub fn checkpoint_bytes_formatted(&self) -> u64 {
+        self.seal_cache.try_borrow().map_or(0, |cache| cache.formatted)
+    }
+
+    fn write_checkpoint_with(&self, cache: &mut SealCache, out: &mut String) {
+        let start = out.len();
+        let new_bytes = cache.sync(self);
+        // One allocation for the whole document, with room for the live
+        // state to grow a little and for an enclosing seal envelope.
+        out.reserve(cache.last_len + new_bytes + 4096);
+        let win = &self.windower;
+        let pre = &win.stats;
+        let snap = self.azimuth_tracker.snapshot();
+        let mut copied = 0;
+
+        let mut doc = ObjWriter::open(out);
+        let mut bridge = ObjWriter::open(doc.key("bridge"));
+        bridge.count("gaps_bridged", self.gaps_bridged);
+        bridge.flag("has_kept", self.has_kept);
+        bridge.num("largest_gap_bridged_s", self.largest_gap_bridged_s);
+        bridge.num("last_kept_t", self.last_kept_t);
+        match &self.prev_kept {
+            Some(w) => write_windowed(w, bridge.key("prev_kept")),
+            None => bridge.null("prev_kept"),
+        }
+        write_arr(&self.run_buf, bridge.key("run_buf"), write_windowed);
+        bridge.close();
+
+        let mut dec = ObjWriter::open(doc.key("decoder"));
+        copied += write_cached_array(&cache.committed.text, dec.key("committed"));
+        copied += write_cached_array(&cache.frames.text, dec.key("frames"));
+        write_arr(self.decoder.frontier(), dec.key("frontier"), |(c, score), out| {
+            out.push('[');
+            write_integer(c.into(), out);
+            out.push(',');
+            write_number(score, out);
+            out.push(']');
+        });
+        write_decode_stats(&self.decoder.stats(), dec.key("stats"));
+        dec.close();
+
+        let mut est = ObjWriter::open(doc.key("estimator"));
+        est.num("accumulated_error", snap.accumulated_error);
+        est.opt("azimuth", snap.azimuth);
+        est.count("corrections", snap.corrections);
+        est.opt("offset21", self.offset21);
+        write_vec2(self.pos_est, est.key("pos_est"));
+        est.opt("sector", snap.sector.map(sector_code));
+        est.close();
+
+        fingerprint_json(&self.config).write_to(doc.key("fingerprint"));
+        doc.text("format", Self::CHECKPOINT_FORMAT);
+
+        let mut opts = ObjWriter::open(doc.key("options"));
+        opts.count("hold", self.options.hold);
+        write_kernel_options(&self.options.kernel, opts.key("kernel"));
+        opts.count("lag", self.options.lag);
+        opts.close();
+
+        let mut p = ObjWriter::open(doc.key("pre"));
+        p.count("duplicates_removed", pre.duplicates_removed);
+        p.count("empty_run", win.empty_run);
+        p.count("empty_windows", pre.empty_windows);
+        p.count("ignored_ports", pre.ignored_ports);
+        p.count("input_reports", pre.input_reports);
+        p.flag("input_unsorted", pre.input_unsorted);
+        p.count("largest_empty_run", pre.largest_empty_run);
+        write_arr(win.prev_measured, p.key("prev_measured"), write_opt);
+        p.count("single_antenna_windows", pre.single_antenna_windows);
+        p.count("spurious_rejected", pre.spurious_rejected);
+        p.count("windows", pre.windows);
+        p.close();
+
+        copied += write_cached_array(&cache.steps.text, doc.key("steps"));
+
+        let mut stream = ObjWriter::open(doc.key("stream"));
+        stream.opt("first_t", win.first_t);
+        stream.count("late_dropped", win.late_dropped);
+        stream.num("max_t", win.max_t);
+        stream.count("next_window", win.next_window);
+        write_arr(&win.pending, stream.key("pending"), |r, out| r.to_json().write_to(out));
+        stream.opt("prev_push_t", win.prev_push_t);
+        stream.close();
+
+        copied += write_cached_array(&cache.windows.text, doc.key("windows"));
+        doc.close();
+
+        let written = out.len() - start;
+        cache.last_len = written;
+        cache.formatted += (written - copied + new_bytes) as u64;
     }
 
     /// Rebuild a tracker from a checkpoint. `config` must be the same
@@ -786,6 +818,212 @@ fn delta_phase(prev: Option<f64>, cur: Option<f64>) -> Option<f64> {
 // JSON helpers (checkpoint plumbing).
 // ----------------------------------------------------------------------
 
+/// Writes one canonical JSON object into a buffer. Keys must be given
+/// in byte order — the order `Json::Obj`'s `BTreeMap` writes them in —
+/// so the text matches the tree writer's.
+struct ObjWriter<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl<'a> ObjWriter<'a> {
+    fn open(out: &'a mut String) -> ObjWriter<'a> {
+        out.push('{');
+        ObjWriter { out, first: true }
+    }
+
+    /// Write `"key":` and hand back the buffer for its value.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        write_escaped(key, self.out);
+        self.out.push(':');
+        self.out
+    }
+
+    fn num(&mut self, key: &str, x: f64) {
+        write_number(x, self.key(key));
+    }
+
+    fn count(&mut self, key: &str, n: usize) {
+        write_usize(n, self.key(key));
+    }
+
+    fn opt(&mut self, key: &str, x: Option<f64>) {
+        write_opt(x, self.key(key));
+    }
+
+    fn flag(&mut self, key: &str, b: bool) {
+        write_bool(b, self.key(key));
+    }
+
+    fn text(&mut self, key: &str, s: &str) {
+        write_escaped(s, self.key(key));
+    }
+
+    fn null(&mut self, key: &str) {
+        self.key(key).push_str("null");
+    }
+
+    fn close(self) {
+        self.out.push('}');
+    }
+}
+
+/// A JSON array of `items`, each written by `write`.
+fn write_arr<T>(
+    items: impl IntoIterator<Item = T>,
+    out: &mut String,
+    write: impl Fn(T, &mut String),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(item, out);
+    }
+    out.push(']');
+}
+
+fn write_usize(n: usize, out: &mut String) {
+    // Numbers are f64 in the format: `usize::MAX` writes as 2^64.
+    write_number(n as f64, out);
+}
+
+fn write_opt(x: Option<f64>, out: &mut String) {
+    match x {
+        Some(x) => write_number(x, out),
+        None => out.push_str("null"),
+    }
+}
+
+fn write_bool(b: bool, out: &mut String) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+fn write_vec2(p: Vec2, out: &mut String) {
+    write_arr([p.x, p.y], out, write_number);
+}
+
+fn write_frame(f: &BeamFrame, out: &mut String) {
+    let mut o = ObjWriter::open(out);
+    write_arr(&f.cells, o.key("cells"), |&c, out| write_integer(c.into(), out));
+    write_arr(&f.prevs, o.key("prevs"), |&c, out| write_integer(c.into(), out));
+    o.close();
+}
+
+/// Checkpoint text a tracker keeps between seals: every item that can
+/// no longer change, formatted once. Windows, steps and committed
+/// points are append-only; a retained lag frame is immutable until a
+/// commit drops it from the front. Everything else is live state and is
+/// written fresh by every call. The cache is filled by the checkpoint
+/// writer alone — `push` and decoder steps never touch it — and it is
+/// not logical state: a restored or migrated tracker starts empty.
+#[derive(Debug, Default)]
+struct SealCache {
+    windows: HistoryText,
+    steps: HistoryText,
+    committed: HistoryText,
+    frames: FrameRing,
+    /// Length of the last checkpoint written (a buffer size hint).
+    last_len: usize,
+    /// Bytes formatted afresh over every checkpoint written.
+    formatted: u64,
+}
+
+impl SealCache {
+    /// Bring the cached text up to `t`'s state; returns the bytes this
+    /// formatted.
+    fn sync(&mut self, t: &OnlineTracker) -> usize {
+        self.windows.extend(&t.windower.windows, write_windowed)
+            + self.steps.extend(&t.steps, write_step_estimate)
+            + self.committed.extend(t.decoder.committed(), |&p, out| write_vec2(p, out))
+            + self.frames.sync(&t.decoder)
+    }
+}
+
+/// The text of the first `items` entries of an append-only history
+/// array, each entry preceded by a comma.
+#[derive(Debug, Default)]
+struct HistoryText {
+    text: String,
+    items: usize,
+}
+
+impl HistoryText {
+    /// Format the entries of `all` past the cached prefix; returns the
+    /// bytes formatted.
+    fn extend<T>(&mut self, all: &[T], write: impl Fn(&T, &mut String)) -> usize {
+        if all.len() < self.items {
+            // A history never shrinks within one tracker; start over
+            // rather than write a stale prefix.
+            *self = HistoryText::default();
+        }
+        let before = self.text.len();
+        for item in &all[self.items..] {
+            self.text.push(',');
+            write(item, &mut self.text);
+        }
+        self.items = all.len();
+        self.text.len() - before
+    }
+}
+
+/// The text of a decoder's retained frames, oldest first, in one
+/// buffer: entry `k` (a comma, then the frame) is the frame the
+/// decoder pushed as absolute step `first_step + k`, where step `n` is
+/// the frame that brought `stats.steps` to `n + 1`. The oldest retained
+/// frame is step `stats.steps − retained`; commits, from a step or a
+/// lag shrink, only ever drop frames from the front, so this index only
+/// grows, and the ring pops whatever fell below it.
+#[derive(Debug, Default)]
+struct FrameRing {
+    text: String,
+    lens: VecDeque<usize>,
+    first_step: usize,
+}
+
+impl FrameRing {
+    /// Drop the committed frames, format the new ones; returns the
+    /// bytes formatted.
+    fn sync(&mut self, decoder: &FixedLagDecoder) -> usize {
+        // Wrapping arithmetic keeps the keys consistent even for a
+        // restored decoder whose step counter is below its frame count.
+        let first = decoder.stats().steps.wrapping_sub(decoder.retained());
+        let dropped = first.wrapping_sub(self.first_step);
+        if dropped > self.lens.len() {
+            // An empty ring, or every cached frame was committed.
+            self.text.clear();
+            self.lens.clear();
+        } else {
+            let bytes: usize = self.lens.drain(..dropped).sum();
+            self.text.drain(..bytes);
+        }
+        self.first_step = first;
+        let before = self.text.len();
+        for frame in decoder.frames().skip(self.lens.len()) {
+            let at = self.text.len();
+            self.text.push(',');
+            write_frame(frame, &mut self.text);
+            self.lens.push_back(self.text.len() - at);
+        }
+        self.text.len() - before
+    }
+}
+
+/// Write a cache's comma-led entries `,a,b,…` as the array `[a,b,…]`;
+/// returns the bytes copied.
+fn write_cached_array(entries: &str, out: &mut String) -> usize {
+    let body = entries.get(1..).unwrap_or("");
+    out.push('[');
+    out.push_str(body);
+    out.push(']');
+    body.len()
+}
+
 fn jerr(message: impl Into<String>) -> JsonError {
     JsonError { message: message.into(), offset: 0 }
 }
@@ -885,11 +1123,11 @@ fn sector_from_code(code: u32) -> Result<Sector, JsonError> {
     }
 }
 
-fn rotation_code(r: Rotation) -> Json {
-    Json::str(match r {
+fn rotation_code(r: Rotation) -> &'static str {
+    match r {
         Rotation::Clockwise => "cw",
         Rotation::CounterClockwise => "ccw",
-    })
+    }
 }
 
 fn rotation_from_code(v: &Json) -> Result<Rotation, JsonError> {
@@ -900,13 +1138,13 @@ fn rotation_from_code(v: &Json) -> Result<Rotation, JsonError> {
     }
 }
 
-fn cardinal_code(c: Cardinal) -> Json {
-    Json::str(match c {
+fn cardinal_code(c: Cardinal) -> &'static str {
+    match c {
         Cardinal::Up => "up",
         Cardinal::Down => "down",
         Cardinal::Left => "left",
         Cardinal::Right => "right",
-    })
+    }
 }
 
 fn cardinal_from_code(v: &Json) -> Result<Cardinal, JsonError> {
@@ -919,16 +1157,16 @@ fn cardinal_from_code(v: &Json) -> Result<Cardinal, JsonError> {
     }
 }
 
-fn windowed_json(w: &Windowed) -> Json {
-    Json::obj([
-        ("t", Json::num(w.t)),
-        ("rssi", Json::arr(w.rssi, |x| x.to_json())),
-        ("phase", Json::arr(w.phase, |x| x.to_json())),
-        ("reads", Json::arr(w.reads, |n| usize_json(n))),
-        ("empty", Json::Bool(w.flags.empty)),
-        ("single_antenna", Json::Bool(w.flags.single_antenna)),
-        ("spurious", Json::arr(w.flags.spurious, Json::Bool)),
-    ])
+fn write_windowed(w: &Windowed, out: &mut String) {
+    let mut o = ObjWriter::open(out);
+    o.flag("empty", w.flags.empty);
+    write_arr(w.phase, o.key("phase"), write_opt);
+    write_arr(w.reads, o.key("reads"), write_usize);
+    write_arr(w.rssi, o.key("rssi"), write_opt);
+    o.flag("single_antenna", w.flags.single_antenna);
+    write_arr(w.flags.spurious, o.key("spurious"), write_bool);
+    o.num("t", w.t);
+    o.close();
 }
 
 fn windowed_from(v: &Json) -> Result<Windowed, JsonError> {
@@ -964,32 +1202,31 @@ fn windowed_from(v: &Json) -> Result<Windowed, JsonError> {
     Ok(w)
 }
 
-fn step_estimate_json(s: &StepEstimate) -> Json {
-    let kind = match s.kind {
-        StepKind::Rotational { rotation, sector } => Json::obj([
-            ("k", Json::str("rot")),
-            ("rotation", rotation_code(rotation)),
-            ("sector", Json::num(sector_code(sector))),
-        ]),
-        StepKind::Translational(c) => {
-            Json::obj([("k", Json::str("tr")), ("cardinal", cardinal_code(c))])
+fn write_step_estimate(s: &StepEstimate, out: &mut String) {
+    let mut o = ObjWriter::open(out);
+    o.opt("alpha_r", s.alpha_r);
+    o.opt("azimuth", s.azimuth);
+    write_arr([s.bounds.0, s.bounds.1], o.key("bounds"), write_number);
+    match s.direction {
+        Some(d) => write_vec2(d, o.key("direction")),
+        None => o.null("direction"),
+    }
+    let mut kind = ObjWriter::open(o.key("kind"));
+    match s.kind {
+        StepKind::Rotational { rotation, sector } => {
+            kind.text("k", "rot");
+            kind.text("rotation", rotation_code(rotation));
+            kind.num("sector", sector_code(sector));
         }
-        StepKind::Still => Json::obj([("k", Json::str("still"))]),
-    };
-    Json::obj([
-        ("t", Json::num(s.t)),
-        ("kind", kind),
-        (
-            "direction",
-            match s.direction {
-                Some(d) => vec2_json(d),
-                None => Json::Null,
-            },
-        ),
-        ("azimuth", s.azimuth.to_json()),
-        ("alpha_r", s.alpha_r.to_json()),
-        ("bounds", Json::Arr(vec![Json::num(s.bounds.0), Json::num(s.bounds.1)])),
-    ])
+        StepKind::Translational(c) => {
+            kind.text("cardinal", cardinal_code(c));
+            kind.text("k", "tr");
+        }
+        StepKind::Still => kind.text("k", "still"),
+    }
+    kind.close();
+    o.num("t", s.t);
+    o.close();
 }
 
 fn step_estimate_from(v: &Json) -> Result<StepEstimate, JsonError> {
@@ -1028,18 +1265,18 @@ fn step_estimate_from(v: &Json) -> Result<StepEstimate, JsonError> {
     })
 }
 
-fn decode_stats_json(s: &DecodeStats) -> Json {
-    Json::obj([
-        ("steps", usize_json(s.steps)),
-        ("carried_steps", usize_json(s.carried_steps)),
-        ("expansions", Json::num(s.expansions as f64)),
-        ("pruned_below_min", Json::num(s.pruned_below_min as f64)),
-        ("pruned_beam", Json::num(s.pruned_beam as f64)),
-        ("touched_cells", Json::num(s.touched_cells as f64)),
-        ("max_frontier", usize_json(s.max_frontier)),
-        ("total_frontier", Json::num(s.total_frontier as f64)),
-        ("adaptive_shrunk_steps", usize_json(s.adaptive_shrunk_steps)),
-    ])
+fn write_decode_stats(s: &DecodeStats, out: &mut String) {
+    let mut o = ObjWriter::open(out);
+    o.count("adaptive_shrunk_steps", s.adaptive_shrunk_steps);
+    o.count("carried_steps", s.carried_steps);
+    o.num("expansions", s.expansions as f64);
+    o.count("max_frontier", s.max_frontier);
+    o.num("pruned_beam", s.pruned_beam as f64);
+    o.num("pruned_below_min", s.pruned_below_min as f64);
+    o.count("steps", s.steps);
+    o.num("total_frontier", s.total_frontier as f64);
+    o.num("touched_cells", s.touched_cells as f64);
+    o.close();
 }
 
 fn decode_stats_from(v: &Json) -> Result<DecodeStats, JsonError> {
@@ -1062,28 +1299,27 @@ fn decode_stats_from(v: &Json) -> Result<DecodeStats, JsonError> {
     })
 }
 
-fn kernel_options_json(k: &KernelOptions) -> Json {
-    Json::obj([
-        (
-            "precision",
-            Json::str(match k.precision {
-                KernelPrecision::F64Exact => "f64",
-                KernelPrecision::F32Tolerance => "f32",
-            }),
-        ),
-        // A v1/v2 format constant: the decode step is single-threaded.
-        ("threads", usize_json(1)),
-        (
-            "adaptive",
-            match &k.adaptive {
-                Some(a) => Json::obj([
-                    ("margin", Json::num(a.margin)),
-                    ("min_keep", usize_json(a.min_keep)),
-                ]),
-                None => Json::Null,
-            },
-        ),
-    ])
+fn write_kernel_options(k: &KernelOptions, out: &mut String) {
+    let mut o = ObjWriter::open(out);
+    match &k.adaptive {
+        Some(a) => {
+            let mut adaptive = ObjWriter::open(o.key("adaptive"));
+            adaptive.num("margin", a.margin);
+            adaptive.count("min_keep", a.min_keep);
+            adaptive.close();
+        }
+        None => o.null("adaptive"),
+    }
+    o.text(
+        "precision",
+        match k.precision {
+            KernelPrecision::F64Exact => "f64",
+            KernelPrecision::F32Tolerance => "f32",
+        },
+    );
+    // A v1/v2 format constant: the decode step is single-threaded.
+    o.count("threads", 1);
+    o.close();
 }
 
 /// Ceiling on a restored kernel's `threads`, kept as format
@@ -1233,3 +1469,4 @@ mod tests {
         assert_eq!(online.late_reports_dropped(), 1);
     }
 }
+

@@ -11,6 +11,12 @@
 //! finite `f64` including `-0.0` and extreme exponents. Non-finite
 //! numbers have no JSON representation and are written as `null`
 //! (matching `serde_json`'s lossy default).
+//!
+//! The writer primitives ([`write_number`], [`write_integer`],
+//! [`write_escaped`]) are public so a hot serializer can write a
+//! document straight into a buffer, without building a [`Json`] tree
+//! first, and still produce the bytes the tree writer would: the tree
+//! writer calls the same functions.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -130,8 +136,14 @@ impl Json {
     /// Serialize to a compact JSON string.
     pub fn to_json_string(&self) -> String {
         let mut out = String::new();
-        self.write_to(&mut out, None);
+        self.write_to(&mut out);
         out
+    }
+
+    /// Append the compact serialization to `out`: the bytes
+    /// [`to_json_string`](Self::to_json_string) returns.
+    pub fn write_to(&self, out: &mut String) {
+        self.write_skipping(out, None);
     }
 
     /// Serialize with one top-level object key left out: the bytes
@@ -140,11 +152,11 @@ impl Json {
     /// Non-objects serialize unchanged.
     pub fn to_json_string_without(&self, key: &str) -> String {
         let mut out = String::new();
-        self.write_to(&mut out, Some(key));
+        self.write_skipping(&mut out, Some(key));
         out
     }
 
-    fn write_to(&self, out: &mut String, skip: Option<&str>) {
+    fn write_skipping(&self, out: &mut String, skip: Option<&str>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -156,7 +168,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write_to(out, None);
+                    item.write_to(out);
                 }
                 out.push(']');
             }
@@ -173,7 +185,7 @@ impl Json {
                     first = false;
                     write_escaped(k, out);
                     out.push(':');
-                    v.write_to(out, None);
+                    v.write_to(out);
                 }
                 out.push('}');
             }
@@ -203,7 +215,9 @@ impl std::fmt::Display for Json {
 /// 2^53: below it every integer is an `f64`, one ulp apart at most.
 const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
 
-fn write_number(x: f64, out: &mut String) {
+/// Append `x` as a JSON number: the shortest decimal that parses back
+/// to the same bits, or `null` for a non-finite value.
+pub fn write_number(x: f64, out: &mut String) {
     if !x.is_finite() {
         out.push_str("null");
         return;
@@ -225,28 +239,49 @@ fn write_number(x: f64, out: &mut String) {
     let _ = write!(out, "{x}");
 }
 
-/// Decimal digits of `n`, as `{n}` prints them.
-fn write_integer(n: i64, out: &mut String) {
-    // |n| < 2^53 has at most 16 digits; 20 fits any i64 plus sign.
+/// `"00" "01" … "99"`: the two ASCII digits of every value below 100.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Append the decimal digits of `n`, as `{n}` prints them, two digits
+/// per step. For `|n| < 2^53` this is also what [`write_number`]
+/// writes for `n as f64`.
+pub fn write_integer(n: i64, out: &mut String) {
+    // 19 digits plus a sign fit any i64.
     let mut buf = [0u8; 20];
     let mut at = buf.len();
     let mut m = n.unsigned_abs();
-    loop {
+    while m >= 100 {
+        let pair = (m % 100) as usize * 2;
+        m /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if m >= 10 {
+        let pair = m as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
         at -= 1;
-        buf[at] = b'0' + (m % 10) as u8;
-        m /= 10;
-        if m == 0 {
-            break;
-        }
+        buf[at] = b'0' + m as u8;
     }
     if n < 0 {
         at -= 1;
         buf[at] = b'-';
     }
-    out.extend(buf[at..].iter().map(|&b| b as char));
+    // Every byte written above is ASCII, so this never fails.
+    if let Ok(digits) = std::str::from_utf8(&buf[at..]) {
+        out.push_str(digits);
+    }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Append `s` as a JSON string literal: quoted, with `"`, `\\` and
+/// control characters escaped.
+pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -665,6 +700,23 @@ mod tests {
             if any.is_finite() {
                 assert_writes_like_display(any);
             }
+        }
+    }
+
+    #[test]
+    fn integer_writer_matches_display_at_every_width() {
+        let mut cases = vec![i64::MIN, i64::MAX, i64::MIN + 1];
+        let mut p = 1i64;
+        for _ in 0..19 {
+            cases.extend([p - 1, p, p + 1, -(p - 1), -p, -(p + 1)]);
+            p = p.saturating_mul(10);
+        }
+        let mut rng = crate::rng::Rng64::from_seed(0x001D_1617);
+        cases.extend((0..10_000).map(|_| (rng.next_u64() as i64) >> (rng.next_u64() % 64)));
+        for n in cases {
+            let mut out = String::from("x");
+            write_integer(n, &mut out);
+            assert_eq!(out, format!("x{n}"));
         }
     }
 

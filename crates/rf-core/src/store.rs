@@ -42,6 +42,20 @@ pub trait BlobStore: std::fmt::Debug {
     }
     /// Remove the blob at `key`; returns whether it existed.
     fn remove(&mut self, key: &str) -> bool;
+    /// Move the blob at `from` to `to`, replacing any blob there;
+    /// returns whether `from` existed (if not, nothing changes).
+    ///
+    /// The default copies it out, writes it back and removes the
+    /// source; a backend that can re-key a blob in place should
+    /// override it.
+    fn rename(&mut self, from: &str, to: &str) -> bool {
+        let Some(bytes) = self.get(from) else {
+            return false;
+        };
+        self.put(to, &bytes);
+        self.remove(from);
+        true
+    }
 }
 
 /// In-memory [`BlobStore`] over a `BTreeMap` (keys come back sorted
@@ -101,6 +115,15 @@ impl BlobStore for MemBlobStore {
     fn remove(&mut self, key: &str) -> bool {
         self.blobs.remove(key).is_some()
     }
+
+    fn rename(&mut self, from: &str, to: &str) -> bool {
+        // Re-key the buffer itself: no copy of the bytes.
+        let Some(bytes) = self.blobs.remove(from) else {
+            return false;
+        };
+        self.blobs.insert(to.to_string(), bytes);
+        true
+    }
 }
 
 #[cfg(test)]
@@ -154,6 +177,23 @@ mod tests {
         }
         fn remove(&mut self, key: &str) -> bool {
             self.0.remove(key)
+        }
+    }
+
+    #[test]
+    fn rename_moves_a_blob_in_both_backends() {
+        let mut mem = MemBlobStore::new();
+        mem.put("stage/1", b"sealed");
+        mem.put("ckpt/1", b"old");
+        mem.put("other", b"x");
+        let mut fallback = DefaultScan(mem.clone());
+        for s in [&mut mem as &mut dyn BlobStore, &mut fallback] {
+            assert!(s.rename("stage/1", "ckpt/1"), "replaces the blob at the target");
+            assert_eq!(s.get("ckpt/1").as_deref(), Some(&b"sealed"[..]));
+            assert_eq!(s.get("stage/1"), None);
+            assert!(!s.rename("stage/1", "ckpt/1"), "nothing left to move");
+            assert_eq!(s.get("ckpt/1").as_deref(), Some(&b"sealed"[..]), "unchanged");
+            assert_eq!(s.keys(), vec!["ckpt/1", "other"]);
         }
     }
 

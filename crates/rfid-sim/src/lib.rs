@@ -8,9 +8,6 @@
 //!
 //! * [`modulation`] — the Gen2 uplink encodings (FM0, Miller m = 2/4/8)
 //!   with their link frequencies, bit durations and SNR→BER behaviour.
-//!   The paper's §4 notes PolarDraw round-robins modulation schemes and
-//!   picks the first whose phase variance is low enough; [`modselect`]
-//!   reproduces that procedure.
 //! * [`gen2`] — inventory-round timing: Query/QueryRep/ACK exchanges,
 //!   the Q-algorithm slot counter, and the resulting read rate (~100 Hz
 //!   aggregate, as the paper states).
@@ -41,7 +38,6 @@ pub mod chaos;
 pub mod faults;
 pub mod gen2;
 pub mod llrp;
-pub mod modselect;
 pub mod modulation;
 pub mod reader;
 pub mod session;

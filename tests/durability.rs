@@ -15,7 +15,13 @@
 //! * **Store crash semantics** — staged-but-uncommitted writes stay
 //!   invisible, walk-back recovery survives corrupted newest
 //!   generations, and a fully rotten store returns a typed error.
+//! * **Incremental seals** — a tracker sealed again and again, whose
+//!   seal cache copies the text of everything sealed before, writes
+//!   exactly the bytes a never-sealed tracker in the same state writes,
+//!   through lag shrinks and growth, kernel swaps, a gap bridge and a
+//!   mid-run restore.
 
+use polardraw_core::hmm::KernelOptions;
 use polardraw_core::{
     durability, open_checkpoint, seal_checkpoint, CheckpointStore, OnlineOptions, OnlineTracker,
     PolarDrawConfig, RestoreError,
@@ -259,4 +265,119 @@ fn a_torn_write_never_becomes_visible() {
     // The restarted writer completes the commit; only now it lands.
     assert!(store.commit(5, 2));
     assert_eq!(store.recover(5, coarse_config()).expect("recover").generation, 2);
+}
+
+/// One call a serving fleet makes on a tracker between seals.
+#[derive(Debug, Clone, Copy)]
+enum Call {
+    /// A drain that hands the tracker the next `n` reports.
+    Drain(usize),
+    SetLag(usize),
+    SetKernel(KernelOptions),
+    /// Replace the tracker by what its own seal opens to.
+    Restore,
+}
+
+/// Reports that make rotational, translational and still steps, with
+/// one 0.6 s outage (12 empty windows, enough for a gap bridge).
+fn varied_stream(n: usize) -> Vec<TagReport> {
+    let mut t = 0.0;
+    (0..n)
+        .map(|i| {
+            t += if i == 300 { 0.6 } else { 0.01 };
+            let turning = (i / 100) % 2 == 0;
+            TagReport {
+                t,
+                antenna: i % 2,
+                rssi_dbm: if turning { -50.0 + 6.0 * (0.05 * i as f64).sin() } else { -40.0 },
+                phase_rad: rf_core::wrap_tau(0.03 * i as f64 + 0.4 * (i % 2) as f64),
+                channel: i % 4,
+                epc: 0x5EA1,
+            }
+        })
+        .collect()
+}
+
+/// Apply `call` to `tracker`, taking drained reports from `reports`
+/// starting at `*at`.
+fn apply(tracker: &mut OnlineTracker, call: Call, reports: &[TagReport], at: &mut usize) {
+    match call {
+        Call::Drain(n) => {
+            tracker.extend(&reports[*at..*at + n]);
+            *at += n;
+        }
+        Call::SetLag(lag) => {
+            tracker.set_lag(lag);
+        }
+        Call::SetKernel(kernel) => tracker.set_kernel(kernel),
+        Call::Restore => {
+            let config = *tracker.config();
+            *tracker = open_checkpoint(config, &seal_checkpoint(tracker, 0))
+                .expect("a tracker's own seal opens")
+                .tracker;
+        }
+    }
+}
+
+#[test]
+fn incremental_seal_equals_cold_seal() {
+    let options = OnlineOptions { lag: 24, ..OnlineOptions::default() };
+    let mut calls = vec![Call::Drain(8); 20];
+    calls.push(Call::SetLag(6)); // shrink: commits 18 sealed frames at once
+    calls.extend([Call::Drain(8); 5]);
+    calls.push(Call::SetLag(30)); // grow
+    calls.extend([Call::Drain(8); 10]);
+    calls.push(Call::SetKernel(KernelOptions::fast()));
+    calls.extend([Call::Drain(8), Call::Drain(40), Call::Drain(1), Call::Drain(8)]);
+    calls.push(Call::Restore);
+    calls.extend([Call::Drain(8); 6]);
+    calls.push(Call::SetKernel(KernelOptions::exact()));
+    calls.extend([Call::Drain(8); 8]);
+    calls.push(Call::SetLag(1)); // shrink to the floor
+    calls.extend([Call::Drain(8); 4]);
+    calls.push(Call::SetLag(24));
+    calls.extend([Call::Drain(8); 10]);
+    let total: usize = calls.iter().map(|c| if let Call::Drain(n) = c { *n } else { 0 }).sum();
+    let reports = varied_stream(total);
+
+    for period in [1usize, 3] {
+        let mut live = OnlineTracker::new(coarse_config(), options);
+        let mut at = 0;
+        let (mut drains, mut sealed_bytes, mut formatted_bytes) = (0u64, 0u64, 0u64);
+        for (i, &call) in calls.iter().enumerate() {
+            apply(&mut live, call, &reports, &mut at);
+            if !matches!(call, Call::Drain(_)) {
+                continue;
+            }
+            drains += 1;
+            if drains % period as u64 != 0 {
+                continue;
+            }
+            let before = live.checkpoint_bytes_formatted();
+            let warm = seal_checkpoint(&live, drains);
+            formatted_bytes += live.checkpoint_bytes_formatted() - before;
+            sealed_bytes += warm.len() as u64;
+
+            // The reference: a tracker that saw the same reports and
+            // calls but was never sealed, so its cache starts empty.
+            let mut cold = OnlineTracker::new(coarse_config(), options);
+            let mut cold_at = 0;
+            for &c in &calls[..=i] {
+                apply(&mut cold, c, &reports, &mut cold_at);
+            }
+            assert_eq!(cold.checkpoint_bytes_formatted(), 0, "the reference was never sealed");
+            let reference = seal_checkpoint(&cold, drains);
+            assert!(warm == reference, "period {period}: seal after call {i} ({call:?}) drifted");
+            let canonical = Json::parse(&warm).expect("sealed JSON parses").to_json_string();
+            assert!(warm == canonical, "period {period}: seal after call {i} is not canonical");
+        }
+        assert_eq!(at, reports.len());
+        assert!(live.degradation_so_far().gaps_bridged > 0, "the outage was bridged");
+        // The cache did the work it exists for: most sealed bytes were
+        // copied, not formatted again.
+        assert!(
+            formatted_bytes * 2 < sealed_bytes,
+            "period {period}: formatted {formatted_bytes} of {sealed_bytes} sealed bytes"
+        );
+    }
 }
