@@ -49,8 +49,8 @@
 //! string writers, so its text is exactly what
 //! `Json::parse(text).to_json_string()` returns. History items and
 //! retained lag frames never change once pushed, so each tracker keeps
-//! their text in a seal cache: formatted the first time a checkpoint
-//! is written, copied on every later one. A seal therefore formats only
+//! their text in a seal cache: formatted the first time the tracker is
+//! sealed, copied on every later seal. A seal therefore formats only
 //! the items new since the previous seal plus the live state (stream,
 //! bridge, estimator, frontier, counters), though the bytes it writes
 //! still grow with the session. [`restore`](OnlineTracker::restore)
@@ -504,27 +504,27 @@ impl OnlineTracker {
     /// text, formatting only the items pushed since and the live state.
     /// The bytes are the same either way.
     pub fn write_checkpoint(&self, out: &mut String) {
-        match self.seal_cache.try_borrow_mut() {
-            Ok(mut cache) => self.write_checkpoint_with(&mut cache, out),
-            // Nothing re-enters the writer, so the cache is never
-            // borrowed here; a cold cache would still be correct.
-            Err(_) => self.write_checkpoint_with(&mut SealCache::default(), out),
-        }
+        self.write_checkpoint_with(&mut self.seal_cache.borrow_mut(), out);
     }
 
-    /// [`write_checkpoint`](Self::write_checkpoint) into a new string.
+    /// The checkpoint text as a new string. Same bytes as
+    /// [`write_checkpoint`](Self::write_checkpoint), but formatted
+    /// through a throwaway cache: the tracker's own seal cache is left
+    /// alone, so a one-off document (a migration payload, a test
+    /// reference) costs no cache fill.
     pub fn checkpoint_string(&self) -> String {
         let mut out = String::new();
-        self.write_checkpoint(&mut out);
+        self.write_checkpoint_with(&mut SealCache::default(), &mut out);
         out
     }
 
     /// Bytes the checkpoint writer formatted afresh, rather than copied
-    /// from the seal cache, over every checkpoint this tracker wrote.
+    /// from the seal cache, over every `write_checkpoint` call on this
+    /// tracker (each seal makes one; `checkpoint_string` does not count).
     /// A deterministic work counter: the difference across one seal is
     /// that seal's formatting work.
     pub fn checkpoint_bytes_formatted(&self) -> u64 {
-        self.seal_cache.try_borrow().map_or(0, |cache| cache.formatted)
+        self.seal_cache.borrow().formatted
     }
 
     fn write_checkpoint_with(&self, cache: &mut SealCache, out: &mut String) {
@@ -919,9 +919,10 @@ fn write_frame(f: &BeamFrame, out: &mut String) {
 /// no longer change, formatted once. Windows, steps and committed
 /// points are append-only; a retained lag frame is immutable until a
 /// commit drops it from the front. Everything else is live state and is
-/// written fresh by every call. The cache is filled by the checkpoint
-/// writer alone — `push` and decoder steps never touch it — and it is
-/// not logical state: a restored or migrated tracker starts empty.
+/// written fresh by every call. Only `write_checkpoint` (so only a seal)
+/// fills the cache — `push`, decoder steps and `checkpoint_string`
+/// never touch it — and it is not logical state: a restored or
+/// migrated tracker starts empty.
 #[derive(Debug, Default)]
 struct SealCache {
     windows: HistoryText,
@@ -957,11 +958,7 @@ impl HistoryText {
     /// Format the entries of `all` past the cached prefix; returns the
     /// bytes formatted.
     fn extend<T>(&mut self, all: &[T], write: impl Fn(&T, &mut String)) -> usize {
-        if all.len() < self.items {
-            // A history never shrinks within one tracker; start over
-            // rather than write a stale prefix.
-            *self = HistoryText::default();
-        }
+        debug_assert!(all.len() >= self.items, "a history never shrinks within one tracker");
         let before = self.text.len();
         for item in &all[self.items..] {
             self.text.push(',');
