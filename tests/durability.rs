@@ -15,6 +15,13 @@
 //! * **Store crash semantics** — staged-but-uncommitted writes stay
 //!   invisible, walk-back recovery survives corrupted newest
 //!   generations, and a fully rotten store returns a typed error.
+//! * **Seal bytes pinned** — every seal of fast-kernel trackers
+//!   (`f32`-widened scores) and exact-kernel trackers at a sweep of cut
+//!   points matches the length and CRC-32 recorded in
+//!   `tests/snapshots/seal_bytes.json`, and two of them match in full.
+//!   The snapshot was recorded before the workspace wrote numbers with
+//!   its own formatter and is never regenerated: it holds the writer to
+//!   the text Rust's `{}` Display gave.
 //! * **Incremental seals** — a tracker sealed again and again, whose
 //!   seal cache copies the text of everything sealed before, writes
 //!   exactly the bytes a never-sealed tracker in the same state writes,
@@ -379,5 +386,77 @@ fn incremental_seal_equals_cold_seal() {
             formatted_bytes * 2 < sealed_bytes,
             "period {period}: formatted {formatted_bytes} of {sealed_bytes} sealed bytes"
         );
+    }
+}
+
+/// The trackers and cuts `seal_bytes.json` pins: both kernels at the
+/// default lag and at a short one, sealed after every 32 reports of a
+/// 640-report stream with turns, translations and an outage.
+const SEAL_KERNELS: [(&str, fn() -> KernelOptions); 2] =
+    [("fast", KernelOptions::fast), ("exact", KernelOptions::exact)];
+const SEAL_LAGS: [usize; 2] = [64, 12];
+const SEAL_EVERY: usize = 32;
+const SEAL_REPORTS: usize = 640;
+/// The two seals the snapshot holds in full: `(kernel, lag, reports)`.
+const SEAL_IN_FULL: [(&str, usize, usize); 2] = [("fast", 12, 320), ("exact", 12, 96)];
+
+/// `(name, reports, generation, envelope)` for every pinned seal.
+fn pinned_seals() -> Vec<(String, usize, u64, String)> {
+    let reports = varied_stream(SEAL_REPORTS);
+    let mut seals = Vec::new();
+    for (kernel_name, kernel) in SEAL_KERNELS {
+        for lag in SEAL_LAGS {
+            let options = OnlineOptions { lag, kernel: kernel(), ..OnlineOptions::default() };
+            let mut tracker = OnlineTracker::new(coarse_config(), options);
+            for (cut, chunk) in reports.chunks(SEAL_EVERY).enumerate() {
+                tracker.extend(chunk);
+                let generation = cut as u64 + 1;
+                let fed = (cut + 1) * SEAL_EVERY;
+                let name = format!("{kernel_name}/lag{lag}");
+                seals.push((name, fed, generation, seal_checkpoint(&tracker, generation)));
+            }
+        }
+    }
+    seals
+}
+
+#[test]
+fn seals_match_the_pinned_bytes() {
+    let path = snapshot_path("seal_bytes.json");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing snapshot {} ({e})", path.display()));
+    let pinned = Json::parse(&text).expect("seal_bytes.json parses");
+    let entries = pinned.get("seals").and_then(Json::as_arr).expect("seals array");
+    let seals = pinned_seals();
+    assert_eq!(entries.len(), seals.len(), "one pinned entry per seal");
+    let mut fast_scores = 0;
+    for ((name, fed, generation, sealed), entry) in seals.iter().zip(entries) {
+        let at = format!("{name} after {fed} reports");
+        assert_eq!(entry.get("tracker").and_then(Json::as_str), Some(name.as_str()), "{at}");
+        assert_eq!(entry.req_f64("reports").ok(), Some(*fed as f64), "{at}");
+        assert_eq!(entry.req_f64("generation").ok(), Some(*generation as f64), "{at}");
+        assert_eq!(entry.req_f64("len").ok(), Some(sealed.len() as f64), "{at}: length drifted");
+        assert_eq!(
+            entry.req_f64("crc").ok(),
+            Some(crc32(sealed.as_bytes()) as f64),
+            "{at}: bytes drifted"
+        );
+        if name.starts_with("fast") {
+            fast_scores += 1;
+        }
+    }
+    assert!(fast_scores > 0, "the sweep covers fast-kernel seals");
+    let full = pinned.get("full").and_then(Json::as_arr).expect("full array");
+    assert_eq!(full.len(), SEAL_IN_FULL.len());
+    for ((kernel, lag, fed), entry) in SEAL_IN_FULL.iter().zip(full) {
+        let name = format!("{kernel}/lag{lag}");
+        let (_, _, _, sealed) = seals
+            .iter()
+            .find(|(n, f, _, _)| *n == name && f == fed)
+            .expect("the full seal is one of the swept seals");
+        assert_eq!(entry.get("tracker").and_then(Json::as_str), Some(name.as_str()));
+        assert_eq!(entry.req_f64("reports").ok(), Some(*fed as f64));
+        let want = entry.get("envelope").and_then(Json::as_str).expect("envelope text");
+        assert!(want == sealed, "{name} after {fed} reports: the sealed text drifted");
     }
 }
