@@ -188,7 +188,9 @@ echo "== verify: durability & crash recovery =="
 #   stage-then-commit atomicity plus generation walk-back over
 #   corrupted blobs, and holds every warm-cache seal byte-identical to
 #   the first seal of a never-sealed tracker in the same state (gated
-#   by name),
+#   by name), and holds every seal of fast- and exact-kernel trackers
+#   at swept cuts to tests/snapshots/seal_bytes.json (length and CRC-32
+#   each, two envelopes in full; gated by name),
 # - tests/chaos.rs is the deterministic chaos soak: swept kill points ×
 #   thread counts, corrupted-checkpoint fallbacks, duplicate recovery,
 #   stalled drains, and random ChaosPlans — no panics, zero report
@@ -199,6 +201,7 @@ echo "== verify: durability & crash recovery =="
 ran durability
 ran durability restore_bounds_the_kernel_thread_count
 ran durability incremental_seal_equals_cold_seal
+ran durability seals_match_the_pinned_bytes
 ran chaos
 ran polardraw_core durability
 ran rfid_sim chaos
