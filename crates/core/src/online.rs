@@ -68,7 +68,9 @@ use crate::pipeline::{DegradationReport, PolarDrawConfig, StepEstimate, StepKind
 use crate::preprocess::{PreprocessStats, Windowed, Windower};
 use crate::rotation::{AzimuthSnapshot, AzimuthTracker};
 use rf_core::angle::phase_diff;
-use rf_core::json::{write_escaped, write_integer, write_number, FromJson, ToJson};
+use rf_core::json::{
+    write_escaped, write_number, write_u32_array, write_u32_f64_pairs, FromJson, ToJson,
+};
 use rf_core::{wrap_pi, Json, JsonError, Vec2};
 use rfid_sim::tracking::Trail;
 use rfid_sim::TagReport;
@@ -554,13 +556,7 @@ impl OnlineTracker {
         let mut dec = ObjWriter::open(doc.key("decoder"));
         copied += write_cached_array(&cache.committed.text, dec.key("committed"));
         copied += write_cached_array(&cache.frames.text, dec.key("frames"));
-        write_arr(self.decoder.frontier(), dec.key("frontier"), |(c, score), out| {
-            out.push('[');
-            write_integer(c.into(), out);
-            out.push(',');
-            write_number(score, out);
-            out.push(']');
-        });
+        write_u32_f64_pairs(self.decoder.frontier(), dec.key("frontier"));
         write_decode_stats(&self.decoder.stats(), dec.key("stats"));
         dec.close();
 
@@ -910,8 +906,8 @@ fn write_vec2(p: Vec2, out: &mut String) {
 
 fn write_frame(f: &BeamFrame, out: &mut String) {
     let mut o = ObjWriter::open(out);
-    write_arr(&f.cells, o.key("cells"), |&c, out| write_integer(c.into(), out));
-    write_arr(&f.prevs, o.key("prevs"), |&c, out| write_integer(c.into(), out));
+    write_u32_array(&f.cells, o.key("cells"));
+    write_u32_array(&f.prevs, o.key("prevs"));
     o.close();
 }
 

@@ -6,17 +6,23 @@
 //! `serde_json`. It supports exactly the JSON the workspace emits:
 //! objects, arrays, strings, finite numbers, booleans, and null.
 //!
-//! Number fidelity: values are written with Rust's shortest round-trip
-//! `f64` formatting, so `parse(write(x)) == x` bit-for-bit for every
-//! finite `f64` including `-0.0` and extreme exponents. Non-finite
+//! Number fidelity: values are written in shortest round-trip form, so
+//! `parse(write(x)) == x` bit-for-bit for every finite `f64` including
+//! `-0.0` and extreme exponents. The digits come from the module's own
+//! writer (Schubfach's shortest-digit search over a `const`-built table
+//! of powers of ten, with the digits emitted eight at a time), and its
+//! text is exactly what Rust's `{x}` Display prints: Display survives
+//! only as the oracle the unit tests hold the writer to. Non-finite
 //! numbers have no JSON representation and are written as `null`
 //! (matching `serde_json`'s lossy default).
 //!
 //! The writer primitives ([`write_number`], [`write_integer`],
-//! [`write_escaped`]) are public so a hot serializer can write a
-//! document straight into a buffer, without building a [`Json`] tree
-//! first, and still produce the bytes the tree writer would: the tree
-//! writer calls the same functions.
+//! [`write_u32_array`], [`write_u32_f64_pairs`], [`write_escaped`]) are
+//! public so a hot serializer can write a document straight into a
+//! buffer, without building a [`Json`] tree first, and still produce
+//! the bytes the tree writer would: the tree writer calls the same
+//! functions, and the array writers write each item exactly as the
+//! scalar writers do.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -215,68 +221,462 @@ impl std::fmt::Display for Json {
 /// 2^53: below it every integer is an `f64`, one ulp apart at most.
 const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
 
+/// The longest text [`write_number`] writes: `-0.` followed by 323
+/// zeros and a 5, for `-5e-324`. A magnitude below 1 has at most 324
+/// places after the point (the last digit of the shortest decimal of
+/// `5e-324`, the smallest), and one of 1 or more at most 309 digits in
+/// all (`f64::MAX`).
+const MAX_NUMBER_LEN: usize = 327;
+
+/// The room [`put_number`] writes into: the longest text plus the
+/// overhang of [`put_u64`]'s 8-byte digit stores.
+const NUMBER_ROOM: usize = MAX_NUMBER_LEN + 7;
+
 /// Append `x` as a JSON number: the shortest decimal that parses back
-/// to the same bits, or `null` for a non-finite value.
+/// to the same bits, or `null` for a non-finite value. The text is
+/// exactly what Rust's `{x}` Display writes — the closest of the
+/// shortest round-trip digit strings, a tie going to the larger
+/// magnitude, never an exponent, `-0` for negative zero — and at most
+/// 327 bytes long.
 pub fn write_number(x: f64, out: &mut String) {
-    if !x.is_finite() {
-        out.push_str("null");
-        return;
-    }
-    // Fast path for integral values below 2^53 in magnitude (checkpoint
-    // documents are mostly cell indices and counters). There an ulp is
-    // at most 1, so no other decimal with fewer significant digits lies
-    // within half an ulp: the shortest round-trip digits `{x}` prints
-    // are the integer itself. `-0.0` keeps the general path (`-0`).
-    if x.fract() == 0.0 && x.abs() < EXACT_INT_LIMIT && !(x == 0.0 && x.is_sign_negative()) {
-        write_integer(x as i64, out);
-        return;
-    }
-    // Rust's `{}` for f64 is the shortest string that parses back to the
-    // same bits — ideal for fidelity. It writes `-0` for negative zero
-    // and never produces a leading `.` or `+`, so it is always valid
-    // JSON except for the exponent-free rendering of huge values, which
-    // is also valid JSON (just long).
-    let _ = write!(out, "{x}");
+    TextBatch::<NUMBER_ROOM>::new(out).number(x);
 }
 
-/// `"00" "01" … "99"`: the two ASCII digits of every value below 100.
-const DIGIT_PAIRS: &[u8; 200] = b"\
-    0001020304050607080910111213141516171819\
-    2021222324252627282930313233343536373839\
-    4041424344454647484950515253545556575859\
-    6061626364656667686970717273747576777879\
-    8081828384858687888990919293949596979899";
-
-/// Append the decimal digits of `n`, as `{n}` prints them, two digits
-/// per step. For `|n| < 2^53` this is also what [`write_number`]
-/// writes for `n as f64`.
+/// Append the decimal digits of `n`, as `{n}` prints them. For
+/// `|n| < 2^53` this is also what [`write_number`] writes for
+/// `n as f64`.
 pub fn write_integer(n: i64, out: &mut String) {
     // 19 digits plus a sign fit any i64.
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
-    let mut m = n.unsigned_abs();
-    while m >= 100 {
-        let pair = (m % 100) as usize * 2;
-        m /= 100;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    TextBatch::<20>::new(out).integer(n);
+}
+
+/// Append `items` as a JSON array of integers: the text of writing
+/// each with [`write_integer`], comma-separated, in brackets, with the
+/// digits batched in a stack buffer and handed to `out` a few
+/// kilobytes at a time.
+pub fn write_u32_array(items: &[u32], out: &mut String) {
+    // Room for a comma and the ten digits of any u32.
+    const ITEM: usize = 11;
+    let mut text = TextBatch::<ARRAY_BATCH>::new(out);
+    if items.is_empty() {
+        text.bytes(b"[]");
+        return;
     }
-    if m >= 10 {
-        let pair = m as usize * 2;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    // Every item is written after a comma; the first comma becomes the
+    // opening bracket.
+    for (i, chunk) in items.chunks(ARRAY_BATCH / ITEM).enumerate() {
+        let dst = text.reserve(chunk.len() * ITEM);
+        let mut len = 0;
+        for &n in chunk {
+            dst[len] = b',';
+            len += 1 + put_u64(n.into(), &mut dst[len + 1..]);
+        }
+        if i == 0 {
+            dst[0] = b'[';
+        }
+        text.advance(len);
+    }
+    text.bytes(b"]");
+}
+
+/// Append `pairs` as a JSON array of `[integer, number]` pairs, each
+/// item written as [`write_integer`] and [`write_number`] write it,
+/// batched like [`write_u32_array`].
+pub fn write_u32_f64_pairs(pairs: impl IntoIterator<Item = (u32, f64)>, out: &mut String) {
+    let mut text = TextBatch::<ARRAY_BATCH>::new(out);
+    text.bytes(b"[");
+    for (i, (n, x)) in pairs.into_iter().enumerate() {
+        let dst = text.reserve(13 + NUMBER_ROOM);
+        let mut len = usize::from(i > 0);
+        dst[0] = b',';
+        dst[len] = b'[';
+        len += 1;
+        len += put_u64(n.into(), &mut dst[len..]);
+        dst[len] = b',';
+        len += 1;
+        len += put_number(x, &mut dst[len..]);
+        dst[len] = b']';
+        text.advance(len + 1);
+    }
+    text.bytes(b"]");
+}
+
+/// Stack bytes an array writer batches before handing them to its
+/// `String`.
+const ARRAY_BATCH: usize = 4096;
+
+/// Text written into an `N`-byte stack buffer and appended to a
+/// `String` one batch at a time — when the next item might not fit, and
+/// on drop — so many small values cost one `push_str` per batch rather
+/// than one each. Every byte written is ASCII.
+struct TextBatch<'a, const N: usize> {
+    out: &'a mut String,
+    buf: [u8; N],
+    len: usize,
+}
+
+impl<'a, const N: usize> TextBatch<'a, N> {
+    fn new(out: &'a mut String) -> Self {
+        TextBatch { out, buf: [0; N], len: 0 }
+    }
+
+    /// At least `n ≤ N` free bytes to write into; [`advance`](Self::advance)
+    /// then keeps what was written.
+    fn reserve(&mut self, n: usize) -> &mut [u8] {
+        if N - self.len < n {
+            self.flush();
+        }
+        &mut self.buf[self.len..]
+    }
+
+    fn advance(&mut self, written: usize) {
+        self.len += written;
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.reserve(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        self.advance(bytes.len());
+    }
+
+    fn integer(&mut self, n: i64) {
+        let dst = self.reserve(20);
+        let sign = usize::from(n < 0);
+        dst[0] = b'-';
+        let len = sign + put_u64(n.unsigned_abs(), &mut dst[sign..]);
+        self.advance(len);
+    }
+
+    fn number(&mut self, x: f64) {
+        let len = put_number(x, self.reserve(NUMBER_ROOM));
+        self.advance(len);
+    }
+
+    fn flush(&mut self) {
+        // Every byte written is ASCII, so this never fails.
+        if let Ok(text) = std::str::from_utf8(&self.buf[..self.len]) {
+            self.out.push_str(text);
+        }
+        self.len = 0;
+    }
+}
+
+impl<const N: usize> Drop for TextBatch<'_, N> {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+/// Number of decimal digits of `n` (1 for 0).
+fn decimal_len(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
+/// The eight decimal digits of `n < 10^8`, most significant in the
+/// lowest byte, computed in parallel lanes of one `u64`: split into
+/// two 4-digit halves (32-bit lanes), each into two 2-digit parts
+/// (16-bit lanes), each into two digits (bytes). The multiply-shifts
+/// divide exactly below 10^4 (by 100) and below 100 (by 10).
+fn eight_digits(n: u32) -> u64 {
+    let halves = u64::from(n / 10_000) | u64::from(n % 10_000) << 32;
+    let hundreds = ((halves * 10_486) >> 20) & 0x0000_007F_0000_007F;
+    let pairs = (halves - hundreds * 100) << 16 | hundreds;
+    let tens = ((pairs * 103) >> 10) & 0x000F_000F_000F_000F;
+    (pairs - tens * 10) << 8 | tens
+}
+
+/// `b'0'` in every byte: turns [`eight_digits`] into ASCII.
+const ASCII_ZEROS: u64 = 0x3030_3030_3030_3030;
+
+/// The ASCII digits of `n < 10^8` from the lowest byte on, without
+/// leading zeros, and how many there are. The leading zeros are the
+/// low zero bytes of [`eight_digits`] (all but one for `n = 0`).
+fn short_digits(n: u32) -> (u64, usize) {
+    let digits = eight_digits(n);
+    let zeros = (digits.trailing_zeros() / 8).min(7);
+    ((digits + ASCII_ZEROS) >> (8 * zeros), 8 - zeros as usize)
+}
+
+/// Write the decimal digits of `n` at the front of `dst`; returns how
+/// many (at most 20). Digits go out eight at a time, so `dst` must
+/// hold at least 8 bytes even for a shorter `n`: bytes past the
+/// returned length are scratch.
+fn put_u64(n: u64, dst: &mut [u8]) -> usize {
+    const E8: u64 = 100_000_000;
+    if n < E8 {
+        let (text, len) = short_digits(n as u32);
+        dst[..8].copy_from_slice(&text.to_le_bytes());
+        return len;
+    }
+    // A leading group of up to eight digits, then whole groups of eight.
+    let (lead, groups) = if n < E8 * E8 { (n / E8, 1) } else { (n / (E8 * E8), 2) };
+    let (text, mut len) = short_digits(lead as u32);
+    dst[..8].copy_from_slice(&text.to_le_bytes());
+    if groups == 2 {
+        let group = eight_digits((n / E8 % E8) as u32) + ASCII_ZEROS;
+        dst[len..len + 8].copy_from_slice(&group.to_le_bytes());
+        len += 8;
+    }
+    let last = eight_digits((n % E8) as u32) + ASCII_ZEROS;
+    dst[len..len + 8].copy_from_slice(&last.to_le_bytes());
+    len + 8
+}
+
+/// Write the [`write_number`] text of `x` at the front of `dst`, which
+/// must hold [`NUMBER_ROOM`] bytes; returns its length.
+fn put_number(x: f64, dst: &mut [u8]) -> usize {
+    if !x.is_finite() {
+        dst[..4].copy_from_slice(b"null");
+        return 4;
+    }
+    let sign = usize::from(x.is_sign_negative());
+    dst[0] = b'-';
+    if x == 0.0 {
+        dst[sign] = b'0';
+        return sign + 1;
+    }
+    // Integral values below 2^53 in magnitude (checkpoint documents
+    // are mostly cell indices and counters): there an ulp is at most 1,
+    // so no decimal with fewer significant digits lies within half an
+    // ulp, and the shortest round-trip digits are the integer itself.
+    if x.abs() < EXACT_INT_LIMIT && x.abs() >= 1.0 {
+        // 1 ≤ |x| < 2^53: `below` of the 53 significand bits lie below
+        // the binary point, and an integer has them all zero.
+        let bits = x.to_bits();
+        let significand = bits & ((1 << 52) - 1) | 1 << 52;
+        let below = 1075 - ((bits >> 52) & 0x7FF);
+        if significand & ((1 << below) - 1) == 0 {
+            return sign + put_u64(significand >> below, &mut dst[sign..]);
+        }
+    }
+    let (mut digits, mut exp) = shortest_decimal(x.to_bits());
+    while digits % 10 == 0 {
+        digits /= 10;
+        exp += 1;
+    }
+    let dst = &mut dst[sign..];
+    let n = decimal_len(digits) as i32;
+    // The value is 0.d₁d₂…dₙ × 10^point.
+    let point = exp + n;
+    let len = if point <= 0 {
+        // 0.000ddd
+        let zeros = (2 - point) as usize;
+        dst[..zeros].fill(b'0');
+        dst[1] = b'.';
+        zeros + put_u64(digits, &mut dst[zeros..])
+    } else if point < n {
+        // ddd.ddd: move the fraction digits (at most 16) one place
+        // right as one fixed-size block, and put the point in the gap.
+        let point = point as usize;
+        let len = put_u64(digits, dst);
+        let mut fraction = [0u8; 16];
+        fraction.copy_from_slice(&dst[point..point + 16]);
+        dst[point + 1..point + 17].copy_from_slice(&fraction);
+        dst[point] = b'.';
+        len + 1
     } else {
-        at -= 1;
-        buf[at] = b'0' + m as u8;
+        // ddd000
+        let n = put_u64(digits, dst);
+        let end = point as usize;
+        dst[n..end].fill(b'0');
+        end
+    };
+    sign + len
+}
+
+// ----------------------------------------------------------------------
+// Shortest round-trip decimal digits (Schubfach).
+//
+// R. Giulietti, "The Schubfach way to render doubles" (2020): with
+// v = c·2^q, the candidates are the multiples of 10^k and 10^(k+1)
+// nearest v, for the k where 10^k ≤ 2^q < 10^(k+1) (so the rounding
+// interval R_v, one ulp wide, holds at most one multiple of 10^(k+1)
+// and at least one of 10^k). The interval ends and v are scaled by
+// 10^-k with a 126-bit approximation g of it and rounded to odd, which
+// keeps every comparison against a candidate exact. Two choices here
+// differ from the paper's Java `Double.toString`, to give Display's
+// digits: one digit is enough (Java keeps at least two), and when v
+// lies exactly halfway between the two nearest candidates the larger
+// wins (Rust's Dragon4 rounds half up; Java rounds half to even).
+// Display's decoder also treats the smallest normal's lower spacing as
+// irregular, like every other power of two.
+// ----------------------------------------------------------------------
+
+/// Decimal exponents `k` whose `10^-k` the table holds: `k` for the
+/// smallest subnormal's `2^-1074` and for `f64::MAX`'s `2^971`.
+const K_MIN: i32 = -324;
+const K_MAX: i32 = 292;
+
+/// `G[k - K_MIN] = ⌊β⌋ + 1`, where `10^-k = β·2^r` and
+/// `2^125 ≤ β < 2^126`: a 126-bit approximation of `10^-k` from above.
+static G: [u128; (K_MAX - K_MIN + 1) as usize] = pow10_table();
+
+/// 64-bit limbs of the big integers the table is built from (powers of
+/// ten up to `10^324` and `2^1096 / 10^k`), least significant first.
+const LIMBS: usize = 18;
+
+const fn big_mul_small(mut a: [u64; LIMBS], m: u64) -> [u64; LIMBS] {
+    let mut carry = 0u128;
+    let mut i = 0;
+    while i < LIMBS {
+        let p = a[i] as u128 * m as u128 + carry;
+        a[i] = p as u64;
+        carry = p >> 64;
+        i += 1;
     }
-    if n < 0 {
-        at -= 1;
-        buf[at] = b'-';
+    a
+}
+
+const fn big_div_small(mut a: [u64; LIMBS], d: u64) -> [u64; LIMBS] {
+    let mut rem = 0u128;
+    let mut i = LIMBS;
+    while i > 0 {
+        i -= 1;
+        let cur = (rem << 64) | a[i] as u128;
+        a[i] = (cur / d as u128) as u64;
+        rem = cur % d as u128;
     }
-    // Every byte written above is ASCII, so this never fails.
-    if let Ok(digits) = std::str::from_utf8(&buf[at..]) {
-        out.push_str(digits);
+    a
+}
+
+const fn big_bit_len(a: &[u64; LIMBS]) -> u32 {
+    let mut i = LIMBS;
+    while i > 0 {
+        i -= 1;
+        if a[i] != 0 {
+            return i as u32 * 64 + (64 - a[i].leading_zeros());
+        }
     }
+    0
+}
+
+/// Bits `shift .. shift + 128` of `a`.
+const fn big_bits_from(a: &[u64; LIMBS], shift: u32) -> u128 {
+    let limb = (shift / 64) as usize;
+    let off = shift % 64;
+    let mut out = 0u128;
+    let mut i = 0;
+    // Three limbs cover 128 bits at any offset.
+    while i < 3 && limb + i < LIMBS {
+        let word = a[limb + i] as u128;
+        let at = 64 * i as u32;
+        if at >= off {
+            if at - off < 128 {
+                out |= word << (at - off);
+            }
+        } else {
+            out |= word >> (off - at);
+        }
+        i += 1;
+    }
+    out
+}
+
+const fn pow10_table() -> [u128; (K_MAX - K_MIN + 1) as usize] {
+    let mut table = [0u128; (K_MAX - K_MIN + 1) as usize];
+    // pow = 10^n; inv = ⌊2^M / 10^n⌋ with M = 125 + bit_len(10^K_MAX).
+    const M: u32 = 1096;
+    let mut pow = [0u64; LIMBS];
+    pow[0] = 1;
+    let mut inv = [0u64; LIMBS];
+    inv[(M / 64) as usize] = 1 << (M % 64);
+    let mut n = 0;
+    while n <= -K_MIN {
+        let len = big_bit_len(&pow);
+        // k = -n: 10^n = β·2^r with r = len - 126.
+        table[(-n - K_MIN) as usize] = if len <= 126 {
+            (big_bits_from(&pow, 0) << (126 - len)) + 1
+        } else {
+            big_bits_from(&pow, len - 126) + 1
+        };
+        // k = n > 0: 10^-n = β·2^r with β = 2^(125 + len) / 10^n.
+        if n > 0 && n <= K_MAX {
+            table[(n - K_MIN) as usize] = big_bits_from(&inv, M - 125 - len) + 1;
+        }
+        pow = big_mul_small(pow, 10);
+        inv = big_div_small(inv, 10);
+        n += 1;
+    }
+    table
+}
+
+/// `⌊q·log10(2)⌋` for `|q| ≤ 2^12`.
+fn flog10_pow2(q: i32) -> i32 {
+    ((q as i64 * 661_971_961_083) >> 41) as i32
+}
+
+/// `⌊log10(3/4 · 2^q)⌋` for `|q| ≤ 2^12`.
+fn flog10_three_quarters_pow2(q: i32) -> i32 {
+    ((q as i64 * 661_971_961_083 - 274_743_187_321) >> 41) as i32
+}
+
+/// `⌊e·log2(10)⌋` for `|e| ≤ 2^10`.
+fn flog2_pow10(e: i32) -> i32 {
+    ((e as i64 * 913_124_641_741) >> 38) as i32
+}
+
+/// `g·cp / 2^127` rounded to odd: the floor, with its lowest bit set
+/// when the quotient is not an integer.
+fn round_to_odd(g: u128, cp: u64) -> u64 {
+    const MASK_63: u64 = (1 << 63) - 1;
+    let (g1, g0) = ((g >> 63) as u64, g as u64 & MASK_63);
+    let x1 = ((g0 as u128 * cp as u128) >> 64) as u64;
+    let y = g1 as u128 * cp as u128;
+    let z = ((y as u64) >> 1) + x1;
+    let floor = (y >> 64) as u64 + (z >> 63);
+    floor | ((z & MASK_63) + MASK_63) >> 63
+}
+
+/// The shortest digits of a finite nonzero `f64` (given by its bits;
+/// the sign is ignored): `(d, e)` with `d·10^e` the decimal with the
+/// fewest significant digits inside the value's rounding interval,
+/// the nearest such on a choice, the larger on a tie. `d` may carry
+/// trailing zeros.
+fn shortest_decimal(bits: u64) -> (u64, i32) {
+    const FRACTION_BITS: u32 = 52;
+    let fraction = bits & ((1 << FRACTION_BITS) - 1);
+    let biased = ((bits >> FRACTION_BITS) & 0x7FF) as i32;
+    let (c, q) = if biased == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | 1 << FRACTION_BITS, biased - 1075)
+    };
+    // An odd significand rounds away from the interval's ends, so they
+    // are excluded; an even one rounds to them, so they are included.
+    let out = c & 1;
+    let cb = c << 2;
+    let cbr = cb + 2;
+    let (cbl, k) = if c == 1 << FRACTION_BITS {
+        // A power of two: the value below is half an ulp closer.
+        (cb - 1, flog10_three_quarters_pow2(q))
+    } else {
+        (cb - 2, flog10_pow2(q))
+    };
+    let h = q + flog2_pow10(-k) + 2;
+    let g = G[(k - K_MIN) as usize];
+    // 4·v, 4·low and 4·high, scaled by 10^-k and rounded to odd.
+    let vb = round_to_odd(g, cb << h);
+    let vbl = round_to_odd(g, cbl << h);
+    let vbr = round_to_odd(g, cbr << h);
+    let s = vb >> 2;
+    if s >= 10 {
+        // The multiples of 10^(k+1) below and above v: at most one is
+        // in the interval, and if one is, it is the shortest.
+        let sp = s / 10;
+        let upin = vbl + out <= (10 * sp) << 2;
+        let wpin = ((10 * (sp + 1)) << 2) + out <= vbr;
+        if upin != wpin {
+            return (sp + u64::from(wpin), k + 1);
+        }
+    }
+    // The multiples of 10^k below and above v: at least one is in.
+    let t = s + 1;
+    let uin = vbl + out <= s << 2;
+    let win = (t << 2) + out <= vbr;
+    if uin != win {
+        return (if uin { s } else { t }, k);
+    }
+    // Both are: the nearer, and on a tie the larger.
+    (if vb < (s + t) << 1 { s } else { t }, k)
 }
 
 /// Append `s` as a JSON string literal: quoted, with `"`, `\\` and
@@ -717,6 +1117,149 @@ mod tests {
             let mut out = String::from("x");
             write_integer(n, &mut out);
             assert_eq!(out, format!("x{n}"));
+        }
+    }
+
+    /// `write_number` against `{x}` — Display, the oracle — for one
+    /// value and its negation, with the length bound.
+    fn assert_display_text(x: f64) {
+        for x in [x, -x] {
+            let mut out = String::new();
+            write_number(x, &mut out);
+            let want = if x.is_finite() { format!("{x}") } else { "null".to_string() };
+            assert_eq!(out, want, "bits {:#018x}", x.to_bits());
+            assert!(out.len() <= MAX_NUMBER_LEN, "{out}");
+        }
+    }
+
+    #[test]
+    fn number_writer_matches_display_on_every_class() {
+        let mut rng = crate::rng::Rng64::from_seed(0x5C4B_FAC4);
+        // Arbitrary bit patterns: every exponent, normal and subnormal,
+        // both signs (non-finite ones write `null`).
+        for _ in 0..2_000_000 {
+            assert_display_text(f64::from_bits(rng.next_u64()));
+        }
+        // Subnormals, at every significand width.
+        for _ in 0..200_000 {
+            let bits = rng.next_u64() & ((1 << 52) - 1);
+            assert_display_text(f64::from_bits(bits >> (rng.next_u64() % 52)));
+        }
+        for fraction in (1..=10_000u64).chain((1 << 52) - 10_000..1 << 52) {
+            assert_display_text(f64::from_bits(fraction));
+        }
+        // f32-widened values (the fast kernel's scores): short binary
+        // significands, where the shortest f64 digits are long.
+        for _ in 0..500_000 {
+            let narrow = f32::from_bits(rng.next_u64() as u32);
+            assert_display_text(f64::from(narrow));
+            assert_display_text(f64::from(narrow) * 2f64.powi((rng.next_u64() % 64) as i32 - 32));
+        }
+        // Binary fractions and integers above 2^53 with few significant
+        // bits: the values whose decimal expansion ends within reach,
+        // where the two nearest candidates can tie and a candidate can
+        // land on an interval end.
+        for _ in 0..500_000 {
+            let significand = (rng.next_u64() >> (11 + rng.next_u64() % 50)) | 1;
+            let scale = (rng.next_u64() % 200) as i32 - 100;
+            assert_display_text(significand as f64 * 2f64.powi(scale));
+        }
+        // Powers of two and of ten, with their ±3-ulp neighbours.
+        let powers = (-1074..=1023)
+            .map(|e| 2f64.powi(e))
+            .chain((-323..=308).filter_map(|e: i32| format!("1e{e}").parse().ok()));
+        for p in powers {
+            for d in 0..=3u64 {
+                assert_display_text(f64::from_bits(p.to_bits() + d));
+                assert_display_text(f64::from_bits(p.to_bits() - d));
+            }
+        }
+        // Around 2^53, where the exact-integer path ends.
+        let two53 = EXACT_INT_LIMIT.to_bits();
+        for d in 0..=1_000u64 {
+            assert_display_text(f64::from_bits(two53 + d));
+            assert_display_text(f64::from_bits(two53 - d));
+            assert_display_text(EXACT_INT_LIMIT - d as f64 - 0.5);
+        }
+        for x in [
+            0.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            5e-324,
+            f64::from_bits((1 << 52) - 1), // the largest subnormal
+            0.1,
+            1.0 / 3.0,
+            2f64.powi(50) + 0.25, // a tie between …624.2 and …624.3
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            assert_display_text(x);
+        }
+        // The longest text there is.
+        let mut out = String::new();
+        write_number(-5e-324, &mut out);
+        assert_eq!(out.len(), MAX_NUMBER_LEN);
+    }
+
+    #[test]
+    fn exponent_estimates_are_exact_over_their_range() {
+        // The nearest integer to any product below is at least 1e-6
+        // away (checked), far beyond the f64 products' error.
+        let floor = |x: f64| {
+            assert!((x - x.round()).abs() > 1e-6, "{x} too close to call");
+            x.floor() as i32
+        };
+        for q in -1100..=1100 {
+            let q2 = q as f64;
+            if q != 0 {
+                assert_eq!(flog10_pow2(q), floor(q2 * std::f64::consts::LOG10_2), "q {q}");
+                assert_eq!(flog2_pow10(q), floor(q2 * std::f64::consts::LOG2_10), "e {q}");
+            }
+            let three_quarters = q2 * std::f64::consts::LOG10_2 + 0.75f64.log10();
+            assert_eq!(flog10_three_quarters_pow2(q), floor(three_quarters), "q {q}");
+        }
+        assert_eq!((flog10_pow2(0), flog2_pow10(0)), (0, 0));
+        // Each table entry is a 126-bit value just above its power.
+        assert_eq!(G[(0 - K_MIN) as usize], (1 << 125) + 1);
+        assert_eq!(G[(-1 - K_MIN) as usize], (5 << 123) + 1);
+        // 10^-1 = 2^129 / 10 × 2^-129, and ⌊2^128 / 5⌋ = ⌊(2^128 - 1) / 5⌋.
+        assert_eq!(G[(1 - K_MIN) as usize], u128::MAX / 5 + 1);
+        assert!(G.iter().all(|&g| (1 << 125) < g && g < 1 << 126));
+    }
+
+    #[test]
+    fn array_writers_match_the_item_writers() {
+        // Every width, then a long run that crosses many batches.
+        let mut items = vec![0u32, 9, 10, 99, 100, u32::MAX];
+        let mut p = 1u32;
+        while let Some(next) = p.checked_mul(10) {
+            items.extend([p - 1, p, p + 1]);
+            p = next;
+        }
+        let mut rng = crate::rng::Rng64::from_seed(0xA77A_7E57);
+        items.extend((0..5_000).map(|_| (rng.next_u64() as u32) >> (rng.next_u64() % 32)));
+        for len in [0, 1, 2, items.len()] {
+            let mut out = String::from("x");
+            write_u32_array(&items[..len], &mut out);
+            let want: Vec<String> = items[..len].iter().map(|n| format!("{n}")).collect();
+            assert_eq!(out, format!("x[{}]", want.join(",")), "{len} items");
+        }
+        // Pairs, with numbers of every length up to the longest.
+        let mut pairs = vec![(0u32, -5e-324), (u32::MAX, f64::MAX), (7, -0.0), (8, f64::NAN)];
+        pairs.extend((0..5_000).map(|i| (i as u32 * 977, f64::from_bits(rng.next_u64()))));
+        for len in [0, 1, 3, pairs.len()] {
+            let mut out = String::from("x");
+            write_u32_f64_pairs(pairs[..len].iter().copied(), &mut out);
+            let want: Vec<String> = pairs[..len]
+                .iter()
+                .map(|&(n, x)| {
+                    let mut item = format!("[{n},");
+                    write_number(x, &mut item);
+                    item + "]"
+                })
+                .collect();
+            assert_eq!(out, format!("x[{}]", want.join(",")), "{len} pairs");
         }
     }
 
