@@ -9,17 +9,17 @@
 //! tables are built in a `const` context from the reflected polynomial.
 //!
 //! Checkpoints run to a few hundred kilobytes, so [`crc32`] consumes
-//! eight bytes per step ("slicing-by-8"): table `k` holds the CRC
+//! sixteen bytes per step ("slicing-by-16"): table `k` holds the CRC
 //! contribution of a byte followed by `k` zero bytes, and one step
-//! XORs eight lookups. The value is the bytewise algorithm's exactly.
+//! XORs sixteen lookups. The value is the bytewise algorithm's exactly.
 
 /// Reflected IEEE 802.3 polynomial (the one used by zlib, PNG, …).
 const POLY: u32 = 0xEDB8_8320;
 
 /// Slicing tables: `TABLES[0]` is the classic one-byte-per-step table;
 /// `TABLES[k][i]` advances `TABLES[k - 1][i]` by one more zero byte.
-static TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
+static TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -32,7 +32,7 @@ static TABLES: [[u32; 256]; 8] = {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[k - 1][i];
@@ -51,18 +51,19 @@ static TABLES: [[u32; 256]; 8] = {
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
+    let mut chunks = bytes.chunks_exact(16);
     for c in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        // The running CRC folds into the first four bytes; byte `i` of
+        // the chunk is followed by `15 - i` more, so it looks up table
+        // `15 - i`.
+        let mut word = [0u8; 16];
+        word.copy_from_slice(c);
+        let head = (crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]])).to_le_bytes();
+        word[..4].copy_from_slice(&head);
+        crc = 0;
+        for (i, &b) in word.iter().enumerate() {
+            crc ^= t[15 - i][b as usize];
+        }
     }
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
@@ -96,14 +97,14 @@ mod tests {
     fn sliced_matches_bytewise_at_every_length_and_alignment() {
         // Deterministic pseudo-random bytes (a 64-bit LCG's top byte).
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let data: Vec<u8> = (0..72)
+        let data: Vec<u8> = (0..144)
             .map(|_| {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 (state >> 56) as u8
             })
             .collect();
-        for start in 0..8 {
-            for len in 0..=64 {
+        for start in 0..16 {
+            for len in 0..=128 {
                 let s = &data[start..start + len];
                 assert_eq!(crc32(s), crc32_bytewise(s), "start {start}, len {len}");
             }
