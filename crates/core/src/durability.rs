@@ -315,8 +315,13 @@ impl CheckpointStore {
     /// returning the generation number. Stage + commit in one call.
     pub fn save(&mut self, session: u64, tracker: &OnlineTracker) -> u64 {
         let generation = self.latest(session).map_or(1, |g| g + 1);
-        let text = seal_checkpoint(tracker, generation);
-        self.stage(session, generation, text.as_bytes());
+        let mut bytes = seal_checkpoint(tracker, generation).into_bytes();
+        // The sealed buffer reserved room for the document to grow; a
+        // blob kept for `keep` generations should not hold that slack.
+        // Shrinking gives the tail back to the allocator, normally
+        // without moving the text.
+        bytes.shrink_to_fit();
+        self.stage(session, generation, bytes);
         self.commit(session, generation);
         generation
     }
@@ -324,8 +329,9 @@ impl CheckpointStore {
     /// First half of a write: park the sealed bytes at a staging key.
     /// Recovery ignores staged bytes; only [`commit`](Self::commit)
     /// makes them visible. Exposed so the chaos harness can crash a
-    /// writer between the two steps.
-    pub fn stage(&mut self, session: u64, generation: u64, bytes: &[u8]) {
+    /// writer between the two steps. The store takes the buffer itself:
+    /// [`save`](Self::save) hands over the sealed text's bytes uncopied.
+    pub fn stage(&mut self, session: u64, generation: u64, bytes: Vec<u8>) {
         self.backend.put(&Self::stage_key(session, generation), bytes);
     }
 
@@ -354,7 +360,7 @@ impl CheckpointStore {
     /// Overwrite one committed generation's bytes in place — the
     /// corruption hook the chaos harness uses to model bit rot.
     pub fn overwrite(&mut self, session: u64, generation: u64, bytes: &[u8]) {
-        self.backend.put(&Self::final_key(session, generation), bytes);
+        self.backend.put(&Self::final_key(session, generation), bytes.to_vec());
     }
 
     /// Rebuild `session`'s tracker from the newest generation that
@@ -487,8 +493,8 @@ mod tests {
         }
         // An orphaned staged write (a writer crashed between stage and
         // commit) goes with its session too.
-        store.stage(16, 9, seal_checkpoint(&tracker, 9).as_bytes());
-        store.stage(17, 9, seal_checkpoint(&tracker, 9).as_bytes());
+        store.stage(16, 9, seal_checkpoint(&tracker, 9).into_bytes());
+        store.stage(17, 9, seal_checkpoint(&tracker, 9).into_bytes());
         store.purge(16);
         assert_eq!(store.generations(16), Vec::<u64>::new());
         assert_eq!(store.recover(16, coarse_config()).unwrap_err(), RestoreError::Missing);
@@ -579,7 +585,7 @@ mod tests {
         store.save(1, &tracker);
         // A writer crashes after staging generation 2.
         let sealed = seal_checkpoint(&tracker, 2);
-        store.stage(1, 2, sealed.as_bytes());
+        store.stage(1, 2, sealed.into_bytes());
         assert_eq!(store.latest(1), Some(1), "staged bytes are not visible");
         let recovered = store.recover(1, coarse_config()).expect("recover");
         assert_eq!(recovered.generation, 1);

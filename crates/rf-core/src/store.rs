@@ -26,8 +26,9 @@ use std::ops::Bound;
 /// bytes, never a mix); write-then-commit sequencing across *keys* is
 /// the durability layer's job, not the store's.
 pub trait BlobStore: std::fmt::Debug {
-    /// Insert or replace the blob at `key`.
-    fn put(&mut self, key: &str, bytes: &[u8]);
+    /// Insert or replace the blob at `key`, taking ownership of its
+    /// bytes (an in-memory store keeps the buffer itself, no copy).
+    fn put(&mut self, key: &str, bytes: Vec<u8>);
     /// Fetch a copy of the blob at `key`, if present.
     fn get(&self, key: &str) -> Option<Vec<u8>>;
     /// All keys, lexicographically sorted.
@@ -52,7 +53,7 @@ pub trait BlobStore: std::fmt::Debug {
         let Some(bytes) = self.get(from) else {
             return false;
         };
-        self.put(to, &bytes);
+        self.put(to, bytes);
         self.remove(from);
         true
     }
@@ -90,8 +91,8 @@ impl MemBlobStore {
 }
 
 impl BlobStore for MemBlobStore {
-    fn put(&mut self, key: &str, bytes: &[u8]) {
-        self.blobs.insert(key.to_string(), bytes.to_vec());
+    fn put(&mut self, key: &str, bytes: Vec<u8>) {
+        self.blobs.insert(key.to_string(), bytes);
     }
 
     fn get(&self, key: &str) -> Option<Vec<u8>> {
@@ -134,11 +135,11 @@ mod tests {
     fn put_get_remove_round_trip() {
         let mut s = MemBlobStore::new();
         assert!(s.is_empty());
-        s.put("a/1", b"one");
-        s.put("a/2", b"two");
+        s.put("a/1", b"one".to_vec());
+        s.put("a/2", b"two".to_vec());
         assert_eq!(s.get("a/1").as_deref(), Some(&b"one"[..]));
         assert_eq!(s.get("missing"), None);
-        s.put("a/1", b"uno");
+        s.put("a/1", b"uno".to_vec());
         assert_eq!(s.get("a/1").as_deref(), Some(&b"uno"[..]));
         assert_eq!(s.len(), 2);
         assert!(s.remove("a/1"));
@@ -150,7 +151,7 @@ mod tests {
     fn keys_are_sorted() {
         let mut s = MemBlobStore::new();
         for k in ["b", "a/2", "a/10", "a/1", "c"] {
-            s.put(k, b"x");
+            s.put(k, b"x".to_vec());
         }
         let keys = s.keys();
         let mut sorted = keys.clone();
@@ -166,7 +167,7 @@ mod tests {
     struct DefaultScan(MemBlobStore);
 
     impl BlobStore for DefaultScan {
-        fn put(&mut self, key: &str, bytes: &[u8]) {
+        fn put(&mut self, key: &str, bytes: Vec<u8>) {
             self.0.put(key, bytes)
         }
         fn get(&self, key: &str) -> Option<Vec<u8>> {
@@ -183,9 +184,9 @@ mod tests {
     #[test]
     fn rename_moves_a_blob_in_both_backends() {
         let mut mem = MemBlobStore::new();
-        mem.put("stage/1", b"sealed");
-        mem.put("ckpt/1", b"old");
-        mem.put("other", b"x");
+        mem.put("stage/1", b"sealed".to_vec());
+        mem.put("ckpt/1", b"old".to_vec());
+        mem.put("other", b"x".to_vec());
         let mut fallback = DefaultScan(mem.clone());
         for s in [&mut mem as &mut dyn BlobStore, &mut fallback] {
             assert!(s.rename("stage/1", "ckpt/1"), "replaces the blob at the target");
@@ -211,7 +212,7 @@ mod tests {
             "stage/0000000000000001/0000000000000003",
             "ckpt0",
         ] {
-            s.put(k, b"x");
+            s.put(k, b"x".to_vec());
         }
         let fallback = DefaultScan(s.clone());
         for prefix in [
@@ -238,7 +239,7 @@ mod tests {
     #[test]
     fn trait_object_usable() {
         let mut boxed: Box<dyn BlobStore> = Box::new(MemBlobStore::new());
-        boxed.put("k", b"v");
+        boxed.put("k", b"v".to_vec());
         assert_eq!(boxed.get("k").as_deref(), Some(&b"v"[..]));
         assert_eq!(boxed.keys(), vec!["k"]);
     }

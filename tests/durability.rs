@@ -265,7 +265,7 @@ fn a_torn_write_never_becomes_visible() {
 
     // Writer crashes after staging generation 2 but before commit.
     let next = seal_checkpoint(&tracker, 2);
-    store.stage(5, 2, next.as_bytes());
+    store.stage(5, 2, next.into_bytes());
     assert_eq!(store.latest(5), Some(1), "staged bytes are invisible");
     assert_eq!(store.recover(5, coarse_config()).expect("recover").generation, 1);
 
