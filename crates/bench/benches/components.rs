@@ -8,7 +8,7 @@ use polardraw_core::hmm::{
     decode, Grid, HmmConfig, KernelOptions, StepObservation, DEFAULT_BEAM_WIDTH,
 };
 use polardraw_core::preprocess::{preprocess, PreprocessConfig};
-use rf_core::{Vec2, Vec3};
+use rf_core::{json, Vec2, Vec3};
 use rf_physics::{ChannelModel, RigFactors};
 
 fn main() {
@@ -72,6 +72,31 @@ fn main() {
     });
 
     bench.bench("rfid/inventory_one_letter_session", || letter_reports('I', 9));
+
+    // The checkpoint number writers (ungated). A fast-kernel seal's
+    // live frontier is ~400 `[cell, score]` pairs whose scores are
+    // f32 values widened to f64; the exact kernel's scores use the
+    // full f64 precision. A lag frame's `cells`/`prevs` are u32 arrays
+    // of the same length.
+    let mut rng = rf_core::Rng64::from_seed(0x5EA1_7E47);
+    let cells: Vec<u32> = (0..404).map(|_| (rng.next_u64() % 38_400) as u32).collect();
+    let f64_scores: Vec<f64> = (0..404).map(|_| rng.gen_range(-60.0..-20.0)).collect();
+    let f32_scores: Vec<f64> = f64_scores.iter().map(|&x| f64::from(x as f32)).collect();
+    let mut text = String::new();
+    for (row, scores) in
+        [("json/write_number/f32_scores", &f32_scores), ("json/write_number/f64_scores", &f64_scores)]
+    {
+        bench.bench(row, || {
+            text.clear();
+            json::write_u32_f64_pairs(cells.iter().copied().zip(scores.iter().copied()), &mut text);
+            text.len()
+        });
+    }
+    bench.bench("json/write_u32_array", || {
+        text.clear();
+        json::write_u32_array(&cells, &mut text);
+        text.len()
+    });
 
     bench.finish();
 }

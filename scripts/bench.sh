@@ -17,8 +17,11 @@
 #     reference on its own (decode/exact vs decode/ref ≥ 6×: the
 #     per-step hyperbola memo and stencil-settled distance tests
 #     measured 7.7×).
-# * fleet — the sharded fleet front door. Copies the report to
-#   BENCH_fleet.json and enforces two gates:
+# * fleet — the sharded fleet front door. Runs every one of its three
+#   gates against the fresh report and prints each result; only if all
+#   pass does it copy the report to BENCH_fleet.json (a failed gate
+#   leaves the committed baseline alone and makes the script exit
+#   non-zero once every suite asked for has run):
 #   - the no-collapse floor: p99 per-report step latency under 8×
 #     overload (fleet/step/sessions256/overload8x/p99) must stay
 #     within 10× the unloaded fleet's p50
@@ -26,7 +29,9 @@
 #     ladder must turn overload into deferral and cheaper kernels,
 #     never into a latency cliff;
 #   - the same core-count-aware scaling floor as the throughput
-#     suite, on the 64-session fleet lifecycle at threads 1 vs 8.
+#     suite, on the 64-session fleet lifecycle at threads 1 vs 8;
+#   - an absolute 20 ms ceiling on per-session crash recovery
+#     (fleet/recover/session).
 # * throughput — the multi-session serving engine. Copies the report
 #   to BENCH_throughput.json and enforces two gates:
 #   - a core-count-aware scaling floor on the 8-session drain,
@@ -72,6 +77,10 @@ case "$SUITE" in
     decode|throughput|fleet|components|channel|all) ;;
     *) echo "unknown suite: $SUITE (want decode|throughput|fleet|components|channel|all)" >&2; exit 2 ;;
 esac
+
+# Gates that fail without stopping the run (the fleet suite's); the
+# script exits non-zero at the end if any did.
+FAILED_GATES=()
 
 # The thread-scaling floor is a property of the host's core count; the
 # measurement is honest wall-clock either way.
@@ -127,23 +136,32 @@ if [ "$SUITE" = fleet ] || [ "$SUITE" = all ]; then
     echo "== bench: fleet suite (full methodology) =="
     cargo bench --offline -p polardraw-bench --bench fleet
 
-    cp results/bench_fleet.json BENCH_fleet.json
-    echo "== bench: wrote BENCH_fleet.json =="
+    # Every fleet gate runs and reports, so one failure does not hide
+    # the others; the baseline is refreshed only when all of them pass.
+    fleet_failed=()
+    fleet_gate() {
+        local name="$1"
+        shift
+        echo "== bench: $name =="
+        if cargo run --release --offline -p polardraw-bench --bin bench_check -- \
+            results/bench_fleet.json "$@"; then
+            echo "== bench: PASS: $name =="
+        else
+            echo "== bench: FAIL: $name ==" >&2
+            fleet_failed+=("$name")
+        fi
+    }
 
     # No-collapse floor: under 8x overload the p99 per-report step
     # latency must stay within 10x the unloaded fleet's p50. bench_check
     # asserts median(ref)/median(opt) >= floor, so with ref = unloaded
     # p50 and opt = overloaded p99 the 0.1 floor is exactly that bound.
-    echo "== bench: fleet no-collapse gate (overload8x p99 <= 10x unloaded p50) =="
-    cargo run --release --offline -p polardraw-bench --bin bench_check -- \
-        BENCH_fleet.json \
+    fleet_gate "fleet no-collapse gate (overload8x p99 <= 10x unloaded p50)" \
         --min-speedup 0.1 \
         --ref fleet/step/sessions256 \
         --opt fleet/step/sessions256/overload8x/p99
 
-    echo "== bench: fleet scaling gate at ${SCALE_FLOOR}x (host has ${NPROC} hardware thread(s)) =="
-    cargo run --release --offline -p polardraw-bench --bin bench_check -- \
-        BENCH_fleet.json \
+    fleet_gate "fleet scaling gate at ${SCALE_FLOOR}x (host has ${NPROC} hardware thread(s))" \
         --min-speedup "$SCALE_FLOOR" \
         --ref fleet/lifecycle/sessions64/threads1 \
         --opt fleet/lifecycle/sessions64/threads8
@@ -152,10 +170,16 @@ if [ "$SUITE" = fleet ] || [ "$SUITE" = all ]; then
     # CRC verify + tracker rebuild for a 128-report warm session):
     # 20 ms. Recovery must stay interactive — a shard restart serving
     # hundreds of sessions has to come back in seconds, not minutes.
-    echo "== bench: fleet recovery ceiling (recover() <= 20 ms/session) =="
-    cargo run --release --offline -p polardraw-bench --bin bench_check -- \
-        BENCH_fleet.json \
+    fleet_gate "fleet recovery ceiling (recover() <= 20 ms/session)" \
         --max-median "fleet/recover/session=20000000"
+
+    if [ ${#fleet_failed[@]} -eq 0 ]; then
+        cp results/bench_fleet.json BENCH_fleet.json
+        echo "== bench: every fleet gate passed; wrote BENCH_fleet.json =="
+    else
+        echo "== bench: ${#fleet_failed[@]} fleet gate(s) failed; BENCH_fleet.json left as committed ==" >&2
+        FAILED_GATES+=("${fleet_failed[@]}")
+    fi
 fi
 
 if [ "$SUITE" = components ] || [ "$SUITE" = all ]; then
@@ -208,4 +232,10 @@ if [ "$SUITE" = channel ] || [ "$SUITE" = all ]; then
 
     cp results/channel/bench_channel.json BENCH_channel.json
     echo "== bench: wrote BENCH_channel.json =="
+fi
+
+if [ ${#FAILED_GATES[@]} -gt 0 ]; then
+    echo "== bench: FAILED gates: ==" >&2
+    printf '  %s\n' "${FAILED_GATES[@]}" >&2
+    exit 1
 fi
