@@ -221,23 +221,17 @@ impl std::fmt::Display for Json {
 /// 2^53: below it every integer is an `f64`, one ulp apart at most.
 const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
 
-/// The longest text [`write_number`] writes: `-0.` followed by 323
-/// zeros and a 5, for `-5e-324`. A magnitude below 1 has at most 324
-/// places after the point (the last digit of the shortest decimal of
-/// `5e-324`, the smallest), and one of 1 or more at most 309 digits in
-/// all (`f64::MAX`).
-const MAX_NUMBER_LEN: usize = 327;
-
-/// The room [`put_number`] writes into: the longest text plus the
-/// overhang of [`put_u64`]'s 8-byte digit stores.
-const NUMBER_ROOM: usize = MAX_NUMBER_LEN + 7;
+/// The room one [`TextBatch::number`] step writes into: a sign, 17
+/// digits, and the 16-byte block a fraction moves in to make way for
+/// the point. Runs of zeros, which can be hundreds long, go out in
+/// separate steps.
+const NUMBER_ROOM: usize = 34;
 
 /// Append `x` as a JSON number: the shortest decimal that parses back
 /// to the same bits, or `null` for a non-finite value. The text is
 /// exactly what Rust's `{x}` Display writes — the closest of the
 /// shortest round-trip digit strings, a tie going to the larger
-/// magnitude, never an exponent, `-0` for negative zero — and at most
-/// 327 bytes long.
+/// magnitude, never an exponent, `-0` for negative zero.
 pub fn write_number(x: f64, out: &mut String) {
     TextBatch::<NUMBER_ROOM>::new(out).number(x);
 }
@@ -286,17 +280,16 @@ pub fn write_u32_f64_pairs(pairs: impl IntoIterator<Item = (u32, f64)>, out: &mu
     let mut text = TextBatch::<ARRAY_BATCH>::new(out);
     text.bytes(b"[");
     for (i, (n, x)) in pairs.into_iter().enumerate() {
-        let dst = text.reserve(13 + NUMBER_ROOM);
-        let mut len = usize::from(i > 0);
+        // `,[`, the ten digits of any u32, and `,`.
+        let dst = text.reserve(13);
+        let lead = usize::from(i > 0);
         dst[0] = b',';
-        dst[len] = b'[';
-        len += 1;
-        len += put_u64(n.into(), &mut dst[len..]);
+        dst[lead] = b'[';
+        let len = lead + 1 + put_u64(n.into(), &mut dst[lead + 1..]);
         dst[len] = b',';
-        len += 1;
-        len += put_number(x, &mut dst[len..]);
-        dst[len] = b']';
         text.advance(len + 1);
+        text.number(x);
+        text.bytes(b"]");
     }
     text.bytes(b"]");
 }
@@ -346,9 +339,76 @@ impl<'a, const N: usize> TextBatch<'a, N> {
         self.advance(len);
     }
 
+    /// Write the [`write_number`] text of `x`. `N` must be at least
+    /// [`NUMBER_ROOM`].
     fn number(&mut self, x: f64) {
-        let len = put_number(x, self.reserve(NUMBER_ROOM));
-        self.advance(len);
+        let dst = self.reserve(NUMBER_ROOM);
+        if !x.is_finite() {
+            dst[..4].copy_from_slice(b"null");
+            return self.advance(4);
+        }
+        let sign = usize::from(x.is_sign_negative());
+        dst[0] = b'-';
+        if x == 0.0 {
+            dst[sign] = b'0';
+            return self.advance(sign + 1);
+        }
+        // Integral values below 2^53 in magnitude (checkpoint documents
+        // are mostly cell indices and counters): there an ulp is at most
+        // 1, so no decimal with fewer significant digits lies within half
+        // an ulp, and the shortest round-trip digits are the integer.
+        if x.abs() < EXACT_INT_LIMIT && x.abs() >= 1.0 {
+            // 1 ≤ |x| < 2^53: `below` of the 53 significand bits lie
+            // below the binary point, and an integer has them all zero.
+            let bits = x.to_bits();
+            let significand = bits & ((1 << 52) - 1) | 1 << 52;
+            let below = 1075 - ((bits >> 52) & 0x7FF);
+            if significand & ((1 << below) - 1) == 0 {
+                let len = put_u64(significand >> below, &mut dst[sign..]);
+                return self.advance(sign + len);
+            }
+        }
+        let (mut digits, mut exp) = shortest_decimal(x.to_bits());
+        while digits % 10 == 0 {
+            digits /= 10;
+            exp += 1;
+        }
+        let n = decimal_len(digits) as i32;
+        // The value is 0.d₁d₂…dₙ × 10^point.
+        let point = exp + n;
+        if point <= 0 {
+            // 0.000ddd
+            dst[sign..sign + 2].copy_from_slice(b"0.");
+            self.advance(sign + 2);
+            self.zeros(-point as usize);
+            let len = put_u64(digits, self.reserve(NUMBER_ROOM));
+            self.advance(len);
+        } else if point < n {
+            // ddd.ddd: move the fraction digits (at most 16) one place
+            // right as one fixed-size block, and put the point in the gap.
+            let (dst, point) = (&mut dst[sign..], point as usize);
+            let len = put_u64(digits, dst);
+            let mut fraction = [0u8; 16];
+            fraction.copy_from_slice(&dst[point..point + 16]);
+            dst[point + 1..point + 17].copy_from_slice(&fraction);
+            dst[point] = b'.';
+            self.advance(sign + len + 1);
+        } else {
+            // ddd000
+            let len = put_u64(digits, &mut dst[sign..]);
+            self.advance(sign + len);
+            self.zeros((point - n) as usize);
+        }
+    }
+
+    /// Write `count` zeros, a batch at a time.
+    fn zeros(&mut self, mut count: usize) {
+        while count > 0 {
+            let step = count.min(N);
+            self.reserve(step)[..step].fill(b'0');
+            self.advance(step);
+            count -= step;
+        }
     }
 
     fn flush(&mut self) {
@@ -388,12 +448,12 @@ fn eight_digits(n: u32) -> u64 {
 const ASCII_ZEROS: u64 = 0x3030_3030_3030_3030;
 
 /// The ASCII digits of `n < 10^8` from the lowest byte on, without
-/// leading zeros, and how many there are. The leading zeros are the
-/// low zero bytes of [`eight_digits`] (all but one for `n = 0`).
+/// leading zeros, and how many there are. The count comes from `n`
+/// itself rather than from the digits, so a caller waiting on the
+/// length does not wait on the multiplications.
 fn short_digits(n: u32) -> (u64, usize) {
-    let digits = eight_digits(n);
-    let zeros = (digits.trailing_zeros() / 8).min(7);
-    ((digits + ASCII_ZEROS) >> (8 * zeros), 8 - zeros as usize)
+    let len = decimal_len(n.into());
+    ((eight_digits(n) + ASCII_ZEROS) >> (8 * (8 - len)), len)
 }
 
 /// Write the decimal digits of `n` at the front of `dst`; returns how
@@ -419,68 +479,6 @@ fn put_u64(n: u64, dst: &mut [u8]) -> usize {
     let last = eight_digits((n % E8) as u32) + ASCII_ZEROS;
     dst[len..len + 8].copy_from_slice(&last.to_le_bytes());
     len + 8
-}
-
-/// Write the [`write_number`] text of `x` at the front of `dst`, which
-/// must hold [`NUMBER_ROOM`] bytes; returns its length.
-fn put_number(x: f64, dst: &mut [u8]) -> usize {
-    if !x.is_finite() {
-        dst[..4].copy_from_slice(b"null");
-        return 4;
-    }
-    let sign = usize::from(x.is_sign_negative());
-    dst[0] = b'-';
-    if x == 0.0 {
-        dst[sign] = b'0';
-        return sign + 1;
-    }
-    // Integral values below 2^53 in magnitude (checkpoint documents
-    // are mostly cell indices and counters): there an ulp is at most 1,
-    // so no decimal with fewer significant digits lies within half an
-    // ulp, and the shortest round-trip digits are the integer itself.
-    if x.abs() < EXACT_INT_LIMIT && x.abs() >= 1.0 {
-        // 1 ≤ |x| < 2^53: `below` of the 53 significand bits lie below
-        // the binary point, and an integer has them all zero.
-        let bits = x.to_bits();
-        let significand = bits & ((1 << 52) - 1) | 1 << 52;
-        let below = 1075 - ((bits >> 52) & 0x7FF);
-        if significand & ((1 << below) - 1) == 0 {
-            return sign + put_u64(significand >> below, &mut dst[sign..]);
-        }
-    }
-    let (mut digits, mut exp) = shortest_decimal(x.to_bits());
-    while digits % 10 == 0 {
-        digits /= 10;
-        exp += 1;
-    }
-    let dst = &mut dst[sign..];
-    let n = decimal_len(digits) as i32;
-    // The value is 0.d₁d₂…dₙ × 10^point.
-    let point = exp + n;
-    let len = if point <= 0 {
-        // 0.000ddd
-        let zeros = (2 - point) as usize;
-        dst[..zeros].fill(b'0');
-        dst[1] = b'.';
-        zeros + put_u64(digits, &mut dst[zeros..])
-    } else if point < n {
-        // ddd.ddd: move the fraction digits (at most 16) one place
-        // right as one fixed-size block, and put the point in the gap.
-        let point = point as usize;
-        let len = put_u64(digits, dst);
-        let mut fraction = [0u8; 16];
-        fraction.copy_from_slice(&dst[point..point + 16]);
-        dst[point + 1..point + 17].copy_from_slice(&fraction);
-        dst[point] = b'.';
-        len + 1
-    } else {
-        // ddd000
-        let n = put_u64(digits, dst);
-        let end = point as usize;
-        dst[n..end].fill(b'0');
-        end
-    };
-    sign + len
 }
 
 // ----------------------------------------------------------------------
@@ -1121,14 +1119,13 @@ mod tests {
     }
 
     /// `write_number` against `{x}` — Display, the oracle — for one
-    /// value and its negation, with the length bound.
+    /// value and its negation.
     fn assert_display_text(x: f64) {
         for x in [x, -x] {
             let mut out = String::new();
             write_number(x, &mut out);
             let want = if x.is_finite() { format!("{x}") } else { "null".to_string() };
             assert_eq!(out, want, "bits {:#018x}", x.to_bits());
-            assert!(out.len() <= MAX_NUMBER_LEN, "{out}");
         }
     }
 
@@ -1196,10 +1193,6 @@ mod tests {
         ] {
             assert_display_text(x);
         }
-        // The longest text there is.
-        let mut out = String::new();
-        write_number(-5e-324, &mut out);
-        assert_eq!(out.len(), MAX_NUMBER_LEN);
     }
 
     #[test]
