@@ -429,7 +429,6 @@ fn seals_match_the_pinned_bytes() {
     let entries = pinned.get("seals").and_then(Json::as_arr).expect("seals array");
     let seals = pinned_seals();
     assert_eq!(entries.len(), seals.len(), "one pinned entry per seal");
-    let mut fast_scores = 0;
     for ((name, fed, generation, sealed), entry) in seals.iter().zip(entries) {
         let at = format!("{name} after {fed} reports");
         assert_eq!(entry.get("tracker").and_then(Json::as_str), Some(name.as_str()), "{at}");
@@ -441,11 +440,7 @@ fn seals_match_the_pinned_bytes() {
             Some(crc32(sealed.as_bytes()) as f64),
             "{at}: bytes drifted"
         );
-        if name.starts_with("fast") {
-            fast_scores += 1;
-        }
     }
-    assert!(fast_scores > 0, "the sweep covers fast-kernel seals");
     let full = pinned.get("full").and_then(Json::as_arr).expect("full array");
     assert_eq!(full.len(), SEAL_IN_FULL.len());
     for ((kernel, lag, fed), entry) in SEAL_IN_FULL.iter().zip(full) {
