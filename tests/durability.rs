@@ -392,8 +392,6 @@ fn incremental_seal_equals_cold_seal() {
 /// The trackers and cuts `seal_bytes.json` pins: both kernels at the
 /// default lag and at a short one, sealed after every 32 reports of a
 /// 640-report stream with turns, translations and an outage.
-const SEAL_KERNELS: [(&str, fn() -> KernelOptions); 2] =
-    [("fast", KernelOptions::fast), ("exact", KernelOptions::exact)];
 const SEAL_LAGS: [usize; 2] = [64, 12];
 const SEAL_EVERY: usize = 32;
 const SEAL_REPORTS: usize = 640;
@@ -404,9 +402,10 @@ const SEAL_IN_FULL: [(&str, usize, usize); 2] = [("fast", 12, 320), ("exact", 12
 fn pinned_seals() -> Vec<(String, usize, u64, String)> {
     let reports = varied_stream(SEAL_REPORTS);
     let mut seals = Vec::new();
-    for (kernel_name, kernel) in SEAL_KERNELS {
+    let kernels = [("fast", KernelOptions::fast()), ("exact", KernelOptions::exact())];
+    for (kernel_name, kernel) in kernels {
         for lag in SEAL_LAGS {
-            let options = OnlineOptions { lag, kernel: kernel(), ..OnlineOptions::default() };
+            let options = OnlineOptions { lag, kernel, ..OnlineOptions::default() };
             let mut tracker = OnlineTracker::new(coarse_config(), options);
             for (cut, chunk) in reports.chunks(SEAL_EVERY).enumerate() {
                 tracker.extend(chunk);
