@@ -83,9 +83,10 @@ fn main() {
     let f64_scores: Vec<f64> = (0..404).map(|_| rng.gen_range(-60.0..-20.0)).collect();
     let f32_scores: Vec<f64> = f64_scores.iter().map(|&x| f64::from(x as f32)).collect();
     let mut text = String::new();
-    for (row, scores) in
-        [("json/write_number/f32_scores", &f32_scores), ("json/write_number/f64_scores", &f64_scores)]
-    {
+    for (row, scores) in [
+        ("json/write_number/f32_scores", &f32_scores),
+        ("json/write_number/f64_scores", &f64_scores),
+    ] {
         bench.bench(row, || {
             text.clear();
             json::write_u32_f64_pairs(cells.iter().copied().zip(scores.iter().copied()), &mut text);
