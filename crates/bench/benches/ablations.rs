@@ -24,10 +24,7 @@ fn main() {
 
     let window_reports = letter_reports('S', 22);
     for window_ms in [25u64, 50, 100] {
-        let cfg = PreprocessConfig {
-            window_s: window_ms as f64 / 1000.0,
-            ..PreprocessConfig::default()
-        };
+        let cfg = PreprocessConfig { window_s: window_ms as f64 / 1000.0 };
         bench.bench(&format!("ablation/window_length/{window_ms}ms"), || {
             preprocess(&window_reports, &cfg)
         });
@@ -35,9 +32,8 @@ fn main() {
 
     let smoother_reports = letter_reports('S', 23);
     for (label, on) in [("off", false), ("kalman_rts", true)] {
-        let mut cfg = PolarDrawConfig::default();
-        cfg.smooth_output = on;
-        let pd = PolarDraw::new(cfg);
+        let pd =
+            PolarDraw::new(PolarDrawConfig { smooth_output: on, ..PolarDrawConfig::default() });
         bench.bench(&format!("ablation/output_smoother/{label}"), || {
             pd.track(&smoother_reports)
         });

@@ -16,8 +16,7 @@ fn main() {
     let pd = PolarDraw::new(PolarDrawConfig::default());
     bench.bench("trackers/letter_W/polardraw_2ant", || pd.track(&reports));
 
-    let mut nopol_cfg = PolarDrawConfig::default();
-    nopol_cfg.use_polarization = false;
+    let nopol_cfg = PolarDrawConfig { use_polarization: false, ..PolarDrawConfig::default() };
     let nopol = PolarDraw::new(nopol_cfg);
     bench.bench("trackers/letter_W/polardraw_no_polarization", || nopol.track(&reports));
 

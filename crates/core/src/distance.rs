@@ -10,26 +10,15 @@
 
 use rf_core::{wrap_pi, Vec2, Vec3};
 
-/// Tuning for distance estimation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DistanceConfig {
-    /// Carrier wavelength λ, metres.
-    pub wavelength_m: f64,
-    /// Maximum pen speed v_max, m/s (paper: 0.2).
-    pub vmax_mps: f64,
-    /// Phase-noise allowance subtracted from each |Δθ| before it enters
-    /// the lower bound, radians. Without it, measurement noise alone
-    /// would force the decoder to move every window even for a still
-    /// pen (the paper's reader averages more reads per window than the
-    /// noise floor of ours; this keeps the bound meaningful).
-    pub noise_margin_rad: f64,
-}
+/// Maximum pen speed v_max, m/s (paper: 0.2).
+pub const VMAX_MPS: f64 = 0.2;
 
-impl Default for DistanceConfig {
-    fn default() -> Self {
-        DistanceConfig { wavelength_m: 0.3276, vmax_mps: 0.2, noise_margin_rad: 0.10 }
-    }
-}
+/// Phase-noise allowance subtracted from each |Δθ| before it enters the
+/// lower bound, radians. Without it, measurement noise alone would
+/// force the decoder to move every window even for a still pen (the
+/// paper's reader averages more reads per window than the noise floor
+/// of ours; this keeps the bound meaningful).
+pub const NOISE_MARGIN_RAD: f64 = 0.10;
 
 /// The feasible displacement annulus for one timestep (Fig. 12(a)).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,24 +50,24 @@ pub fn range_delta(dtheta: f64, wavelength_m: f64) -> f64 {
 }
 
 /// Compute the feasible annulus from both antennas' phase deltas over a
-/// window of `dt` seconds.
-pub fn feasible_region(dth: [Option<f64>; 2], dt: f64, config: &DistanceConfig) -> FeasibleRegion {
-    let min_dist = dth
-        .iter()
-        .flatten()
-        .map(|&d| {
-            let denoised = (wrap_pi(d).abs() - config.noise_margin_rad).max(0.0);
-            range_delta(denoised, config.wavelength_m).abs()
-        })
-        .fold(0.0, f64::max);
-    FeasibleRegion { min_dist, max_dist: config.vmax_mps * dt }
+/// window of `dt` seconds at wavelength `wavelength_m`.
+pub fn feasible_region(dth: [Option<f64>; 2], dt: f64, wavelength_m: f64) -> FeasibleRegion {
+    let min_dist =
+        dth.iter().flatten().map(|&d| denoised_range_delta(d, wavelength_m)).fold(0.0, f64::max);
+    FeasibleRegion { min_dist, max_dist: VMAX_MPS * dt }
+}
+
+/// `|Δl|` for one phase delta after the [`NOISE_MARGIN_RAD`] allowance.
+fn denoised_range_delta(dtheta: f64, wavelength_m: f64) -> f64 {
+    let denoised = (wrap_pi(dtheta).abs() - NOISE_MARGIN_RAD).max(0.0);
+    range_delta(denoised, wavelength_m).abs()
 }
 
 /// The best single displacement estimate from the phase deltas: the
 /// largest noise-compensated |Δl_j| (a lower bound on true displacement;
 /// the residual scale bias washes out in Procrustes evaluation).
-pub fn displacement_estimate(dth: [Option<f64>; 2], config: &DistanceConfig) -> f64 {
-    feasible_region(dth, f64::INFINITY, config).min_dist
+pub fn displacement_estimate(dth: [Option<f64>; 2], wavelength_m: f64) -> f64 {
+    feasible_region(dth, f64::INFINITY, wavelength_m).min_dist
 }
 
 /// In-plane gradient of the 3-D range `‖p − a_j‖` with the pen on the
@@ -109,7 +98,7 @@ pub fn directional_displacement(
     antennas: [Vec3; 2],
     from: Vec2,
     dir: Vec2,
-    config: &DistanceConfig,
+    wavelength_m: f64,
 ) -> f64 {
     const MIN_PROJECTION: f64 = 0.3;
     let mut best = 0.0_f64;
@@ -120,11 +109,9 @@ pub fn directional_displacement(
         if proj < MIN_PROJECTION {
             continue;
         }
-        let denoised = (wrap_pi(d).abs() - config.noise_margin_rad).max(0.0);
-        let dl = range_delta(denoised, config.wavelength_m).abs();
-        best = best.max(dl / proj);
+        best = best.max(denoised_range_delta(d, wavelength_m) / proj);
     }
-    best.max(displacement_estimate(dth, config))
+    best.max(displacement_estimate(dth, wavelength_m))
 }
 
 /// Eq. 7: the set of plausible range-*differences* `Δl^{2,1} = l₂ − l₁`
@@ -234,22 +221,21 @@ impl DthetaRowKernel {
 mod tests {
     use super::*;
 
-    const CFG: DistanceConfig =
-        DistanceConfig { wavelength_m: 0.3276, vmax_mps: 0.2, noise_margin_rad: 0.10 };
+    const LAMBDA: f64 = 0.3276;
 
     #[test]
     fn eq5_range_delta_scaling() {
         // A full 2π of phase = λ/2 of motion.
-        let full = range_delta(std::f64::consts::PI, CFG.wavelength_m);
-        assert!((full - CFG.wavelength_m / 4.0).abs() < 1e-12);
-        assert_eq!(range_delta(0.0, CFG.wavelength_m), 0.0);
-        assert!(range_delta(-0.5, CFG.wavelength_m) < 0.0);
+        let full = range_delta(std::f64::consts::PI, LAMBDA);
+        assert!((full - LAMBDA / 4.0).abs() < 1e-12);
+        assert_eq!(range_delta(0.0, LAMBDA), 0.0);
+        assert!(range_delta(-0.5, LAMBDA) < 0.0);
     }
 
     #[test]
     fn feasible_region_bounds() {
-        let r = feasible_region([Some(0.2), Some(-0.3)], 0.05, &CFG);
-        let expect_min = range_delta(0.3 - CFG.noise_margin_rad, CFG.wavelength_m).abs();
+        let r = feasible_region([Some(0.2), Some(-0.3)], 0.05, LAMBDA);
+        let expect_min = range_delta(0.3 - NOISE_MARGIN_RAD, LAMBDA).abs();
         assert!((r.min_dist - expect_min).abs() < 1e-12, "lower bound is the max |Δl|");
         assert!((r.max_dist - 0.01).abs() < 1e-12, "v_max·Δt = 0.2·0.05");
         assert!(r.is_consistent());
@@ -260,7 +246,7 @@ mod tests {
 
     #[test]
     fn missing_phases_relax_the_lower_bound() {
-        let r = feasible_region([None, None], 0.05, &CFG);
+        let r = feasible_region([None, None], 0.05, LAMBDA);
         assert_eq!(r.min_dist, 0.0);
         assert!(r.contains(0.0));
     }
@@ -269,7 +255,7 @@ mod tests {
     fn inconsistent_region_detected() {
         // Phase claims ~λ/4 ≈ 8 cm of motion in 50 ms → impossible at
         // v_max = 0.2 m/s.
-        let r = feasible_region([Some(3.0), None], 0.05, &CFG);
+        let r = feasible_region([Some(3.0), None], 0.05, LAMBDA);
         assert!(!r.is_consistent());
     }
 
@@ -278,8 +264,8 @@ mod tests {
         let rig = [Vec3::new(-0.28, 0.15, 0.65), Vec3::new(0.28, 0.15, 0.65)];
         let p = Vec2::new(0.07, 0.62);
         let true_dl = range_difference_at(p, rig);
-        let dtheta = 4.0 * std::f64::consts::PI * true_dl / CFG.wavelength_m;
-        let candidates = hyperbola_range_differences(dtheta, 0.56, CFG.wavelength_m);
+        let dtheta = 4.0 * std::f64::consts::PI * true_dl / LAMBDA;
+        let candidates = hyperbola_range_differences(dtheta, 0.56, LAMBDA);
         let best = candidates
             .iter()
             .map(|c| (c - true_dl).abs())
@@ -289,14 +275,14 @@ mod tests {
 
     #[test]
     fn hyperbola_candidates_respect_geometry() {
-        let candidates = hyperbola_range_differences(1.0, 0.56, CFG.wavelength_m);
+        let candidates = hyperbola_range_differences(1.0, 0.56, LAMBDA);
         assert!(!candidates.is_empty());
         for c in &candidates {
             assert!(c.abs() <= 0.56, "|l₂ − l₁| can never exceed the baseline");
         }
         // Adjacent candidates are λ/2 apart.
         for w in candidates.windows(2) {
-            assert!((w[1] - w[0] - CFG.wavelength_m / 2.0).abs() < 1e-9);
+            assert!((w[1] - w[0] - LAMBDA / 2.0).abs() < 1e-9);
         }
     }
 
@@ -305,8 +291,8 @@ mod tests {
         let rig = [Vec3::new(-0.28, 0.15, 0.65), Vec3::new(0.28, 0.15, 0.65)];
         let p = Vec2::new(-0.1, 0.8);
         let dl = range_difference_at(p, rig);
-        let th = expected_dtheta21(p, rig, CFG.wavelength_m);
-        let reconstructed = wrap_pi(4.0 * std::f64::consts::PI * dl / CFG.wavelength_m);
+        let th = expected_dtheta21(p, rig, LAMBDA);
+        let reconstructed = wrap_pi(4.0 * std::f64::consts::PI * dl / LAMBDA);
         assert!((th - reconstructed).abs() < 1e-12);
     }
 
@@ -330,9 +316,9 @@ mod tests {
         let mut out = vec![0.0; xs.len()];
         for row in 0..5 {
             let y = 0.4 + 0.11 * row as f64;
-            kernel.row(&xs, y, rig, CFG.wavelength_m, &mut out);
+            kernel.row(&xs, y, rig, LAMBDA, &mut out);
             for (i, &x) in xs.iter().enumerate() {
-                let want = expected_dtheta21(Vec2::new(x, y), rig, CFG.wavelength_m);
+                let want = expected_dtheta21(Vec2::new(x, y), rig, LAMBDA);
                 assert_eq!(want.to_bits(), out[i].to_bits(), "row {row} col {i}");
             }
         }
@@ -343,6 +329,6 @@ mod tests {
         let rig = [Vec3::new(-0.28, 0.15, 0.65), Vec3::new(0.28, 0.15, 0.65)];
         let p = Vec2::new(0.0, 0.7); // on the perpendicular bisector
         assert!(range_difference_at(p, rig).abs() < 1e-12);
-        assert!(expected_dtheta21(p, rig, CFG.wavelength_m).abs() < 1e-12);
+        assert!(expected_dtheta21(p, rig, LAMBDA).abs() < 1e-12);
     }
 }

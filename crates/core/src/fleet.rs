@@ -600,24 +600,28 @@ impl FleetRouter {
             report.newly_committed += round.newly_committed;
             report.max_level = report.max_level.max(shard.level);
             // Isolate any session whose push panicked mid-drain before
-            // a checkpoint could seal its (now suspect) state.
-            let hosted: Vec<FleetSessionId> = self.shards[si].sessions.clone();
-            for id in hosted {
-                let local = self.routes[id].local;
-                if self.shards[si].pool.poisoned(local) {
-                    self.quarantine_session(id);
-                    report.quarantined += 1;
-                }
+            // a checkpoint could seal its (now suspect) state. Only the
+            // poisoned ids are collected (quarantine edits `sessions`),
+            // so a healthy round allocates nothing here.
+            let poisoned: Vec<FleetSessionId> = self.shards[si]
+                .sessions
+                .iter()
+                .copied()
+                .filter(|&id| self.shards[si].pool.poisoned(self.routes[id].local))
+                .collect();
+            for id in poisoned {
+                self.quarantine_session(id);
+                report.quarantined += 1;
             }
             // Durability: this is a post-drain boundary (every queue
             // empty), the only place the policy seals checkpoints.
             let due = self.store.is_some()
                 && ((self.config.checkpoint.every_drains > 0
-                    && self.drains % self.config.checkpoint.every_drains == 0)
+                    && self.drains.is_multiple_of(self.config.checkpoint.every_drains))
                     || changed);
             if due {
-                let hosted: Vec<FleetSessionId> = self.shards[si].sessions.clone();
-                for id in hosted {
+                for k in 0..self.shards[si].sessions.len() {
+                    let id = self.shards[si].sessions[k];
                     self.checkpoint_session(id);
                     report.checkpoints += 1;
                 }

@@ -12,9 +12,10 @@
 //! is what lets the paper claim real-time decoding on a mini PC.
 //!
 //! Implementation note: the paper multiplies two `1 − x/…` factors; we
-//! score in log-space with configurable sharpness weights, which
-//! preserves the ranking the paper's product induces while letting the
-//! ablation benches explore the weighting (see DESIGN.md).
+//! score in log-space with fixed sharpness weights ([`HYPERBOLA_WEIGHT`],
+//! [`DIRECTION_WEIGHT`], [`BACKWARD_PENALTY`], [`DISTANCE_WEIGHT`],
+//! [`DISTANCE_WEIGHT_STILL`]), which preserves the ranking the paper's
+//! product induces (see DESIGN.md).
 //!
 //! ## Decoder performance
 //!
@@ -187,43 +188,37 @@ pub struct StepObservation {
 pub struct HmmConfig {
     /// Cell edge, metres (accuracy/runtime trade-off).
     pub cell_m: f64,
-    /// Carrier wavelength, metres.
+    /// Carrier wavelength λ, metres: the one λ the whole tracker uses
+    /// (emission table, distance bounds, Δθ²¹ calibration).
     pub wavelength_m: f64,
-    /// Log-score weight of the hyperbola term.
-    pub hyperbola_weight: f64,
-    /// Log-score weight of the direction-line term.
-    pub direction_weight: f64,
-    /// Multiplicative log-penalty for candidates *behind* the moving
-    /// direction (Fig. 12(b) keeps only forward candidates).
-    pub backward_penalty: f64,
-    /// Log-score weight pulling the decoded displacement toward the
-    /// phase-measured amount (the annulus lower bound). This is what
-    /// keeps a still pen still and a moving pen moving at its measured
-    /// speed despite cell quantization.
-    pub distance_weight: f64,
-    /// Distance weight used when *no* direction estimate exists for the
-    /// step. Horizontal pen motion is nearly tangential to both
-    /// antennas — per-antenna phases stay flat and the step classifies
-    /// as "still" — but the inter-antenna difference Δθ^{2,1} still
-    /// moves (its iso-lines run mostly vertically). A softer anchor
-    /// lets the hyperbola term drag the track sideways in that regime.
-    pub distance_weight_still: f64,
 }
+
+/// Log-score weight of the hyperbola term.
+pub const HYPERBOLA_WEIGHT: f64 = 10.0;
+/// Log-score weight of the direction-line term.
+pub const DIRECTION_WEIGHT: f64 = 6.0;
+/// Multiplicative log-penalty for candidates *behind* the moving
+/// direction (Fig. 12(b) keeps only forward candidates).
+pub const BACKWARD_PENALTY: f64 = 4.0;
+/// Log-score weight pulling the decoded displacement toward the
+/// phase-measured amount (the annulus lower bound). This is what keeps
+/// a still pen still and a moving pen moving at its measured speed
+/// despite cell quantization.
+pub const DISTANCE_WEIGHT: f64 = 5.0;
+/// Distance weight used when *no* direction estimate exists for the
+/// step. Horizontal pen motion is nearly tangential to both antennas —
+/// per-antenna phases stay flat and the step classifies as "still" —
+/// but the inter-antenna difference Δθ^{2,1} still moves (its iso-lines
+/// run mostly vertically). A softer anchor lets the hyperbola term drag
+/// the track sideways in that regime.
+pub const DISTANCE_WEIGHT_STILL: f64 = 1.5;
 
 /// Beam width for the sparse Viterbi frontier (see [`decode`]).
 pub const DEFAULT_BEAM_WIDTH: usize = 2500;
 
 impl Default for HmmConfig {
     fn default() -> Self {
-        HmmConfig {
-            cell_m: 0.0025,
-            wavelength_m: 0.3276,
-            hyperbola_weight: 10.0,
-            direction_weight: 6.0,
-            backward_penalty: 4.0,
-            distance_weight: 5.0,
-            distance_weight_still: 1.5,
-        }
+        HmmConfig { cell_m: 0.0025, wavelength_m: 0.3276 }
     }
 }
 
@@ -915,7 +910,6 @@ fn best_frontier_cell(cells: &[u32], scores: &[f64]) -> u32 {
 /// Read-only scoring context of one exact-kernel step.
 struct StepCtx<'a> {
     grid: &'a Grid,
-    config: &'a HmmConfig,
     obs: &'a StepObservation,
     /// The step's Δθ²¹ measurement and the rig's emission table, on
     /// hyperbola steps.
@@ -960,7 +954,6 @@ fn expand_f64(
     let (scores, preds, hyper) = (&mut scores[..], &mut preds[..], &mut hyper[..]);
     let (step_offsets, xs, ys) = (&step_offsets[..], &xs[..], &ys[..]);
     let grid = ctx.grid;
-    let config = ctx.config;
     let obs = ctx.obs;
     let nx = grid.nx as i64;
     let ny = grid.ny as i64;
@@ -1007,24 +1000,24 @@ fn expand_f64(
             if let Some((meas, table)) = ctx.emission {
                 if first {
                     let err = wrap_pi(meas - table.expected(to)).abs() / std::f64::consts::PI;
-                    hyper[to] = config.hyperbola_weight * err;
+                    hyper[to] = HYPERBOLA_WEIGHT * err;
                 }
                 s -= hyper[to];
             }
             // Distance-consistency term: decoded step length should
             // match the phase-measured displacement.
             let (d_along, w_dist) = match obs.direction {
-                Some(dir) => (dir.dot(delta), config.distance_weight),
-                None => (d, config.distance_weight_still),
+                Some(dir) => (dir.dot(delta), DISTANCE_WEIGHT),
+                None => (d, DISTANCE_WEIGHT_STILL),
             };
             s -= w_dist * ((d_along - ctx.target).abs() / ctx.dmax).min(2.0);
             // Direction-line term (Fig. 12(b)).
             if let Some(dir) = obs.direction {
                 if d > 1e-12 {
                     let perp = dir.cross(delta).abs();
-                    s -= config.direction_weight * (perp / ctx.dmax).min(2.0);
+                    s -= DIRECTION_WEIGHT * (perp / ctx.dmax).min(2.0);
                     if dir.dot(delta) < 0.0 {
-                        s -= config.backward_penalty;
+                        s -= BACKWARD_PENALTY;
                     }
                 }
             }
@@ -1044,9 +1037,7 @@ fn expand_f64(
 /// geometry, cast once), each offset inside the annulus hard lower
 /// bound a rejection entry, and offsets beyond the step's reach are
 /// dropped, mirroring the exact kernel's pre-count skip.
-#[allow(clippy::too_many_arguments)]
 fn build_f32_plan(
-    config: &HmmConfig,
     obs: &StepObservation,
     cell_m: f64,
     step_offsets: &[StepOffset],
@@ -1070,16 +1061,16 @@ fn build_f32_plan(
         let delta = Vec2::new(off.dx as f64 * cell_m, off.dy as f64 * cell_m);
         let mut s = 0.0f64;
         let (d_along, w_dist) = match obs.direction {
-            Some(dir) => (dir.dot(delta), config.distance_weight),
-            None => (d, config.distance_weight_still),
+            Some(dir) => (dir.dot(delta), DISTANCE_WEIGHT),
+            None => (d, DISTANCE_WEIGHT_STILL),
         };
         s -= w_dist * ((d_along - target).abs() / dmax).min(2.0);
         if let Some(dir) = obs.direction {
             if d > 1e-12 {
                 let perp = dir.cross(delta).abs();
-                s -= config.direction_weight * (perp / dmax).min(2.0);
+                s -= DIRECTION_WEIGHT * (perp / dmax).min(2.0);
                 if dir.dot(delta) < 0.0 {
-                    s -= config.backward_penalty;
+                    s -= BACKWARD_PENALTY;
                 }
             }
         }
@@ -1235,7 +1226,6 @@ score_lane!(f32 => scores32, f64 => scores);
 #[allow(clippy::too_many_arguments)]
 fn advance_frontier(
     grid: &Grid,
-    config: &HmmConfig,
     beam_width: usize,
     adaptive: Option<AdaptiveBeam>,
     obs: &StepObservation,
@@ -1290,8 +1280,7 @@ fn advance_frontier(
             if emission.is_some() {
                 grow_hyper_lane(&mut ks.hyper, n);
             }
-            let ctx =
-                StepCtx { grid, config, obs, emission, exact_reach, hard_min, target, dmax };
+            let ctx = StepCtx { grid, obs, emission, exact_reach, hard_min, target, dmax };
             expand_f64(&ctx, ks, frontier_cells, frontier_scores, stats);
             select_beam::<f64>(
                 ks, beam_width, adaptive, frontier_cells, frontier_scores, frame, stats,
@@ -1300,7 +1289,7 @@ fn advance_frontier(
         StepEmission::F32(hyper) => {
             let KernelScratch { step_offsets, trans32, rejected32, .. } = ks;
             let cell_m = grid.cell_m;
-            build_f32_plan(config, obs, cell_m, step_offsets, target, dmax, trans32, rejected32);
+            build_f32_plan(obs, cell_m, step_offsets, target, dmax, trans32, rejected32);
             grow_lane(&mut ks.scores32, n, f32::NEG_INFINITY);
             expand_f32(grid, hyper, ks, frontier_cells, frontier_scores, stats);
             select_beam::<f32>(
@@ -1509,7 +1498,7 @@ impl FixedLagDecoder {
                 StepEmission::F64(arts.map(|(meas, a)| (meas, a.emission().as_ref())))
             }
             KernelPrecision::F32Tolerance => StepEmission::F32(arts.map(|(meas, a)| {
-                (meas as f32, self.config.hyperbola_weight as f32, a.emission_f32().as_ref())
+                (meas as f32, HYPERBOLA_WEIGHT as f32, a.emission_f32().as_ref())
             })),
         };
 
@@ -1517,7 +1506,6 @@ impl FixedLagDecoder {
         let mut frame = self.pool.pop().unwrap_or_default();
         advance_frontier(
             &self.grid,
-            &self.config,
             self.beam_width,
             self.kernel.adaptive,
             obs,
@@ -1720,22 +1708,22 @@ pub fn viterbi_reference(
                 if let Some(meas) = obs.dtheta21 {
                     let expected = expected_dtheta21(c_to, antennas, config.wavelength_m);
                     let err = wrap_pi(meas - expected).abs() / std::f64::consts::PI;
-                    s -= config.hyperbola_weight * err;
+                    s -= HYPERBOLA_WEIGHT * err;
                 }
                 // Distance-consistency term: decoded step length should
                 // match the phase-measured displacement.
                 let (d_along, w_dist) = match obs.direction {
-                    Some(dir) => (dir.dot(delta), config.distance_weight),
-                    None => (d, config.distance_weight_still),
+                    Some(dir) => (dir.dot(delta), DISTANCE_WEIGHT),
+                    None => (d, DISTANCE_WEIGHT_STILL),
                 };
                 s -= w_dist * ((d_along - target).abs() / dmax).min(2.0);
                 // Direction-line term (Fig. 12(b)).
                 if let Some(dir) = obs.direction {
                     if d > 1e-12 {
                         let perp = dir.cross(delta).abs();
-                        s -= config.direction_weight * (perp / dmax).min(2.0);
+                        s -= DIRECTION_WEIGHT * (perp / dmax).min(2.0);
                         if dir.dot(delta) < 0.0 {
-                            s -= config.backward_penalty;
+                            s -= BACKWARD_PENALTY;
                         }
                     }
                 }

@@ -65,8 +65,9 @@ use crate::hmm::{
 };
 use crate::model::{direction_from_azimuth, rotation_angle, Cardinal, Rotation, Sector};
 use crate::pipeline::{DegradationReport, PolarDrawConfig, StepEstimate, StepKind, TrackOutput};
-use crate::preprocess::{PreprocessStats, Windowed, Windower};
+use crate::preprocess::{PreprocessStats, Windowed, Windower, SPURIOUS_THRESHOLD_RAD};
 use crate::rotation::{AzimuthSnapshot, AzimuthTracker};
+use crate::translation::estimate_translation;
 use rf_core::angle::phase_diff;
 use rf_core::json::{
     write_escaped, write_number, write_u32_array, write_u32_f64_pairs, FromJson, ToJson,
@@ -76,6 +77,24 @@ use rfid_sim::tracking::Trail;
 use rfid_sim::TagReport;
 use std::cell::RefCell;
 use std::collections::VecDeque;
+
+/// Movement-type threshold δ: an RSS change above this (dB) in a window
+/// marks the step rotational (paper: 2 dBm).
+pub const MOVEMENT_RSS_THRESHOLD_DB: f64 = 2.0;
+
+/// Clamp on the Eq. 10 correction magnitude, radians. The boundary
+/// corrections that estimate α̃a are noisy; an unclamped estimate can
+/// swing the whole trail (paper's Fig. 10 corrections are small).
+pub const MAX_ROTATION_CORRECTION_RAD: f64 = 25f64.to_radians();
+
+/// Gap bridging: an interior run of at least this many consecutive
+/// completely-empty windows (no reads on either antenna — a total
+/// outage) is coalesced into a single decoder step whose `dt` spans the
+/// whole gap, so the feasible annulus widens to `v_max · gap` instead
+/// of emitting a chain of blind per-window steps. Clean streams never
+/// hit this (the reader reads every window), so it changes nothing on
+/// healthy input.
+pub const GAP_BRIDGE_MIN_WINDOWS: usize = 4;
 
 /// Streaming knobs for an [`OnlineTracker`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -304,11 +323,10 @@ impl OnlineTracker {
     /// anchored, else keep one window and re-evaluate — then keep the
     /// non-empty window.
     fn resolve_run_then_keep(&mut self, cur: Windowed) {
-        let min_run = self.config.gap_bridge_min_windows.max(1);
         let mut s = 0;
         while s < self.run_buf.len() {
             let remaining = self.run_buf.len() - s;
-            if remaining >= min_run && self.has_kept {
+            if remaining >= GAP_BRIDGE_MIN_WINDOWS && self.has_kept {
                 // Bridge the rest of the run: the step from the last
                 // kept window to `cur` spans the whole outage, so the
                 // feasible annulus widens to `v_max · gap` automatically.
@@ -341,6 +359,7 @@ impl OnlineTracker {
     /// pipeline's pair-loop body.
     fn step_between(&mut self, prev: &Windowed, cur: &Windowed) {
         let cfg = self.config;
+        let lambda = cfg.hmm.wavelength_m;
         let dt = (cur.t - prev.t).max(1e-6);
 
         let ds = [delta(prev.rssi[0], cur.rssi[0]), delta(prev.rssi[1], cur.rssi[1])];
@@ -349,12 +368,12 @@ impl OnlineTracker {
             delta_phase(prev.phase[1], cur.phase[1]),
         ];
 
-        let region = feasible_region(dth, dt, &cfg.distance);
+        let region = feasible_region(dth, dt, lambda);
 
         // Movement-type detection (§3.3): RSS trend above δ ⇒
         // rotational (only meaningful with polarization enabled).
         let max_ds = ds.iter().flatten().map(|d| d.abs()).fold(0.0, f64::max);
-        let rotational = cfg.use_polarization && max_ds > cfg.movement_rss_threshold_db;
+        let rotational = cfg.use_polarization && max_ds > MOVEMENT_RSS_THRESHOLD_DB;
 
         let (kind, direction, azimuth, alpha_r) = if rotational {
             match (ds[0], ds[1]) {
@@ -374,31 +393,18 @@ impl OnlineTracker {
                 _ => (StepKind::Still, None, self.azimuth_tracker.azimuth(), None),
             }
         } else {
-            match (dth[0], dth[1]) {
-                (Some(d1), Some(d2)) => {
-                    match crate::translation::estimate_translation(
-                        [d1, d2],
-                        cfg.antennas,
-                        self.pos_est,
-                        &cfg.translation,
-                    ) {
-                        Some(tr) => {
-                            let dir = if cfg.refine_translation {
-                                tr.direction
-                            } else {
-                                tr.cardinal.unit()
-                            };
-                            (
-                                StepKind::Translational(tr.cardinal),
-                                Some(dir),
-                                self.azimuth_tracker.azimuth(),
-                                None,
-                            )
-                        }
-                        None => (StepKind::Still, None, self.azimuth_tracker.azimuth(), None),
-                    }
-                }
-                _ => (StepKind::Still, None, self.azimuth_tracker.azimuth(), None),
+            let cardinal = match (dth[0], dth[1]) {
+                (Some(d1), Some(d2)) => estimate_translation([d1, d2]),
+                _ => None,
+            };
+            match cardinal {
+                Some(c) => (
+                    StepKind::Translational(c),
+                    Some(c.unit()),
+                    self.azimuth_tracker.azimuth(),
+                    None,
+                ),
+                None => (StepKind::Still, None, self.azimuth_tracker.azimuth(), None),
             }
         };
 
@@ -408,7 +414,7 @@ impl OnlineTracker {
             (Some(p1), Some(p2)) => {
                 let raw = wrap_pi(p2 - p1);
                 let off = *self.offset21.get_or_insert_with(|| {
-                    raw - expected_dtheta21(cfg.start_hint, cfg.antennas, cfg.distance.wavelength_m)
+                    raw - expected_dtheta21(cfg.start_hint, cfg.antennas, lambda)
                 });
                 Some(wrap_pi(raw - off))
             }
@@ -418,10 +424,8 @@ impl OnlineTracker {
         // Displacement along the estimated direction (Fig. 12(b)×(c)
         // intersection); plain lower bound when direction is unknown.
         let target_dist = match direction {
-            Some(dir) => {
-                directional_displacement(dth, cfg.antennas, self.pos_est, dir, &cfg.distance)
-                    .min(region.max_dist)
-            }
+            Some(dir) => directional_displacement(dth, cfg.antennas, self.pos_est, dir, lambda)
+                .min(region.max_dist),
             None => region.min_dist,
         };
 
@@ -464,14 +468,14 @@ impl OnlineTracker {
 
         let raw_error = self.azimuth_tracker.initial_error_estimate();
         let initial_azimuth_error =
-            raw_error.clamp(-cfg.max_rotation_correction_rad, cfg.max_rotation_correction_rad);
+            raw_error.clamp(-MAX_ROTATION_CORRECTION_RAD, MAX_ROTATION_CORRECTION_RAD);
         if cfg.apply_rotation_correction && initial_azimuth_error != 0.0 {
             points = rotate_trajectory(&points, initial_azimuth_error);
         }
 
         let times: Vec<f64> = self.steps.iter().map(|s| s.t).take(points.len()).collect();
         if cfg.smooth_output {
-            points = crate::smoother::smooth(&times, &points, &cfg.smoother);
+            points = crate::smoother::smooth(&times, &points);
         }
         let trail = Trail::new(times, points);
         let mut degradation = DegradationReport::from_preprocess(&self.windower.stats);
@@ -694,9 +698,9 @@ impl OnlineTracker {
         let est = v.get("estimator").ok_or_else(|| jerr("missing `estimator`"))?;
         let sector = match est.get("sector") {
             None | Some(Json::Null) => None,
-            Some(s) => Some(sector_from_code(
-                s.as_f64().ok_or_else(|| jerr("non-numeric `sector`"))? as u32,
-            )?),
+            Some(s) => {
+                Some(sector_from_code(s.as_f64().ok_or_else(|| jerr("non-numeric `sector`"))?)?)
+            }
         };
         let snap = AzimuthSnapshot {
             azimuth: opt_f64(est, "azimuth")?,
@@ -722,22 +726,23 @@ impl OnlineTracker {
                 })?;
                 let c = pair[0].as_f64().ok_or_else(|| jerr("non-numeric frontier cell"))?;
                 let s = pair[1].as_f64().ok_or_else(|| jerr("non-numeric frontier score"))?;
-                Ok((c as u32, s))
+                Ok((u32_from(c, "frontier cell")?, s))
             })
             .collect::<Result<Vec<_>, JsonError>>()?;
         let frames = req_arr(dec, "frames")?
             .iter()
             .map(|f| {
-                let cells = req_arr(f, "cells")?
-                    .iter()
-                    .map(|c| c.as_f64().map(|x| x as u32))
-                    .collect::<Option<Vec<_>>>()
-                    .ok_or_else(|| jerr("non-numeric frame cell"))?;
-                let prevs = req_arr(f, "prevs")?
-                    .iter()
-                    .map(|c| c.as_f64().map(|x| x as u32))
-                    .collect::<Option<Vec<_>>>()
-                    .ok_or_else(|| jerr("non-numeric frame prev"))?;
+                let ids = |key: &str| -> Result<Vec<u32>, JsonError> {
+                    req_arr(f, key)?
+                        .iter()
+                        .map(|c| {
+                            let x = c.as_f64().ok_or_else(|| jerr(format!("non-numeric {key}")))?;
+                            u32_from(x, key)
+                        })
+                        .collect()
+                };
+                let cells = ids("cells")?;
+                let prevs = ids("prevs")?;
                 if cells.len() != prevs.len() {
                     return Err(jerr("frame cells/prevs length mismatch"));
                 }
@@ -1027,8 +1032,33 @@ fn usize_json(x: usize) -> Json {
     Json::num(x as f64)
 }
 
+/// `x` checked to be a whole number in `0..=max`. An `as` cast would
+/// read `-1` as 0 and `2.5` as 2 and restore a state no tracker wrote,
+/// so a negative, fractional, non-finite or too-large value is an error.
+fn whole(x: f64, max: f64, what: &str) -> Result<f64, JsonError> {
+    if x >= 0.0 && x <= max && x.fract() == 0.0 {
+        Ok(x)
+    } else {
+        Err(jerr(format!("`{what}` must be a whole number in 0..={max}, got {x}")))
+    }
+}
+
+/// A count. `2^64` reads back as `usize::MAX`, the sentinel
+/// `write_usize` writes for an unbounded lag or hold.
+fn usize_from(x: f64, what: &str) -> Result<usize, JsonError> {
+    Ok(whole(x, usize::MAX as f64, what)? as usize)
+}
+
+fn u32_from(x: f64, what: &str) -> Result<u32, JsonError> {
+    Ok(whole(x, u32::MAX as f64, what)? as u32)
+}
+
 fn req_usize(v: &Json, key: &str) -> Result<usize, JsonError> {
-    Ok(v.req_f64(key)? as usize)
+    usize_from(v.req_f64(key)?, key)
+}
+
+fn req_u64(v: &Json, key: &str) -> Result<u64, JsonError> {
+    Ok(whole(v.req_f64(key)?, u64::MAX as f64, key)? as u64)
 }
 
 fn req_bool(v: &Json, key: &str) -> Result<bool, JsonError> {
@@ -1074,7 +1104,7 @@ fn vec2_from(v: &Json) -> Result<Vec2, JsonError> {
 pub(crate) fn fingerprint_json(cfg: &PolarDrawConfig) -> Json {
     Json::obj([
         ("window_s", Json::num(cfg.preprocess.window_s)),
-        ("spurious_threshold_rad", Json::num(cfg.preprocess.spurious_threshold_rad)),
+        ("spurious_threshold_rad", Json::num(SPURIOUS_THRESHOLD_RAD)),
         ("cell_m", Json::num(cfg.hmm.cell_m)),
         ("wavelength_m", Json::num(cfg.hmm.wavelength_m)),
         (
@@ -1093,9 +1123,9 @@ pub(crate) fn fingerprint_json(cfg: &PolarDrawConfig) -> Json {
                 Json::Arr(vec![Json::num(a.x), Json::num(a.y), Json::num(a.z)])
             }),
         ),
-        ("gap_bridge_min_windows", usize_json(cfg.gap_bridge_min_windows)),
+        ("gap_bridge_min_windows", usize_json(GAP_BRIDGE_MIN_WINDOWS)),
         ("use_polarization", Json::Bool(cfg.use_polarization)),
-        ("movement_rss_threshold_db", Json::num(cfg.movement_rss_threshold_db)),
+        ("movement_rss_threshold_db", Json::num(MOVEMENT_RSS_THRESHOLD_DB)),
     ])
 }
 
@@ -1107,11 +1137,11 @@ fn sector_code(s: Sector) -> f64 {
     }
 }
 
-fn sector_from_code(code: u32) -> Result<Sector, JsonError> {
-    match code {
-        1 => Ok(Sector::One),
-        2 => Ok(Sector::Two),
-        3 => Ok(Sector::Three),
+fn sector_from_code(code: f64) -> Result<Sector, JsonError> {
+    match u32_from(code, "sector") {
+        Ok(1) => Ok(Sector::One),
+        Ok(2) => Ok(Sector::Two),
+        Ok(3) => Ok(Sector::Three),
         _ => Err(jerr(format!("bad sector code {code}"))),
     }
 }
@@ -1185,7 +1215,7 @@ fn windowed_from(v: &Json) -> Result<Windowed, JsonError> {
         ..Default::default()
     };
     for (i, r) in reads.iter().enumerate() {
-        w.reads[i] = r.as_f64().ok_or_else(|| jerr("non-numeric reads"))? as usize;
+        w.reads[i] = usize_from(r.as_f64().ok_or_else(|| jerr("non-numeric reads"))?, "reads")?;
     }
     w.flags.empty = req_bool(v, "empty")?;
     w.flags.single_antenna = req_bool(v, "single_antenna")?;
@@ -1229,7 +1259,7 @@ fn step_estimate_from(v: &Json) -> Result<StepEstimate, JsonError> {
             rotation: rotation_from_code(
                 kind_v.get("rotation").ok_or_else(|| jerr("missing `rotation`"))?,
             )?,
-            sector: sector_from_code(kind_v.req_f64("sector")? as u32)?,
+            sector: sector_from_code(kind_v.req_f64("sector")?)?,
         },
         Some("tr") => StepKind::Translational(cardinal_from_code(
             kind_v.get("cardinal").ok_or_else(|| jerr("missing `cardinal`"))?,
@@ -1276,18 +1306,20 @@ fn decode_stats_from(v: &Json) -> Result<DecodeStats, JsonError> {
     Ok(DecodeStats {
         steps: req_usize(v, "steps")?,
         carried_steps: req_usize(v, "carried_steps")?,
-        expansions: v.req_f64("expansions")? as u64,
-        pruned_below_min: v.req_f64("pruned_below_min")? as u64,
-        pruned_beam: v.req_f64("pruned_beam")? as u64,
-        touched_cells: v.req_f64("touched_cells")? as u64,
+        expansions: req_u64(v, "expansions")?,
+        pruned_below_min: req_u64(v, "pruned_below_min")?,
+        pruned_beam: req_u64(v, "pruned_beam")?,
+        touched_cells: req_u64(v, "touched_cells")?,
         max_frontier: req_usize(v, "max_frontier")?,
-        total_frontier: v.req_f64("total_frontier")? as u64,
+        total_frontier: req_u64(v, "total_frontier")?,
         // Absent in pre-kernel checkpoints (written before the adaptive
         // beam existed, which implies it never shrank a step).
         adaptive_shrunk_steps: match v.get("adaptive_shrunk_steps") {
             None | Some(Json::Null) => 0,
-            Some(n) => n.as_f64().ok_or_else(|| jerr("non-numeric `adaptive_shrunk_steps`"))?
-                as usize,
+            Some(n) => usize_from(
+                n.as_f64().ok_or_else(|| jerr("non-numeric `adaptive_shrunk_steps`"))?,
+                "adaptive_shrunk_steps",
+            )?,
         },
     })
 }
@@ -1436,7 +1468,8 @@ mod tests {
         // The restored tracker checkpoints to the identical document.
         assert_eq!(restored.checkpoint_string(), text);
         // And a mismatched config is refused.
-        let other = cfg.with_wavelength(0.4);
+        let mut other = cfg;
+        other.hmm.wavelength_m = 0.4;
         assert!(OnlineTracker::restore_from_str(other, &text).is_err());
     }
 

@@ -5,33 +5,32 @@
 //! distance bounds → HMM Viterbi decoding → trajectory rotation
 //! correction, and exposes it all as a [`rfid_sim::TrajectoryTracker`].
 
-use crate::distance::DistanceConfig;
 use crate::hmm::{DecodeStats, HmmConfig};
 use crate::model::{Cardinal, Rotation, Sector};
 use crate::preprocess::{PreprocessConfig, PreprocessStats, Windowed};
 use crate::rotation::RotationConfig;
-use crate::translation::TranslationConfig;
 use rf_core::{Vec2, Vec3};
 use rfid_sim::tracking::{Trail, TrajectoryTracker};
 use rfid_sim::TagReport;
 
 /// Complete tracker configuration. Defaults reproduce the paper's
-/// published parameter choices (§3, §5.4).
+/// published parameter choices (§3, §5.4). The tuning values no caller
+/// varies are constants next to the code that reads them: the Eq. 11
+/// weights in [`crate::hmm`], v_max and the noise margin in
+/// [`crate::distance`], Δβ and the RSS gates in [`crate::rotation`],
+/// the Table 4 noise floor in [`crate::translation`], the spurious
+/// threshold in [`crate::preprocess`], the smoother tuning in
+/// [`crate::smoother`], and δ, the Eq. 10 clamp and the gap-bridge run
+/// length in [`crate::online`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolarDrawConfig {
-    /// Pre-processing (50 ms windows, spurious rejection).
+    /// Pre-processing window length (paper: 50 ms).
     pub preprocess: PreprocessConfig,
-    /// Azimuth tracking (γ, Δβ, step threshold).
+    /// Antenna mounting angle γ.
     pub rotation: RotationConfig,
-    /// Translational direction estimation.
-    pub translation: TranslationConfig,
-    /// Distance bounds (λ, v_max).
-    pub distance: DistanceConfig,
-    /// HMM decoding.
+    /// HMM cell size and the carrier wavelength λ — the one λ every
+    /// stage uses.
     pub hmm: HmmConfig,
-    /// Movement-type threshold δ: RSS change above this (dB) in a window
-    /// marks the step rotational (paper: 2 dBm).
-    pub movement_rss_threshold_db: f64,
     /// Assumed constant pen elevation αe, radians (paper: 30°; Table 7
     /// shows insensitivity).
     pub alpha_e_rad: f64,
@@ -48,31 +47,12 @@ pub struct PolarDrawConfig {
     /// `false` reproduces the Table 6 ablation: no polarization-based
     /// rotation estimation, direction from coarse phase trends only.
     pub use_polarization: bool,
-    /// Apply the Eq. 10 final rotation correction.
+    /// Apply the Eq. 10 final rotation correction, clamped to
+    /// [`crate::online::MAX_ROTATION_CORRECTION_RAD`].
     pub apply_rotation_correction: bool,
-    /// Clamp on the Eq. 10 correction magnitude, radians. The boundary
-    /// corrections that estimate α̃a are noisy; an unclamped estimate
-    /// can swing the whole trail (paper's Fig. 10 corrections are small).
-    pub max_rotation_correction_rad: f64,
     /// Apply the constant-velocity Kalman/RTS smoother to the decoded
     /// trail (the paper's declared future work, §3.5 footnote 5).
     pub smooth_output: bool,
-    /// Smoother tuning.
-    pub smoother: crate::smoother::SmootherConfig,
-    /// Extension (off by default; not in the paper): refine translational
-    /// direction by least-squares over both antennas' range rates
-    /// instead of snapping to the four Table 4 cardinals. The default
-    /// `false` is the strictly paper-faithful coarse-direction behaviour
-    /// (the ablation benches sweep this).
-    pub refine_translation: bool,
-    /// Gap bridging: an interior run of at least this many consecutive
-    /// completely-empty windows (no reads on either antenna — a total
-    /// outage) is coalesced into a single decoder step whose `dt` spans
-    /// the whole gap, so the feasible annulus widens to `v_max · gap`
-    /// instead of emitting a chain of blind per-window steps. Clean
-    /// streams never hit this (the reader reads every window), so the
-    /// default changes nothing on healthy input. `usize::MAX` disables.
-    pub gap_bridge_min_windows: usize,
 }
 
 impl Default for PolarDrawConfig {
@@ -80,10 +60,7 @@ impl Default for PolarDrawConfig {
         PolarDrawConfig {
             preprocess: PreprocessConfig::default(),
             rotation: RotationConfig::default(),
-            translation: TranslationConfig::default(),
-            distance: DistanceConfig::default(),
             hmm: HmmConfig::default(),
-            movement_rss_threshold_db: 2.0,
             alpha_e_rad: 30f64.to_radians(),
             antennas: [Vec3::new(-0.28, 0.15, 0.65), Vec3::new(0.28, 0.15, 0.65)],
             board_min: Vec2::new(-0.45, 0.35),
@@ -91,24 +68,12 @@ impl Default for PolarDrawConfig {
             start_hint: Vec2::new(-0.2, 0.7),
             use_polarization: true,
             apply_rotation_correction: true,
-            max_rotation_correction_rad: 25f64.to_radians(),
             smooth_output: true,
-            smoother: crate::smoother::SmootherConfig::default(),
-            refine_translation: false,
-            gap_bridge_min_windows: 4,
         }
     }
 }
 
 impl PolarDrawConfig {
-    /// Keep λ consistent across the sub-configs.
-    pub fn with_wavelength(mut self, lambda_m: f64) -> Self {
-        self.translation.wavelength_m = lambda_m;
-        self.distance.wavelength_m = lambda_m;
-        self.hmm.wavelength_m = lambda_m;
-        self
-    }
-
     /// Set the antenna mounting angle γ everywhere it matters.
     pub fn with_gamma(mut self, gamma_rad: f64) -> Self {
         self.rotation.gamma_rad = gamma_rad;
@@ -377,8 +342,7 @@ mod tests {
 
     #[test]
     fn no_polarization_mode_never_rotational() {
-        let mut cfg = PolarDrawConfig::default();
-        cfg.use_polarization = false;
+        let cfg = PolarDrawConfig { use_polarization: false, ..PolarDrawConfig::default() };
         let mut stream = downward_stream(20);
         // Inject big RSS swings that WOULD trigger rotation.
         for (i, r) in stream.iter_mut().enumerate() {
@@ -457,25 +421,22 @@ mod tests {
             let dist = pts[0].distance(pts[1]);
             assert!(dist.is_finite());
             assert!(
-                dist <= cfg.distance.vmax_mps * dt + 3.0 * cfg.hmm.cell_m,
+                dist <= crate::distance::VMAX_MPS * dt + 3.0 * cfg.hmm.cell_m,
                 "teleport across bridged step: {dist} m in {dt} s"
             );
         }
-    }
 
-    #[test]
-    fn gap_bridging_can_be_disabled() {
-        let mut stream = downward_stream(10);
-        for r in downward_stream(30) {
-            if r.t >= 1.0 {
-                stream.push(r);
-            }
+        // The run-length boundary: an interior run of 4 empty windows
+        // is bridged, a run of 3 is kept window by window.
+        for (run, bridged) in [(3, 0), (4, 1)] {
+            let carved: Vec<TagReport> = downward_stream(30)
+                .into_iter()
+                .filter(|r| !(10..10 + run).contains(&((r.t / 0.05).floor() as usize)))
+                .collect();
+            let d = PolarDraw::new(cfg).track_with_diagnostics(&carved).degradation;
+            assert_eq!(d.empty_windows, run, "{d:?}");
+            assert_eq!(d.gaps_bridged, bridged, "run of {run}: {d:?}");
         }
-        let mut cfg = PolarDrawConfig::default();
-        cfg.gap_bridge_min_windows = usize::MAX;
-        let out = PolarDraw::new(cfg).track_with_diagnostics(&stream);
-        assert_eq!(out.degradation.gaps_bridged, 0);
-        assert_eq!(out.steps.len(), out.windows.len() - 1);
     }
 
     #[test]
@@ -497,17 +458,13 @@ mod tests {
         let pd = PolarDraw::new(PolarDrawConfig::default());
         assert_eq!(pd.antenna_count(), 2);
         assert!(pd.name().contains("PolarDraw"));
-        let mut cfg = PolarDrawConfig::default();
-        cfg.use_polarization = false;
+        let cfg = PolarDrawConfig { use_polarization: false, ..PolarDrawConfig::default() };
         assert!(PolarDraw::new(cfg).name().contains("w/o"));
     }
 
     #[test]
     fn config_builders_propagate() {
-        let cfg = PolarDrawConfig::default().with_wavelength(0.33).with_gamma(0.5);
-        assert_eq!(cfg.translation.wavelength_m, 0.33);
-        assert_eq!(cfg.distance.wavelength_m, 0.33);
-        assert_eq!(cfg.hmm.wavelength_m, 0.33);
+        let cfg = PolarDrawConfig::default().with_gamma(0.5);
         assert_eq!(cfg.rotation.gamma_rad, 0.5);
     }
 }

@@ -74,16 +74,17 @@ pub struct PreprocessStats {
 pub struct PreprocessConfig {
     /// Window length, seconds (paper: 50 ms).
     pub window_s: f64,
-    /// Reject a window's phase when it differs from the previous valid
-    /// window by more than this, radians (paper: 0.2 rad).
-    pub spurious_threshold_rad: f64,
 }
 
 impl Default for PreprocessConfig {
     fn default() -> Self {
-        PreprocessConfig { window_s: 0.05, spurious_threshold_rad: 0.25 }
+        PreprocessConfig { window_s: 0.05 }
     }
 }
+
+/// Reject a window's phase when it differs from the previous valid
+/// window by more than this, radians (paper: 0.2 rad).
+pub const SPURIOUS_THRESHOLD_RAD: f64 = 0.25;
 
 /// Window-average a report stream and reject spurious phases.
 ///
@@ -280,7 +281,7 @@ impl Windower {
         for ant in 0..2 {
             if let Some(p) = w.phase[ant] {
                 if let Some(prev) = self.prev_measured[ant] {
-                    if phase_distance(p, prev) > self.config.spurious_threshold_rad {
+                    if phase_distance(p, prev) > SPURIOUS_THRESHOLD_RAD {
                         w.phase[ant] = None;
                         w.flags.spurious[ant] = true;
                         self.stats.spurious_rejected += 1;
@@ -327,10 +328,10 @@ fn build_window(t: f64, reports: &[TagReport]) -> (Windowed, usize) {
         acc[r.antenna].push(r.rssi_dbm, r.phase_rad);
     }
     let mut w = Windowed { t, ..Default::default() };
-    for ant in 0..2 {
-        w.reads[ant] = acc[ant].n;
-        w.rssi[ant] = acc[ant].mean_rssi();
-        w.phase[ant] = acc[ant].mean_phase();
+    for (ant, a) in acc.iter().enumerate() {
+        w.reads[ant] = a.n;
+        w.rssi[ant] = a.mean_rssi();
+        w.phase[ant] = a.mean_phase();
     }
     w.flags.empty = w.reads == [0, 0];
     w.flags.single_antenna = (w.reads[0] == 0) != (w.reads[1] == 0);
@@ -411,7 +412,7 @@ mod tests {
         ];
         let w = preprocess(&reports, &PreprocessConfig::default());
         let p = w[0].phase[0].unwrap();
-        assert!(p < 0.01 || p > TAU - 0.01, "mean of ±0.1 wraps to ~0, got {p}");
+        assert!(p.min(TAU - p) < 0.01, "mean of ±0.1 wraps to ~0, got {p}");
     }
 
     #[test]

@@ -22,27 +22,25 @@ pub struct RotationConfig {
     /// Antenna mounting angle γ, radians (paper: 15° in the end-to-end
     /// experiments).
     pub gamma_rad: f64,
-    /// Per-window azimuth step Δβ, radians (paper: 6°).
-    pub delta_beta_rad: f64,
-    /// RSS-trend threshold δ for applying Δβ, dB (paper: 1.5 dBm).
-    pub step_threshold_db: f64,
-    /// Minimum |ΔRSS| on *both* antennas for the Table 3 signs to be
-    /// trusted at all, dB. Below this, the weaker antenna's trend sign
-    /// is measurement noise and classifying would flip the rotation
-    /// sense at random.
-    pub sign_confidence_db: f64,
 }
 
 impl Default for RotationConfig {
     fn default() -> Self {
-        RotationConfig {
-            gamma_rad: 15f64.to_radians(),
-            delta_beta_rad: 6f64.to_radians(),
-            step_threshold_db: 1.5,
-            sign_confidence_db: 0.8,
-        }
+        RotationConfig { gamma_rad: 15f64.to_radians() }
     }
 }
+
+/// Per-window azimuth step Δβ, radians (paper: 6°).
+pub const DELTA_BETA_RAD: f64 = 6f64.to_radians();
+
+/// RSS-trend threshold δ for applying Δβ, dB (paper: 1.5 dBm).
+pub const STEP_THRESHOLD_DB: f64 = 1.5;
+
+/// Minimum |ΔRSS| on *both* antennas for the Table 3 signs to be
+/// trusted at all, dB. Below this, the weaker antenna's trend sign is
+/// measurement noise and classifying would flip the rotation sense at
+/// random.
+pub const SIGN_CONFIDENCE_DB: f64 = 0.8;
 
 /// One rotational update produced by the tracker.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -146,8 +144,7 @@ impl AzimuthTracker {
     /// update, or `None` when Table 3 cannot classify the trends (or
     /// either trend is too weak for its sign to be trustworthy).
     pub fn step(&mut self, ds1: f64, ds2: f64) -> Option<RotationStep> {
-        if ds1.abs() < self.config.sign_confidence_db || ds2.abs() < self.config.sign_confidence_db
-        {
+        if ds1.abs() < SIGN_CONFIDENCE_DB || ds2.abs() < SIGN_CONFIDENCE_DB {
             return None;
         }
         let (sector, rotation) = classify_rss_trend(ds1, ds2)?;
@@ -159,9 +156,8 @@ impl AzimuthTracker {
             Some(prev) => {
                 // Eq. 4: advance only when both antennas show a strong
                 // trend.
-                let strong = ds1.abs() > self.config.step_threshold_db
-                    && ds2.abs() > self.config.step_threshold_db;
-                let delta = if strong { self.config.delta_beta_rad } else { 0.0 };
+                let strong = ds1.abs() > STEP_THRESHOLD_DB && ds2.abs() > STEP_THRESHOLD_DB;
+                let delta = if strong { DELTA_BETA_RAD } else { 0.0 };
                 // Eq. 3.
                 let stepped = match rotation {
                     Rotation::Clockwise => prev.azimuth - delta,
@@ -261,6 +257,15 @@ mod tests {
         assert!(ds1.abs() >= 0.8 && ds1.abs() < 1.5, "ds1 {ds1}");
         let a1 = t.step(ds1, ds2).unwrap().azimuth;
         assert_eq!(a0, a1, "Eq. 4: Δβ = 0 under weak trends");
+
+        // Right at the 1.5 dB gate, in sector 2 (clockwise): 1.51 dB on
+        // both antennas advances by Δβ, 1.49 dB holds.
+        let mut t = tracker();
+        let a0 = t.step(-1.51, 1.51).unwrap().azimuth;
+        let a1 = t.step(-1.51, 1.51).unwrap().azimuth;
+        assert!((a0 - a1 - deg_to_rad(6.0)).abs() < 1e-9, "1.51 dB clears the gate");
+        let a2 = t.step(-1.49, 1.49).unwrap().azimuth;
+        assert_eq!(a1, a2, "1.49 dB stays under the gate");
     }
 
     #[test]
@@ -269,6 +274,11 @@ mod tests {
         // Both trends below the sign-confidence floor: noise, not data.
         assert!(t.step(0.5, -0.6).is_none());
         assert!(!t.is_initialized());
+        // Right at the 0.8 dB floor: 0.796 dB is noise, 0.804 dB is a
+        // trend.
+        assert!(t.step(-0.796, 0.796).is_none());
+        assert!(!t.is_initialized());
+        assert!(t.step(-0.804, 0.804).is_some());
     }
 
     #[test]

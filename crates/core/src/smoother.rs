@@ -13,21 +13,12 @@
 
 use rf_core::Vec2;
 
-/// Kalman smoother configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SmootherConfig {
-    /// Process noise: white acceleration spectral density, (m/s²)²·s.
-    /// Writing is smooth; 0.5–2 works well.
-    pub accel_density: f64,
-    /// Measurement noise std-dev, metres (≈ the HMM cell size).
-    pub measurement_sigma_m: f64,
-}
+/// Process noise: white acceleration spectral density, (m/s²)²·s.
+/// Writing is smooth; 0.5–2 works well.
+pub const ACCEL_DENSITY: f64 = 1.0;
 
-impl Default for SmootherConfig {
-    fn default() -> Self {
-        SmootherConfig { accel_density: 1.0, measurement_sigma_m: 0.004 }
-    }
-}
+/// Measurement noise std-dev, metres (≈ the HMM cell size).
+pub const MEASUREMENT_SIGMA_M: f64 = 0.004;
 
 #[derive(Debug, Clone, Copy)]
 struct AxisState {
@@ -44,7 +35,7 @@ struct AxisState {
 /// `times` and `points` must have equal length; returns the smoothed
 /// points (same length). Inputs shorter than 3 points are returned
 /// unchanged.
-pub fn smooth(times: &[f64], points: &[Vec2], config: &SmootherConfig) -> Vec<Vec2> {
+pub fn smooth(times: &[f64], points: &[Vec2]) -> Vec<Vec2> {
     assert_eq!(times.len(), points.len(), "times/points length mismatch");
     let n = points.len();
     if n < 3 {
@@ -52,15 +43,15 @@ pub fn smooth(times: &[f64], points: &[Vec2], config: &SmootherConfig) -> Vec<Ve
     }
     let xs: Vec<f64> = points.iter().map(|p| p.x).collect();
     let ys: Vec<f64> = points.iter().map(|p| p.y).collect();
-    let sx = smooth_axis(times, &xs, config);
-    let sy = smooth_axis(times, &ys, config);
+    let sx = smooth_axis(times, &xs);
+    let sy = smooth_axis(times, &ys);
     sx.into_iter().zip(sy).map(|(x, y)| Vec2::new(x, y)).collect()
 }
 
-fn smooth_axis(times: &[f64], zs: &[f64], config: &SmootherConfig) -> Vec<f64> {
+fn smooth_axis(times: &[f64], zs: &[f64]) -> Vec<f64> {
     let n = zs.len();
-    let r = config.measurement_sigma_m.powi(2);
-    let q = config.accel_density;
+    let r = MEASUREMENT_SIGMA_M.powi(2);
+    let q = ACCEL_DENSITY;
 
     // Forward pass, storing filtered and predicted states.
     let mut filtered: Vec<AxisState> = Vec::with_capacity(n);
@@ -159,7 +150,7 @@ mod tests {
     #[test]
     fn smoothing_reduces_quantization_error() {
         let (times, quantized) = staircase(80, 0.005);
-        let smoothed = smooth(&times, &quantized, &SmootherConfig::default());
+        let smoothed = smooth(&times, &quantized);
         let err = |pts: &[Vec2]| -> f64 {
             times
                 .iter()
@@ -180,15 +171,15 @@ mod tests {
     fn short_inputs_pass_through() {
         let times = vec![0.0, 0.05];
         let pts = vec![Vec2::new(0.0, 0.0), Vec2::new(0.01, 0.0)];
-        assert_eq!(smooth(&times, &pts, &SmootherConfig::default()), pts);
-        assert!(smooth(&[], &[], &SmootherConfig::default()).is_empty());
+        assert_eq!(smooth(&times, &pts), pts);
+        assert!(smooth(&[], &[]).is_empty());
     }
 
     #[test]
     fn constant_input_stays_constant() {
         let times: Vec<f64> = (0..50).map(|i| i as f64 * 0.05).collect();
         let pts = vec![Vec2::new(0.1, 0.2); 50];
-        let smoothed = smooth(&times, &pts, &SmootherConfig::default());
+        let smoothed = smooth(&times, &pts);
         for p in smoothed {
             assert!(p.distance(Vec2::new(0.1, 0.2)) < 1e-6);
         }
@@ -207,7 +198,7 @@ mod tests {
                 pts.push(Vec2::new(0.005 * (i - 20) as f64, 0.095));
             }
         }
-        let smoothed = smooth(&times, &pts, &SmootherConfig::default());
+        let smoothed = smooth(&times, &pts);
         // The corner point must not be dragged more than ~1.5 cells.
         let corner = smoothed[20];
         assert!(corner.distance(pts[20]) < 0.008, "corner moved to {corner:?}");
@@ -216,6 +207,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_inputs_panic() {
-        smooth(&[0.0], &[], &SmootherConfig::default());
+        smooth(&[0.0], &[]);
     }
 }

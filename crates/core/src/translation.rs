@@ -3,95 +3,31 @@
 //! When the RSS is quiet (little rotation), the pen is translating, and
 //! the per-antenna phase trends decode a coarse direction (Table 4):
 //! both phases falling = moving up (toward both antennas), both rising =
-//! down, split = left/right toward whichever antenna's phase falls.
-//!
-//! The module also refines the coarse cardinal into a continuous
-//! direction estimate by treating the two phase deltas as range-rate
-//! measurements along the unit vectors toward each antenna — a tiny
-//! least-squares velocity solve that the HMM consumes as its direction
-//! prior.
+//! down, split = left/right toward whichever antenna's phase falls. The
+//! HMM takes that cardinal's unit vector as the step's direction prior.
 
-use crate::distance::range_gradient;
 use crate::model::{classify_phase_trend, Cardinal};
-use rf_core::{wrap_pi, Vec2, Vec3};
+use rf_core::wrap_pi;
 
-/// Tuning for the translational estimator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TranslationConfig {
-    /// Carrier wavelength λ, metres.
-    pub wavelength_m: f64,
-    /// Ignore phase deltas smaller than this, radians (noise floor).
-    pub phase_threshold_rad: f64,
-}
+/// Ignore per-antenna phase deltas smaller than this, radians (noise
+/// floor).
+pub const PHASE_THRESHOLD_RAD: f64 = 0.09;
 
-impl Default for TranslationConfig {
-    fn default() -> Self {
-        TranslationConfig { wavelength_m: 0.3276, phase_threshold_rad: 0.09 }
-    }
-}
-
-/// A translational step estimate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TranslationStep {
-    /// Coarse Table 4 direction.
-    pub cardinal: Cardinal,
-    /// Refined unit direction (least-squares over both antennas'
-    /// range rates); falls back to the cardinal when the geometry is
-    /// degenerate.
-    pub direction: Vec2,
-    /// Per-antenna range changes Δl_j implied by Eq. 5, metres.
-    pub range_deltas: [f64; 2],
-}
-
-/// Estimate the translational direction for one window step.
-///
-/// * `dth` — per-antenna phase deltas (wrapped to `(−π, π]`), radians.
-/// * `antenna_xy` — antenna positions projected on the board, metres.
-/// * `from` — the pen's current position estimate (for the unit vectors
-///   toward the antennas).
-pub fn estimate_translation(
-    dth: [f64; 2],
-    antennas: [Vec3; 2],
-    from: Vec2,
-    config: &TranslationConfig,
-) -> Option<TranslationStep> {
-    let d1 = wrap_pi(dth[0]);
-    let d2 = wrap_pi(dth[1]);
-    let cardinal = classify_phase_trend(d1, d2, config.phase_threshold_rad)?;
-
-    // Eq. 5: Δl_j = Δθ_j · λ / 4π.
-    let k = config.wavelength_m / (4.0 * std::f64::consts::PI);
-    let dl = [d1 * k, d2 * k];
-
-    // Range-rate geometry: moving the pen by board vector v changes
-    // l_j by g_j · v, with g_j the in-plane range gradient (3-D aware).
-    // Solve the 2×2 system g_1·v = Δl_1, g_2·v = Δl_2. When the solved
-    // displacement is below the noise-equivalent motion the angle is
-    // meaningless — fall back to the coarse Table 4 cardinal.
-    let noise_floor_m = config.phase_threshold_rad * k;
-    let g1 = range_gradient(antennas[0], from);
-    let g2 = range_gradient(antennas[1], from);
-    let det = g1.x * g2.y - g1.y * g2.x;
-    let direction = if det.abs() < 1e-3 {
-        cardinal.unit()
-    } else {
-        let v = Vec2::new(
-            (dl[0] * g2.y - dl[1] * g1.y) / det,
-            (g1.x * dl[1] - g2.x * dl[0]) / det,
-        );
-        if v.norm() < noise_floor_m {
-            cardinal.unit()
-        } else {
-            v.normalized().unwrap_or_else(|| cardinal.unit())
-        }
-    };
-
-    Some(TranslationStep { cardinal, direction, range_deltas: dl })
+/// Estimate the translational direction for one window step: wrap the
+/// per-antenna phase deltas `dth` (radians) to `(−π, π]` and classify
+/// their trend (Table 4). `None` when both stay under
+/// [`PHASE_THRESHOLD_RAD`].
+pub fn estimate_translation(dth: [f64; 2]) -> Option<Cardinal> {
+    classify_phase_trend(wrap_pi(dth[0]), wrap_pi(dth[1]), PHASE_THRESHOLD_RAD)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::range_gradient;
+    use rf_core::{Vec2, Vec3};
+
+    const LAMBDA: f64 = 0.3276;
 
     fn rig() -> [Vec3; 2] {
         // Antennas 56 cm apart facing the writing block from 65 cm in
@@ -101,8 +37,8 @@ mod tests {
 
     /// Phase deltas a motion `v` (metres over the window) produces at
     /// the rig: Δθ_j = 4π/λ · (g_j · v).
-    fn phase_for_motion(from: Vec2, v: Vec2, cfg: &TranslationConfig) -> [f64; 2] {
-        let k = 4.0 * std::f64::consts::PI / cfg.wavelength_m;
+    fn phase_for_motion(from: Vec2, v: Vec2) -> [f64; 2] {
+        let k = 4.0 * std::f64::consts::PI / LAMBDA;
         let rig = rig();
         let mut out = [0.0; 2];
         for j in 0..2 {
@@ -114,7 +50,6 @@ mod tests {
 
     #[test]
     fn cardinal_decoding_matches_table4_at_the_rig() {
-        let cfg = TranslationConfig::default();
         // Slightly off the perpendicular bisector: exactly on it,
         // horizontal motion changes both ranges only to second order
         // and produces no measurable phase trend.
@@ -128,66 +63,21 @@ mod tests {
             (Vec2::new(0.006, 0.0), Cardinal::Right),
         ];
         for (v, expect) in cases {
-            let dth = phase_for_motion(from, v, &cfg);
-            let step = estimate_translation(dth, rig(), from, &cfg).unwrap();
-            assert_eq!(step.cardinal, expect, "motion {v:?}");
-        }
-    }
-
-    #[test]
-    fn refined_direction_recovers_the_true_motion() {
-        let cfg = TranslationConfig::default();
-        let from = Vec2::new(0.18, 0.78); // off-centre: horizontal motion measurable
-        for angle_deg in [0.0, 37.0, 90.0, 133.0, 180.0, 241.0, 305.0] {
-            let dir = Vec2::from_angle(angle_deg * std::f64::consts::PI / 180.0);
-            let v = dir * 0.006;
-            let dth = phase_for_motion(from, v, &cfg);
-            if let Some(step) = estimate_translation(dth, rig(), from, &cfg) {
-                let err = step.direction.dot(dir).clamp(-1.0, 1.0).acos();
-                assert!(
-                    err < 0.05,
-                    "angle {angle_deg}°: recovered off by {:.1}°",
-                    err.to_degrees()
-                );
-            } else {
-                panic!("motion at {angle_deg}° not detected");
-            }
+            let dth = phase_for_motion(from, v);
+            assert_eq!(estimate_translation(dth), Some(expect), "motion {v:?}");
         }
     }
 
     #[test]
     fn still_pen_is_none() {
-        let cfg = TranslationConfig::default();
-        assert!(estimate_translation([0.01, -0.01], rig(), Vec2::new(0.0, 0.7), &cfg).is_none());
-    }
-
-    #[test]
-    fn range_deltas_follow_eq5() {
-        let cfg = TranslationConfig::default();
-        let dth = [0.4, -0.2];
-        let step = estimate_translation(dth, rig(), Vec2::new(0.0, 0.7), &cfg).unwrap();
-        let k = cfg.wavelength_m / (4.0 * std::f64::consts::PI);
-        assert!((step.range_deltas[0] - 0.4 * k).abs() < 1e-12);
-        assert!((step.range_deltas[1] + 0.2 * k).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degenerate_geometry_falls_back_to_cardinal() {
-        let cfg = TranslationConfig::default();
-        // Pen on the rig's symmetry point far away: both gradients are
-        // nearly parallel, the 2×2 system is singular.
-        let far = Vec2::new(0.0, 50.0);
-        let step = estimate_translation([0.3, 0.3], rig(), far, &cfg).unwrap();
-        assert_eq!(step.direction, Cardinal::Down.unit());
+        assert!(estimate_translation([0.01, -0.01]).is_none());
     }
 
     #[test]
     fn wrapping_is_applied_to_inputs() {
-        let cfg = TranslationConfig::default();
         let tau = std::f64::consts::TAU;
         // Deltas near ±2π are actually small motions.
-        let step = estimate_translation([tau - 0.3, tau - 0.3], rig(), Vec2::new(0.0, 0.7), &cfg)
-            .unwrap();
-        assert_eq!(step.cardinal, Cardinal::Up, "2π − 0.3 wraps to −0.3");
+        let cardinal = estimate_translation([tau - 0.3, tau - 0.3]);
+        assert_eq!(cardinal, Some(Cardinal::Up), "2π − 0.3 wraps to −0.3");
     }
 }

@@ -133,7 +133,7 @@ fn run_case(
     }
     let stats = fleet.stats();
     let trails: Vec<TrackOutput> = fleet.finish().into_iter().map(|(_, t)| t).collect();
-    let bitwise = reference.map_or(true, |want| {
+    let bitwise = reference.is_none_or(|want| {
         trails.len() == want.len()
             && trails.iter().zip(want).all(|(g, w)| {
                 g.trail.points.len() == w.trail.points.len()

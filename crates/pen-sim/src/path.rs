@@ -46,7 +46,7 @@ pub fn join_strokes(strokes: &[Vec<Vec2>]) -> Vec<Vec2> {
         // The straight hop from the previous stroke's end is implicit in
         // polyline form: just append (skipping an exact duplicate point).
         for &p in stroke {
-            if out.last().map_or(true, |&last| last.distance(p) > 1e-12) {
+            if out.last().is_none_or(|&last| last.distance(p) > 1e-12) {
                 out.push(p);
             }
         }

@@ -45,16 +45,6 @@ impl Mat2 {
         Vec2::new(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
     }
 
-    /// Matrix–matrix product `self · rhs`.
-    pub fn mul(self, rhs: Mat2) -> Mat2 {
-        Mat2::new(
-            self.a * rhs.a + self.b * rhs.c,
-            self.a * rhs.b + self.b * rhs.d,
-            self.c * rhs.a + self.d * rhs.c,
-            self.c * rhs.b + self.d * rhs.d,
-        )
-    }
-
     /// Determinant.
     pub fn det(self) -> f64 {
         self.a * self.d - self.b * self.c
@@ -75,6 +65,20 @@ impl Mat2 {
     }
 }
 
+impl std::ops::Mul for Mat2 {
+    type Output = Mat2;
+
+    /// Matrix–matrix product `self · rhs`.
+    fn mul(self, rhs: Mat2) -> Mat2 {
+        Mat2::new(
+            self.a * rhs.a + self.b * rhs.c,
+            self.a * rhs.b + self.b * rhs.d,
+            self.c * rhs.a + self.d * rhs.c,
+            self.c * rhs.b + self.d * rhs.d,
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,7 +87,7 @@ mod tests {
     #[test]
     fn rotation_is_orthonormal() {
         let r = Mat2::rotation(0.9);
-        let rtr = r.transpose().mul(r);
+        let rtr = r.transpose() * r;
         assert!((rtr.a - 1.0).abs() < 1e-12 && rtr.b.abs() < 1e-12);
         assert!(rtr.c.abs() < 1e-12 && (rtr.d - 1.0).abs() < 1e-12);
         assert!((r.det() - 1.0).abs() < 1e-12);
@@ -100,7 +104,7 @@ mod tests {
     fn inverse_undoes_transform() {
         let m = Mat2::new(2.0, 1.0, -1.0, 3.0);
         let inv = m.inverse().unwrap();
-        let id = m.mul(inv);
+        let id = m * inv;
         assert!((id.a - 1.0).abs() < 1e-12 && id.b.abs() < 1e-12);
         assert!(id.c.abs() < 1e-12 && (id.d - 1.0).abs() < 1e-12);
     }
@@ -112,7 +116,7 @@ mod tests {
 
     #[test]
     fn rotation_composition_adds_angles() {
-        let r = Mat2::rotation(0.3).mul(Mat2::rotation(0.4));
+        let r = Mat2::rotation(0.3) * Mat2::rotation(0.4);
         let expect = Mat2::rotation(0.7);
         assert!((r.a - expect.a).abs() < 1e-12 && (r.b - expect.b).abs() < 1e-12);
     }

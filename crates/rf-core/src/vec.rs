@@ -341,7 +341,7 @@ mod tests {
             let a = -3.0 + 0.4 * k as f64;
             let v = Vec2::from_angle(a);
             let diff = (v.angle() - a).rem_euclid(std::f64::consts::TAU);
-            assert!(diff < 1e-9 || diff > std::f64::consts::TAU - 1e-9);
+            assert!(diff.min(std::f64::consts::TAU - diff) < 1e-9);
         }
     }
 

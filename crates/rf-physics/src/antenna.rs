@@ -247,8 +247,8 @@ mod tests {
             Vec3::X,
             PolState::Circular { right_handed: true },
         );
-        for deg in [0.0, 30.0, 77.0, 145.0] {
-            let a = (deg as f64).to_radians();
+        for deg in [0.0f64, 30.0, 77.0, 145.0] {
+            let a = deg.to_radians();
             let u = Vec3::new(a.cos(), a.sin(), 0.0);
             let c = circ.polarization_coupling(Vec3::ZERO, u);
             assert!((c * c - 0.5).abs() < 1e-12, "{deg}° → {c}");

@@ -124,7 +124,7 @@ pub fn decode_report(buf: &[u8]) -> Result<(u32, Vec<TagReport>), DecodeError> {
     }
     let message_id = u32::from_be_bytes([buf[6], buf[7], buf[8], buf[9]]);
     let payload = &buf[HEADER_LEN..];
-    if payload.len() % RECORD_LEN != 0 {
+    if !payload.len().is_multiple_of(RECORD_LEN) {
         return Err(DecodeError::RaggedPayload);
     }
     let mut reports = Vec::with_capacity(payload.len() / RECORD_LEN);

@@ -182,7 +182,7 @@ impl Reader {
                     pose_idx[ti] += 1;
                 }
                 let Some(pose) = poses.get(pose_idx[ti]) else { continue };
-                if pose.t > t || poses.last().map_or(true, |p| p.t < t) {
+                if pose.t > t || poses.last().is_none_or(|p| p.t < t) {
                     continue;
                 }
                 let obs = rig.evaluate(port, pose.position, pose.dipole, t);

@@ -614,7 +614,7 @@ mod tests {
                 SessionEvent::Reconnected { t, .. } => Some(*t),
                 _ => None,
             })
-            .last()
+            .next_back()
             .expect("a Reconnected event");
         let budget = cfg.backoff.worst_case_total_s(cfg.max_reconnect_attempts);
         assert!(

@@ -29,6 +29,11 @@ done
 echo "== verify: offline release build =="
 cargo build --release --offline --workspace --benches
 
+echo "== verify: clippy (warnings are errors) =="
+# Every workspace target, tests and benches included. e2e-bench is a
+# package of its own and is not linted here.
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
 echo "== verify: offline test suite =="
 # One pass over every test target in the workspace. It runs without
 # `-q` so the log names each test binary (`Running …`) and each passing
@@ -169,8 +174,9 @@ echo "== verify: fleet front door =="
 #   moving (swept cuts, queued reports carried, threads 1/2/8) and the
 #   overload contract (bounded queues, deferral never drops, monotone
 #   degradation, hysteretic recovery),
-# - tests/serve_alloc.rs proves a warm single-thread drain round
-#   allocates nothing (counting global allocator),
+# - tests/serve_alloc.rs proves a warm single-thread drain round, and a
+#   warm store-less one-shard fleet offer + drain round, allocate
+#   nothing (counting global allocator),
 # - the router/controller unit tests live in polardraw-core (fleet),
 #   the traffic-model unit tests in rfid-sim (traffic).
 ran fleet
@@ -183,7 +189,8 @@ echo "== verify: durability & crash recovery =="
 # - tests/durability.rs sweeps 2000 mutated checkpoint.v2 envelopes
 #   through the typed-error parser (every semantic mutation rejected,
 #   every accepted envelope bit-identical), keeps rejecting a kernel
-#   `threads` format field above its ceiling (gated by name), pins the
+#   `threads` format field above its ceiling and negative or
+#   fractional counts and cell ids (each gated by name), pins the
 #   v1 → v2 migration golden snapshot, proves the store's
 #   stage-then-commit atomicity plus generation walk-back over
 #   corrupted blobs, and holds every warm-cache seal byte-identical to
@@ -200,6 +207,7 @@ echo "== verify: durability & crash recovery =="
 #   parser recursion-depth bound in rf-core (json).
 ran durability
 ran durability restore_bounds_the_kernel_thread_count
+ran durability restore_rejects_negative_and_fractional_counts
 ran durability incremental_seal_equals_cold_seal
 ran durability seals_match_the_pinned_bytes
 ran chaos

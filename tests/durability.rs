@@ -133,23 +133,33 @@ fn restore_survives_2000_mutated_envelopes() {
     assert!(accepted + rejected == 2000);
 }
 
-/// Rewrite the decode kernel's `threads` inside a sealed envelope and
-/// re-seal it with a valid CRC — what a hostile or buggy writer could
-/// hand to restore. Returns the edited envelope.
-fn reseal_with_kernel_threads(sealed: &str, threads: f64) -> String {
+/// Rewrite the number at `path` inside a sealed envelope's payload
+/// (object keys, or array indices written as digits) and re-seal it
+/// with a valid CRC — what a hostile or buggy writer could hand to
+/// restore. Returns the edited envelope.
+fn reseal_with(sealed: &str, path: &[&str], value: f64) -> String {
     let mut doc = Json::parse(sealed).expect("sealed envelope parses");
     let Json::Obj(env) = &mut doc else { panic!("envelope is an object") };
     env.remove("crc");
-    let payload = env.get_mut("payload").expect("payload");
-    let Json::Obj(p) = &mut *payload else { panic!("payload is an object") };
-    let Some(Json::Obj(opts)) = p.get_mut("options") else { panic!("options object") };
-    let Some(Json::Obj(kernel)) = opts.get_mut("kernel") else { panic!("kernel object") };
-    kernel.insert("threads".to_string(), Json::num(threads));
+    let mut at = env.get_mut("payload").expect("payload");
+    for step in path {
+        at = match at {
+            Json::Obj(o) => o.get_mut(*step),
+            Json::Arr(a) => step.parse::<usize>().ok().and_then(|i| a.get_mut(i)),
+            _ => None,
+        }
+        .unwrap_or_else(|| panic!("no `{step}` on the path {path:?}"));
+    }
+    *at = Json::num(value);
     let crc = crc32(doc.to_json_string().as_bytes());
     if let Json::Obj(env) = &mut doc {
         env.insert("crc".to_string(), Json::num(crc as f64));
     }
     doc.to_json_string()
+}
+
+fn reseal_with_kernel_threads(sealed: &str, threads: f64) -> String {
+    reseal_with(sealed, &["options", "kernel", "threads"], threads)
 }
 
 #[test]
@@ -188,6 +198,31 @@ fn restore_bounds_the_kernel_thread_count() {
             "{a:?} vs {b:?}"
         );
     }
+}
+
+#[test]
+fn restore_rejects_negative_and_fractional_counts() {
+    let tracker = warmed_tracker();
+    let sealed = seal_checkpoint(&tracker, 3);
+    // Each of these once cast to a valid value (cell 0, prev 2, lag 0
+    // clamped to 1, 0 reads) and restored a state no tracker wrote.
+    let cases: [(&[&str], f64); 4] = [
+        (&["decoder", "frontier", "0", "0"], -1.0),
+        (&["decoder", "frames", "0", "prevs", "0"], 2.5),
+        (&["options", "lag"], -3.0),
+        (&["windows", "0", "reads", "0"], 0.5),
+    ];
+    for (path, value) in cases {
+        let hostile = reseal_with(&sealed, path, value);
+        match open_checkpoint(coarse_config(), &hostile) {
+            Err(RestoreError::Field(_)) => {}
+            other => panic!("{path:?} = {value} must be a field error, got {other:?}"),
+        }
+    }
+    // The `usize::MAX` sentinel (written as 2^64) still restores.
+    let unbounded = reseal_with(&sealed, &["options", "lag"], 2f64.powi(64));
+    let restored = open_checkpoint(coarse_config(), &unbounded).expect("lag = 2^64 restores");
+    assert_eq!(restored.tracker.options().lag, usize::MAX);
 }
 
 #[test]

@@ -80,10 +80,10 @@ fn two_users_tracked_independently_via_epc_separation() {
     use experiments::setup::{channel_for, to_tag_poses};
     use rfid_sim::TrajectoryTracker;
 
-    let mut left_scene = pen_sim::Scene::default();
-    left_scene.origin = rf_core::Vec2::new(-0.25, 0.6);
-    let mut right_scene = pen_sim::Scene::default();
-    right_scene.origin = rf_core::Vec2::new(0.1, 0.6);
+    let left_scene =
+        pen_sim::Scene { origin: rf_core::Vec2::new(-0.25, 0.6), ..pen_sim::Scene::default() };
+    let right_scene =
+        pen_sim::Scene { origin: rf_core::Vec2::new(0.1, 0.6), ..pen_sim::Scene::default() };
     let profile = pen_sim::WriterProfile::natural();
     let a = pen_sim::scene::write_text(&left_scene, &profile, "I", 1);
     let b = pen_sim::scene::write_text(&right_scene, &profile, "I", 2);
@@ -100,10 +100,12 @@ fn two_users_tracked_independently_via_epc_separation() {
     for (epc, scene) in [(0xAA_u64, &left_scene), (0xBB, &right_scene)] {
         let own: Vec<rfid_sim::TagReport> =
             mixed.iter().filter(|r| r.epc == epc).copied().collect();
-        let mut cfg = polardraw_core::PolarDrawConfig::default();
-        cfg.start_hint = rf_core::Vec2::new(scene.origin.x + 0.07, scene.origin.y + 0.1);
-        cfg.board_min = scene.origin - rf_core::Vec2::new(0.12, 0.12);
-        cfg.board_max = scene.origin + rf_core::Vec2::new(0.35, 0.35);
+        let cfg = polardraw_core::PolarDrawConfig {
+            start_hint: rf_core::Vec2::new(scene.origin.x + 0.07, scene.origin.y + 0.1),
+            board_min: scene.origin - rf_core::Vec2::new(0.12, 0.12),
+            board_max: scene.origin + rf_core::Vec2::new(0.35, 0.35),
+            ..polardraw_core::PolarDrawConfig::default()
+        };
         let trail = polardraw_core::PolarDraw::new(cfg).track(&own);
         assert!(!trail.is_empty(), "tag {epc:#x} must still be trackable");
         // The trail stays in its own writer's area.

@@ -32,7 +32,8 @@ use experiments::setup::{polardraw_config_for, simulate_reports, TrialSetup};
 use polardraw_core::distance::{expected_dtheta21, FeasibleRegion};
 use polardraw_core::hmm::{
     decode, viterbi_reference, AdaptiveBeam, DecodeStats, FixedLagDecoder, Grid, HmmConfig,
-    KernelOptions, KernelPrecision, StepObservation,
+    KernelOptions, KernelPrecision, StepObservation, BACKWARD_PENALTY, DIRECTION_WEIGHT,
+    DISTANCE_WEIGHT, DISTANCE_WEIGHT_STILL, HYPERBOLA_WEIGHT,
 };
 use polardraw_core::{OnlineOptions, OnlineTracker};
 use recognition::{procrustes_distance, LetterRecognizer};
@@ -186,7 +187,7 @@ fn bound_landing_steps(
             steps.push(StepObservation {
                 region: FeasibleRegion { min_dist, max_dist },
                 direction,
-                dtheta21: if k % 2 == 0 { meas } else { None },
+                dtheta21: if k.is_multiple_of(2) { meas } else { None },
                 target_dist: max_dist * [0.0, 0.5, 1.0][k % 3],
             });
             k += 1;
@@ -282,18 +283,18 @@ fn replay_against_reference(
                 if let Some(meas) = obs.dtheta21 {
                     let expected = expected_dtheta21(c_to, antennas, config.wavelength_m);
                     let err = rf_core::wrap_pi(meas - expected).abs() / std::f64::consts::PI;
-                    s -= config.hyperbola_weight * err;
+                    s -= HYPERBOLA_WEIGHT * err;
                 }
                 let (d_along, w_dist) = match obs.direction {
-                    Some(dir) => (dir.dot(delta), config.distance_weight),
-                    None => (d, config.distance_weight_still),
+                    Some(dir) => (dir.dot(delta), DISTANCE_WEIGHT),
+                    None => (d, DISTANCE_WEIGHT_STILL),
                 };
                 s -= w_dist * ((d_along - target).abs() / max_r).min(2.0);
                 if let Some(dir) = obs.direction {
                     if d > 1e-12 {
-                        s -= config.direction_weight * (dir.cross(delta).abs() / max_r).min(2.0);
+                        s -= DIRECTION_WEIGHT * (dir.cross(delta).abs() / max_r).min(2.0);
                         if dir.dot(delta) < 0.0 {
-                            s -= config.backward_penalty;
+                            s -= BACKWARD_PENALTY;
                         }
                     }
                 }

@@ -180,7 +180,8 @@ fn restore_rejects_tampered_and_mismatched_checkpoints() {
     let text = online.checkpoint_string();
 
     // A different configuration must be refused (fingerprint check).
-    let other = cfg.with_wavelength(0.5);
+    let mut other = cfg;
+    other.hmm.wavelength_m = 0.5;
     assert!(OnlineTracker::restore_from_str(other, &text).is_err());
 
     // Garbage and wrong-format documents error instead of panicking.

@@ -333,13 +333,13 @@ fn kalman_smoother_preserves_length_and_stability() {
     // The RTS smoother over a 60-point track is the most expensive body
     // here; 64 sweeps keep the test fast while varying track length.
     sweep("kalman_smoother", 64, |rng, ctx| {
-        use polardraw_core::smoother::{smooth, SmootherConfig};
+        use polardraw_core::smoother::smooth;
         let n = 3 + rng.gen_index(57);
         let points: Vec<Vec2> = (0..n)
             .map(|_| Vec2::new(rng.gen_range(-0.3..0.3), rng.gen_range(0.4..0.9)))
             .collect();
         let times: Vec<f64> = (0..points.len()).map(|i| i as f64 * 0.05).collect();
-        let out = smooth(&times, &points, &SmootherConfig::default());
+        let out = smooth(&times, &points);
         assert_eq!(out.len(), points.len(), "{ctx}: length changed");
         // Smoothed points stay within the measurement cloud's bounding
         // box padded by a few sigmas — no runaway filter states.
@@ -393,11 +393,11 @@ fn feasible_region_is_monotone_in_phase() {
     sweep("feasible_region_monotone", CASES, |rng, ctx| {
         let d1 = rng.gen_range(0.0..3.0);
         let d2 = rng.gen_range(0.0..3.0);
-        let cfg = polardraw_core::distance::DistanceConfig::default();
+        let lambda = polardraw_core::hmm::HmmConfig::default().wavelength_m;
         let small =
-            polardraw_core::distance::feasible_region([Some(d1.min(d2)), None], 0.05, &cfg);
+            polardraw_core::distance::feasible_region([Some(d1.min(d2)), None], 0.05, lambda);
         let large =
-            polardraw_core::distance::feasible_region([Some(d1.max(d2)), None], 0.05, &cfg);
+            polardraw_core::distance::feasible_region([Some(d1.max(d2)), None], 0.05, lambda);
         assert!(
             small.min_dist <= large.min_dist + 1e-12,
             "{ctx}: d {} vs {} gave min_dist {} vs {}",
@@ -847,7 +847,7 @@ fn adaptive_beam_never_prunes_the_surviving_path_on_clean_glyphs() {
 /// configured beam and the cumulative work counters stay monotone.
 #[test]
 fn adaptive_frontier_counters_monotone_and_bounded_under_shrink_regrow() {
-    use polardraw_core::distance::{expected_dtheta21, FeasibleRegion};
+    use polardraw_core::distance::FeasibleRegion;
     use polardraw_core::hmm::{
         AdaptiveBeam, FixedLagDecoder, KernelOptions, KernelPrecision, StepObservation,
     };

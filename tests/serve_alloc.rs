@@ -5,15 +5,17 @@
 //! warm a single-threaded drain round allocates NOTHING: enqueue writes
 //! into retained queue capacity, the wake scan fills the reused index
 //! buffer, and late reports are dropped inside `OnlineTracker::push`
-//! with a counter bump. This binary installs a counting global
-//! allocator to prove it (which needs `unsafe`, so the test lives in
-//! the workspace-root test crate rather than under the core crate's
-//! `#![forbid(unsafe_code)]`), and keeps exactly one `#[test]` so no
-//! sibling test thread allocates concurrently.
+//! with a counter bump. The same holds one layer up, for a store-less
+//! one-shard `FleetRouter`: `offer` forwards into the shard's pool and
+//! `drain` walks the shard's sessions by index. This binary installs a
+//! counting global allocator to prove it (which needs `unsafe`, so the
+//! test lives in the workspace-root test crate rather than under the
+//! core crate's `#![forbid(unsafe_code)]`), and keeps exactly one
+//! `#[test]` so no sibling test thread allocates concurrently.
 
 use experiments::setup::{polardraw_config_for, TrialSetup};
 use polardraw_core::serve::ServePool;
-use polardraw_core::OnlineOptions;
+use polardraw_core::{FleetConfig, FleetRouter, OnlineOptions};
 use rfid_sim::TagReport;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -105,4 +107,39 @@ fn warm_single_thread_drain_rounds_allocate_nothing() {
         "every steady-state report took the late-drop path"
     );
     drop(pool.finish());
+
+    // The fleet front door over one such shard: same warm-up, then
+    // every `offer` + `drain` round must be allocation-free too.
+    let mut fleet =
+        FleetRouter::new(FleetConfig { shards: 1, threads_per_shard: 1, ..FleetConfig::default() });
+    let id = fleet.add_session(cfg, OnlineOptions::default());
+    for chunk in warm.chunks(ROUND) {
+        assert_eq!(fleet.offer(id, chunk), chunk.len());
+        fleet.drain();
+    }
+    assert_eq!(fleet.offer(id, &late), ROUND);
+    fleet.drain();
+    let dropped_before = fleet.tracker(id).late_reports_dropped();
+
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..100 {
+        let admitted = fleet.offer(id, &late);
+        let round = fleet.drain();
+        assert_eq!(admitted, ROUND);
+        assert_eq!(round.woken, 1);
+        assert_eq!(round.reports, ROUND);
+    }
+    let after = ALLOCS.load(Ordering::Relaxed);
+
+    assert_eq!(
+        after - before,
+        0,
+        "warm store-less one-shard fleet offer+drain rounds must not allocate"
+    );
+    assert_eq!(
+        fleet.tracker(id).late_reports_dropped(),
+        dropped_before + 100 * ROUND,
+        "every steady-state fleet report took the late-drop path"
+    );
+    drop(fleet.finish());
 }

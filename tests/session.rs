@@ -99,7 +99,7 @@ fn midglyph_disconnects_recover_within_2x_clean_baseline() {
                     SessionEvent::Reconnected { t, .. } => Some(*t),
                     _ => None,
                 })
-                .last()
+                .next_back()
                 .expect("a Reconnected event");
             let budget = session_cfg
                 .backoff
