@@ -17,7 +17,8 @@
 //! * `decode/opt/…` — the fast kernel (`KernelOptions::fast()`: f32
 //!   tables + adaptive beam), the headline the speedup floor gates.
 //! * `decode/exact/…` — the bit-exact f64 SoA path (what every
-//!   correctness-critical caller runs by default).
+//!   correctness-critical caller runs by default); `…/mixed100` is the
+//!   same stream with every third step still, ungated.
 //! * `decode/f32/…` — f32 tables *without* the adaptive beam, so the
 //!   adaptive contribution is `f32 / opt` and cannot silently regress
 //!   (`scripts/bench.sh` gates it).
@@ -43,6 +44,17 @@ fn make_steps(n: usize) -> Vec<StepObservation> {
             target_dist: 0.004,
         })
         .collect()
+}
+
+/// `make_steps` with every third step still (`direction: None`): on a
+/// still step the distance term reads each candidate's actual centre
+/// distance, the cost an all-directional stream never shows.
+fn make_mixed_steps(n: usize) -> Vec<StepObservation> {
+    let mut steps = make_steps(n);
+    for obs in steps.iter_mut().skip(2).step_by(3) {
+        obs.direction = None;
+    }
+    steps
 }
 
 fn main() {
@@ -84,6 +96,18 @@ fn main() {
                 cfg.antennas,
                 cfg.start_hint,
                 &steps100,
+                &config,
+                2500,
+                KernelOptions::exact(),
+            )
+        });
+        let mixed100 = make_mixed_steps(100);
+        bench.bench("decode/exact/cell2.5mm/beam2500/mixed100", || {
+            decode(
+                &grid,
+                cfg.antennas,
+                cfg.start_hint,
+                &mixed100,
                 &config,
                 2500,
                 KernelOptions::exact(),
@@ -166,28 +190,30 @@ fn main() {
     // just how long it took.
     {
         let grid = Grid::covering(cfg.board_min, cfg.board_max, 0.0025);
-        let (_, stats) = decode(
-            &grid,
-            cfg.antennas,
-            cfg.start_hint,
-            &steps100,
-            &hmm,
-            2500,
-            KernelOptions::exact(),
-        );
-        bench.note(format!(
-            "decode/exact/cell2.5mm/beam2500/steps100 work: {} expansions, {} touched cells, \
-             {} beam-pruned, {} below-min, mean frontier {:.0}, max frontier {}, \
-             {} carried of {} steps",
-            stats.expansions,
-            stats.touched_cells,
-            stats.pruned_beam,
-            stats.pruned_below_min,
-            stats.mean_frontier(),
-            stats.max_frontier,
-            stats.carried_steps,
-            stats.steps,
-        ));
+        for (label, steps) in [("steps100", make_steps(100)), ("mixed100", make_mixed_steps(100))] {
+            let (_, stats) = decode(
+                &grid,
+                cfg.antennas,
+                cfg.start_hint,
+                &steps,
+                &hmm,
+                2500,
+                KernelOptions::exact(),
+            );
+            bench.note(format!(
+                "decode/exact/cell2.5mm/beam2500/{label} work: {} expansions, {} touched cells, \
+                 {} beam-pruned, {} below-min, mean frontier {:.0}, max frontier {}, \
+                 {} carried of {} steps",
+                stats.expansions,
+                stats.touched_cells,
+                stats.pruned_beam,
+                stats.pruned_below_min,
+                stats.mean_frontier(),
+                stats.max_frontier,
+                stats.carried_steps,
+                stats.steps,
+            ));
+        }
         let (_, fstats) = decode(
             &grid,
             cfg.antennas,

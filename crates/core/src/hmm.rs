@@ -35,6 +35,17 @@
 //!   [`Grid::neighbourhood`] `Vec` allocation with a radius-keyed table
 //!   of `(dx, dy, ideal distance)` offsets; boundary clipping is pure
 //!   index arithmetic.
+//! * A centre-distance memo takes libm out of the exact kernel's
+//!   per-candidate path. Cell centres sit on a lattice, so along each
+//!   axis the differences `c[i + k] − c[i]` for one offset `k` take only
+//!   a few distinct values (a few ULPs apart); the memo stores each
+//!   axis's distinct values per offset, which one every column and row
+//!   sees, and `Vec2::norm` of every (offset, x value, y value) pair.
+//!   That is the same call on the same difference bits the reference
+//!   makes per candidate, so a candidate's distance is a table read
+//!   with the reference's bits — on still steps too, where the distance
+//!   term reads it directly. It is built on the first exact step that
+//!   needs it and rebuilt wider when a step's stencil outgrows it.
 //! * Backpointers live in flat per-step [`BeamFrame`]s instead of a
 //!   per-step `HashMap`, beam truncation uses `select_nth_unstable_by`
 //!   instead of a full sort, and the dense per-cell lanes live in the
@@ -609,8 +620,10 @@ const STENCIL_CACHE_CAP: usize = 64;
 pub enum KernelPrecision {
     /// The bit-exact kernel: every per-candidate `f64` score and work
     /// counter identical to [`viterbi_reference`]'s; the per-cell
-    /// hyperbola term is computed once per step and distance tests the
-    /// stencil already decides skip the `hypot`. The default.
+    /// hyperbola term is computed once per step, distance tests the
+    /// stencil already decides skip the distance, and every other
+    /// candidate reads its distance from a memo of the same `hypot`s.
+    /// The default.
     F64Exact,
     /// The fused `f32` kernel: per-step transition scores are
     /// precomputed per stencil offset in `f64` and cast once (they
@@ -727,8 +740,11 @@ struct StepOffset {
     /// too), and the step is directional, so nothing else reads `d`.
     /// Actual centre distances deviate from the ideal by far less than
     /// the margin, so every test on the actual `d` is already decided
-    /// and the exact kernel skips the `hypot`.
+    /// and the exact kernel skips the memo read.
     settled: bool,
+    /// Where this offset's actual centre distances sit in the exact
+    /// kernel's [`DistanceMemo`]; filled on steps that read it.
+    memo: MemoRef,
 }
 
 /// Trim `stencil` to the step's `prefilter_reach` and classify each
@@ -757,6 +773,7 @@ fn classify_offsets(
                 && clear(exact_reach)
                 && clear(hard_min)
                 && (d == 0.0 || d > 1e-12 + STENCIL_MARGIN_M),
+            memo: MemoRef::default(),
         }
     }));
 }
@@ -788,6 +805,137 @@ fn wrap_pi_f32(mut w: f32) -> f32 {
     w
 }
 
+/// The distinct centre differences along one axis: for every cell
+/// offset `k` in `−r..=r`, the values `c[i + k] − c[i]` takes over the
+/// axis's centre coordinates `c`, and which of them each cell `i` sees.
+/// Centres sit on a regular lattice, so an offset's differences agree
+/// up to a few ULPs of the coordinates and take a handful of distinct
+/// values — how many depends on the axis and the offset, so the count
+/// is per offset and unbounded.
+#[derive(Debug, Default)]
+struct AxisDeltas {
+    n: usize,
+    r: i32,
+    /// `classes[(k + r)·n + i]` is the index, within offset `k`'s
+    /// values, of `c[i + k] − c[i]` (0 where `i + k` is off the axis).
+    classes: Vec<u32>,
+    /// Offset `k`'s distinct differences, in first-seen order, are
+    /// `values[starts[k + r]..starts[k + r + 1]]`.
+    values: Vec<f64>,
+    starts: Vec<usize>,
+}
+
+impl AxisDeltas {
+    fn build(coords: &[f64], r: i32) -> AxisDeltas {
+        let n = coords.len();
+        let mut classes = vec![0u32; (2 * r as usize + 1) * n];
+        let mut values = Vec::new();
+        let mut starts = vec![0];
+        for k in -r..=r {
+            let (row, first) = ((k + r) as usize * n, values.len());
+            for (i, &c) in coords.iter().enumerate() {
+                let Some(&to) = i.checked_add_signed(k as isize).and_then(|j| coords.get(j)) else {
+                    continue;
+                };
+                let v = to - c;
+                let seen = values[first..].iter().position(|u: &f64| u.to_bits() == v.to_bits());
+                classes[row + i] = seen.unwrap_or_else(|| {
+                    values.push(v);
+                    values.len() - 1 - first
+                }) as u32;
+            }
+            starts.push(values.len());
+        }
+        AxisDeltas { n, r, classes, values, starts }
+    }
+
+    /// Offset `k`'s distinct differences.
+    fn values(&self, k: i32) -> &[f64] {
+        let k = (k + self.r) as usize;
+        &self.values[self.starts[k]..self.starts[k + 1]]
+    }
+
+    /// Start of offset `k`'s row in `classes`.
+    fn row(&self, k: i32) -> usize {
+        (k + self.r) as usize * self.n
+    }
+}
+
+/// Where one stencil offset's distances sit in a [`DistanceMemo`].
+#[derive(Debug, Clone, Copy, Default)]
+struct MemoRef {
+    /// Start of the offset's `dx` row in the x classes.
+    x_row: usize,
+    /// Start of the offset's `dy` row in the y classes.
+    y_row: usize,
+    /// Start of the offset's block in [`DistanceMemo::dist`].
+    block: usize,
+    /// Distinct y differences at `dy` (the block's row stride).
+    y_count: usize,
+}
+
+/// The exact kernel's centre-distance memo. A candidate's distance is
+/// `Vec2::norm` of its actual centre differences, and along each axis
+/// those take only a few distinct values per offset ([`AxisDeltas`]),
+/// so the memo holds that `norm` once per (offset, x value, y value):
+/// the same call on the same difference bits the reference makes per
+/// candidate, so a lookup returns the reference's `d` bit for bit.
+/// Built for offsets up to `r` cells on each axis the first time a
+/// step reads it, and rebuilt wider when a step's stencil outgrows it.
+#[derive(Debug, Default)]
+struct DistanceMemo {
+    r: i32,
+    x: AxisDeltas,
+    y: AxisDeltas,
+    /// Start in `dist` of offset `(dx, dy)`'s block, at
+    /// `(dy + r)·(2r + 1) + dx + r`. A block holds the distance of every
+    /// (x value, y value) pair of the offset, x value major.
+    blocks: Vec<usize>,
+    dist: Vec<f64>,
+}
+
+impl DistanceMemo {
+    /// Make the memo cover offsets up to `r` cells on a grid whose
+    /// centre coordinates are `xs` and `ys` (fixed for a decoder).
+    fn cover(&mut self, xs: &[f64], ys: &[f64], r: i32) {
+        if !self.blocks.is_empty() && self.r >= r {
+            return;
+        }
+        let (x, y) = (AxisDeltas::build(xs, r), AxisDeltas::build(ys, r));
+        let mut blocks = Vec::with_capacity((2 * r as usize + 1).pow(2));
+        let mut dist = Vec::new();
+        for dy in -r..=r {
+            for dx in -r..=r {
+                blocks.push(dist.len());
+                for &vx in x.values(dx) {
+                    dist.extend(y.values(dy).iter().map(|&vy| Vec2::new(vx, vy).norm()));
+                }
+            }
+        }
+        *self = DistanceMemo { r, x, y, blocks, dist };
+    }
+
+    /// Point `off` at its block.
+    fn resolve(&self, off: &mut StepOffset) {
+        let side = 2 * self.r + 1;
+        off.memo = MemoRef {
+            x_row: self.x.row(off.dx),
+            y_row: self.y.row(off.dy),
+            block: self.blocks[((off.dy + self.r) * side + off.dx + self.r) as usize],
+            y_count: self.y.values(off.dy).len(),
+        };
+    }
+
+    /// `‖c_to − c_from‖` for the candidate at the offset `m` points at,
+    /// from the cell in column `ix0`, row `iy0`.
+    #[inline]
+    fn distance(&self, m: &MemoRef, ix0: usize, iy0: usize) -> f64 {
+        let cx = self.x.classes[m.x_row + ix0] as usize;
+        let cy = self.y.classes[m.y_row + iy0] as usize;
+        self.dist[m.block + cx * m.y_count + cy]
+    }
+}
+
 /// Buffers of one beam step, owned by the decoder. Split out so the
 /// step functions can borrow the whole kit in one piece alongside the
 /// decoder's frontier and the frame it fills.
@@ -814,6 +962,9 @@ struct KernelScratch {
     /// twice per candidate).
     xs: Vec<f64>,
     ys: Vec<f64>,
+    /// Actual centre distances by offset and delta class (exact
+    /// kernel, built on the first step with an unsettled offset).
+    memo: DistanceMemo,
     /// Fused per-offset transition scores of the f32 step plan.
     trans32: Vec<TransOffset32>,
     /// Offsets inside the annulus hard lower bound (f32 plan), kept so
@@ -924,7 +1075,7 @@ struct StepCtx<'a> {
 /// under the first-wins strict-improvement rule.
 ///
 /// Every score and counter has the bits [`viterbi_reference`] computes,
-/// but two of its per-candidate libm calls are gone:
+/// but no candidate calls libm:
 ///
 /// * the hyperbola term `w·|wrap_pi(meas − expected(to))|/π` depends on
 ///   the target cell alone, so it is evaluated once, when `to` is first
@@ -935,8 +1086,13 @@ struct StepCtx<'a> {
 ///   actual centre distance differs from the ideal one by far less than
 ///   [`STENCIL_MARGIN_M`], so an ideal distance farther than that from
 ///   every threshold decides each test the actual `d` would, and on
-///   directional steps nothing else reads `d` — no `hypot`. Still steps
-///   and offsets near a bound take the `hypot` as before.
+///   directional steps nothing else reads `d`;
+/// * every other candidate — all of a still step's, where `d` is the
+///   distance term itself, and those of offsets near a bound — reads
+///   `d` from the [`DistanceMemo`]: `Vec2::norm` of the candidate's own
+///   centre differences, evaluated once per distinct pair of difference
+///   bits instead of once per candidate, so the value is the one the
+///   reference's `hypot` returns.
 ///
 /// All other arithmetic is the reference's, operation for operation.
 ///
@@ -950,7 +1106,7 @@ fn expand_f64(
     frontier_scores: &[f64],
     stats: &mut DecodeStats,
 ) {
-    let KernelScratch { scores, preds, hyper, touched, step_offsets, xs, ys, .. } = ks;
+    let KernelScratch { scores, preds, hyper, touched, step_offsets, xs, ys, memo, .. } = ks;
     let (scores, preds, hyper) = (&mut scores[..], &mut preds[..], &mut hyper[..]);
     let (step_offsets, xs, ys) = (&step_offsets[..], &xs[..], &ys[..]);
     let grid = ctx.grid;
@@ -976,7 +1132,7 @@ fn expand_f64(
             let (d, class) = if off.settled {
                 (off.ideal_dist_m, off.class)
             } else {
-                let d = delta.norm();
+                let d = memo.distance(&off.memo, ix0, iy0);
                 (d, OffsetClass::of(d, ctx.exact_reach, ctx.hard_min))
             };
             match class {
@@ -1276,6 +1432,12 @@ fn advance_frontier(
             ks.xs.extend(centre_coords(grid.min.x, grid.nx, grid.cell_m));
             ks.ys.clear();
             ks.ys.extend(centre_coords(grid.min.y, grid.ny, grid.cell_m));
+            if ks.step_offsets.iter().any(|o| !o.settled) {
+                ks.memo.cover(&ks.xs, &ks.ys, ks.stencils[si].r_cells());
+                for off in ks.step_offsets.iter_mut() {
+                    ks.memo.resolve(off);
+                }
+            }
             grow_lane(&mut ks.scores, n, f64::NEG_INFINITY);
             if emission.is_some() {
                 grow_hyper_lane(&mut ks.hyper, n);

@@ -70,7 +70,8 @@ use crate::rotation::{AzimuthSnapshot, AzimuthTracker};
 use crate::translation::estimate_translation;
 use rf_core::angle::phase_diff;
 use rf_core::json::{
-    write_escaped, write_number, write_u32_array, write_u32_f64_pairs, FromJson, ToJson,
+    whole_number, write_escaped, write_number, write_u32_array, write_u32_f64_pairs, FromJson,
+    ToJson,
 };
 use rf_core::{wrap_pi, Json, JsonError, Vec2};
 use rfid_sim::tracking::Trail;
@@ -639,8 +640,8 @@ impl OnlineTracker {
         }
         let opts = v.get("options").ok_or_else(|| jerr("missing `options`"))?;
         let options = OnlineOptions {
-            lag: req_usize(opts, "lag")?,
-            hold: req_usize(opts, "hold")?,
+            lag: opts.req_usize("lag")?,
+            hold: opts.req_usize("hold")?,
             // Absent in pre-kernel checkpoints: those ran the default
             // (exact, sequential) kernel, so default is the faithful
             // reading, not just a lenient one.
@@ -657,8 +658,8 @@ impl OnlineTracker {
         win.first_t = opt_f64(stream, "first_t")?;
         win.max_t = stream.req_f64("max_t")?;
         win.prev_push_t = opt_f64(stream, "prev_push_t")?;
-        win.next_window = req_usize(stream, "next_window")?;
-        win.late_dropped = req_usize(stream, "late_dropped")?;
+        win.next_window = stream.req_usize("next_window")?;
+        win.late_dropped = stream.req_usize("late_dropped")?;
         win.pending = req_arr(stream, "pending")?
             .iter()
             .map(TagReport::from_json)
@@ -666,17 +667,17 @@ impl OnlineTracker {
 
         let pre = v.get("pre").ok_or_else(|| jerr("missing `pre`"))?;
         win.stats = PreprocessStats {
-            input_reports: req_usize(pre, "input_reports")?,
+            input_reports: pre.req_usize("input_reports")?,
             input_unsorted: req_bool(pre, "input_unsorted")?,
-            duplicates_removed: req_usize(pre, "duplicates_removed")?,
-            ignored_ports: req_usize(pre, "ignored_ports")?,
-            windows: req_usize(pre, "windows")?,
-            empty_windows: req_usize(pre, "empty_windows")?,
-            single_antenna_windows: req_usize(pre, "single_antenna_windows")?,
-            spurious_rejected: req_usize(pre, "spurious_rejected")?,
-            largest_empty_run: req_usize(pre, "largest_empty_run")?,
+            duplicates_removed: pre.req_usize("duplicates_removed")?,
+            ignored_ports: pre.req_usize("ignored_ports")?,
+            windows: pre.req_usize("windows")?,
+            empty_windows: pre.req_usize("empty_windows")?,
+            single_antenna_windows: pre.req_usize("single_antenna_windows")?,
+            spurious_rejected: pre.req_usize("spurious_rejected")?,
+            largest_empty_run: pre.req_usize("largest_empty_run")?,
         };
-        win.empty_run = req_usize(pre, "empty_run")?;
+        win.empty_run = pre.req_usize("empty_run")?;
         let pm = req_arr(pre, "prev_measured")?;
         if pm.len() != 2 {
             return Err(jerr("`prev_measured` must have 2 entries").into());
@@ -692,7 +693,7 @@ impl OnlineTracker {
             None | Some(Json::Null) => None,
             Some(w) => Some(windowed_from(w)?),
         };
-        tracker.gaps_bridged = req_usize(bridge, "gaps_bridged")?;
+        tracker.gaps_bridged = bridge.req_usize("gaps_bridged")?;
         tracker.largest_gap_bridged_s = bridge.req_f64("largest_gap_bridged_s")?;
 
         let est = v.get("estimator").ok_or_else(|| jerr("missing `estimator`"))?;
@@ -706,7 +707,7 @@ impl OnlineTracker {
             azimuth: opt_f64(est, "azimuth")?,
             sector,
             accumulated_error: est.req_f64("accumulated_error")?,
-            corrections: req_usize(est, "corrections")?,
+            corrections: est.req_usize("corrections")?,
         };
         tracker.azimuth_tracker = AzimuthTracker::restore(config.rotation, &snap);
         tracker.offset21 = opt_f64(est, "offset21")?;
@@ -1032,33 +1033,18 @@ fn usize_json(x: usize) -> Json {
     Json::num(x as f64)
 }
 
-/// `x` checked to be a whole number in `0..=max`. An `as` cast would
-/// read `-1` as 0 and `2.5` as 2 and restore a state no tracker wrote,
-/// so a negative, fractional, non-finite or too-large value is an error.
-fn whole(x: f64, max: f64, what: &str) -> Result<f64, JsonError> {
-    if x >= 0.0 && x <= max && x.fract() == 0.0 {
-        Ok(x)
-    } else {
-        Err(jerr(format!("`{what}` must be a whole number in 0..={max}, got {x}")))
-    }
-}
-
 /// A count. `2^64` reads back as `usize::MAX`, the sentinel
 /// `write_usize` writes for an unbounded lag or hold.
 fn usize_from(x: f64, what: &str) -> Result<usize, JsonError> {
-    Ok(whole(x, usize::MAX as f64, what)? as usize)
+    Ok(whole_number(x, usize::MAX as f64, what)? as usize)
 }
 
 fn u32_from(x: f64, what: &str) -> Result<u32, JsonError> {
-    Ok(whole(x, u32::MAX as f64, what)? as u32)
-}
-
-fn req_usize(v: &Json, key: &str) -> Result<usize, JsonError> {
-    usize_from(v.req_f64(key)?, key)
+    Ok(whole_number(x, u32::MAX as f64, what)? as u32)
 }
 
 fn req_u64(v: &Json, key: &str) -> Result<u64, JsonError> {
-    Ok(whole(v.req_f64(key)?, u64::MAX as f64, key)? as u64)
+    Ok(whole_number(v.req_f64(key)?, u64::MAX as f64, key)? as u64)
 }
 
 fn req_bool(v: &Json, key: &str) -> Result<bool, JsonError> {
@@ -1304,13 +1290,13 @@ fn write_decode_stats(s: &DecodeStats, out: &mut String) {
 
 fn decode_stats_from(v: &Json) -> Result<DecodeStats, JsonError> {
     Ok(DecodeStats {
-        steps: req_usize(v, "steps")?,
-        carried_steps: req_usize(v, "carried_steps")?,
+        steps: v.req_usize("steps")?,
+        carried_steps: v.req_usize("carried_steps")?,
         expansions: req_u64(v, "expansions")?,
         pruned_below_min: req_u64(v, "pruned_below_min")?,
         pruned_beam: req_u64(v, "pruned_beam")?,
         touched_cells: req_u64(v, "touched_cells")?,
-        max_frontier: req_usize(v, "max_frontier")?,
+        max_frontier: v.req_usize("max_frontier")?,
         total_frontier: req_u64(v, "total_frontier")?,
         // Absent in pre-kernel checkpoints (written before the adaptive
         // beam existed, which implies it never shrank a step).
@@ -1364,10 +1350,10 @@ fn kernel_options_from(v: &Json) -> Result<KernelOptions, JsonError> {
         None | Some(Json::Null) => None,
         Some(a) => Some(AdaptiveBeam {
             margin: a.req_f64("margin")?,
-            min_keep: req_usize(a, "min_keep")?,
+            min_keep: a.req_usize("min_keep")?,
         }),
     };
-    let threads = req_usize(v, "threads")?;
+    let threads = v.req_usize("threads")?;
     if threads > MAX_RESTORED_KERNEL_THREADS {
         return Err(jerr(format!(
             "kernel `threads` {threads} above the ceiling of {MAX_RESTORED_KERNEL_THREADS}"

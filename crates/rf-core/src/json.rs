@@ -25,7 +25,6 @@
 //! scalar writers do.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// A JSON document fragment.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,6 +138,13 @@ impl Json {
         })
     }
 
+    /// Fetch a required count or index field: a whole number in
+    /// `0..=2^64`, where `2^64` reads back as `usize::MAX` (what
+    /// `usize::MAX as f64` writes). See [`whole_number`].
+    pub fn req_usize(&self, key: &str) -> Result<usize, JsonError> {
+        Ok(whole_number(self.req_f64(key)?, usize::MAX as f64, key)? as usize)
+    }
+
     /// Serialize to a compact JSON string.
     pub fn to_json_string(&self) -> String {
         let mut out = String::new();
@@ -163,37 +169,44 @@ impl Json {
     }
 
     fn write_skipping(&self, out: &mut String, skip: Option<&str>) {
+        self.write_batched(&mut TextBatch::<ARRAY_BATCH>::new(out), skip);
+    }
+
+    /// The tree walk behind [`write_skipping`](Self::write_skipping):
+    /// one batch carries the whole document, so its numbers, strings
+    /// and punctuation reach the `String` a few kilobytes at a time.
+    fn write_batched<const N: usize>(&self, text: &mut TextBatch<'_, N>, skip: Option<&str>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => write_number(*x, out),
-            Json::Str(s) => write_escaped(s, out),
+            Json::Null => text.bytes(b"null"),
+            Json::Bool(b) => text.bytes(if *b { b"true" } else { b"false" }),
+            Json::Num(x) => text.number(*x),
+            Json::Str(s) => text.escaped(s),
             Json::Arr(items) => {
-                out.push('[');
+                text.bytes(b"[");
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        text.bytes(b",");
                     }
-                    item.write_to(out);
+                    item.write_batched(text, None);
                 }
-                out.push(']');
+                text.bytes(b"]");
             }
             Json::Obj(map) => {
-                out.push('{');
+                text.bytes(b"{");
                 let mut first = true;
                 for (k, v) in map {
                     if skip == Some(k.as_str()) {
                         continue;
                     }
                     if !first {
-                        out.push(',');
+                        text.bytes(b",");
                     }
                     first = false;
-                    write_escaped(k, out);
-                    out.push(':');
-                    v.write_to(out);
+                    text.escaped(k);
+                    text.bytes(b":");
+                    v.write_batched(text, None);
                 }
-                out.push('}');
+                text.bytes(b"}");
             }
         }
     }
@@ -209,6 +222,21 @@ impl Json {
             return Err(p.err("trailing characters after value"));
         }
         Ok(v)
+    }
+}
+
+/// `x` checked to be a whole number in `0..=max`. An `as` cast would
+/// read `-1` as 0 and `2.5` as 2 and accept a value no writer wrote, so
+/// a negative, fractional, non-finite or too-large value is an error
+/// naming `what`.
+pub fn whole_number(x: f64, max: f64, what: &str) -> Result<f64, JsonError> {
+    if x >= 0.0 && x <= max && x.fract() == 0.0 {
+        Ok(x)
+    } else {
+        Err(JsonError {
+            message: format!("`{what}` must be a whole number in 0..={max}, got {x}"),
+            offset: 0,
+        })
     }
 }
 
@@ -301,7 +329,8 @@ const ARRAY_BATCH: usize = 4096;
 /// Text written into an `N`-byte stack buffer and appended to a
 /// `String` one batch at a time — when the next item might not fit, and
 /// on drop — so many small values cost one `push_str` per batch rather
-/// than one each. Every byte written is ASCII.
+/// than one each. Every write is ASCII or one whole UTF-8 character, so
+/// a batch always holds valid UTF-8.
 struct TextBatch<'a, const N: usize> {
     out: &'a mut String,
     buf: [u8; N],
@@ -401,6 +430,29 @@ impl<'a, const N: usize> TextBatch<'a, N> {
         }
     }
 
+    /// Write the [`write_escaped`] text of `s`, one character at a
+    /// time so a batch never splits one.
+    fn escaped(&mut self, s: &str) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        self.bytes(b"\"");
+        for c in s.chars() {
+            let mut utf8 = [0u8; 4];
+            let code = c as usize;
+            match c {
+                '"' => self.bytes(b"\\\""),
+                '\\' => self.bytes(b"\\\\"),
+                '\n' => self.bytes(b"\\n"),
+                '\r' => self.bytes(b"\\r"),
+                '\t' => self.bytes(b"\\t"),
+                _ if code < 0x20 => {
+                    self.bytes(&[b'\\', b'u', b'0', b'0', HEX[code >> 4], HEX[code & 15]]);
+                }
+                c => self.bytes(c.encode_utf8(&mut utf8).as_bytes()),
+            }
+        }
+        self.bytes(b"\"");
+    }
+
     /// Write `count` zeros, a batch at a time.
     fn zeros(&mut self, mut count: usize) {
         while count > 0 {
@@ -412,7 +464,7 @@ impl<'a, const N: usize> TextBatch<'a, N> {
     }
 
     fn flush(&mut self) {
-        // Every byte written is ASCII, so this never fails.
+        // Every batch holds whole characters, so this never fails.
         if let Ok(text) = std::str::from_utf8(&self.buf[..self.len]) {
             self.out.push_str(text);
         }
@@ -680,21 +732,15 @@ fn shortest_decimal(bits: u64) -> (u64, i32) {
 /// Append `s` as a JSON string literal: quoted, with `"`, `\\` and
 /// control characters escaped.
 pub fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+    // Bytes below 0x20 are exactly the control characters: UTF-8
+    // continuation bytes are all 0x80 or above.
+    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+        out.push('"');
+        out.push_str(s);
+        out.push('"');
+    } else {
+        TextBatch::<NUMBER_ROOM>::new(out).escaped(s);
     }
-    out.push('"');
 }
 
 struct Parser<'a> {
@@ -1268,6 +1314,60 @@ mod tests {
         assert_eq!(doc.to_json_string_without("crc"), r#"{"a":{"crc":1},"z":[-0,null]}"#);
         assert_eq!(Json::Num(3.0).to_json_string_without("crc"), "3");
         assert_eq!(Json::obj([("crc", Json::Null)]).to_json_string_without("crc"), "{}");
+    }
+
+    /// The tree writer carries one batch through a whole document; its
+    /// text must be the item writers' text joined by punctuation, also
+    /// where numbers, escapes and multi-byte characters straddle a
+    /// batch boundary.
+    #[test]
+    fn tree_writer_matches_the_item_writers_across_batches() {
+        let texts = ["k", "tab\there", "λ/2 ≈ 16 cm", "\u{1F600}\"q\"", "ctl \u{1f}"];
+        let mut items = Vec::new();
+        let mut want = String::from("[");
+        for i in 0..3000u32 {
+            if i > 0 {
+                want.push(',');
+            }
+            let x = f64::from(i) * [1.0, 0.1, -1e-7, 3.5e15][i as usize % 4];
+            let s = texts[i as usize % texts.len()];
+            if i % 3 == 0 {
+                let flag = if i % 2 == 0 { "true" } else { "false" };
+                items.push(Json::obj([(s, Json::Num(x)), ("z", Json::Bool(i % 2 == 0))]));
+                // Keys go out in byte order.
+                let mut field = String::new();
+                write_escaped(s, &mut field);
+                field.push(':');
+                write_number(x, &mut field);
+                let z = format!(r#""z":{flag}"#);
+                let (a, b) = if s < "z" { (field, z) } else { (z, field) };
+                want.push_str(&format!("{{{a},{b}}}"));
+            } else if i % 3 == 1 {
+                items.push(Json::Num(x));
+                write_number(x, &mut want);
+            } else {
+                items.push(Json::str(s));
+                write_escaped(s, &mut want);
+            }
+        }
+        want.push(']');
+        let doc = Json::Arr(items);
+        assert!(want.len() > 4 * ARRAY_BATCH, "the document spans several batches");
+        assert_eq!(doc.to_json_string(), want);
+        assert_eq!(Json::parse(&want).unwrap(), doc);
+    }
+
+    #[test]
+    fn counts_must_be_whole_numbers() {
+        let text = r#"{"n":7,"neg":-1,"half":0.5,"big":1e300,"max":18446744073709551616}"#;
+        let doc = Json::parse(text).unwrap();
+        assert_eq!(doc.req_usize("n").unwrap(), 7);
+        assert_eq!(doc.req_usize("max").unwrap(), usize::MAX, "2^64 is the usize::MAX sentinel");
+        for key in ["neg", "half", "big", "missing"] {
+            assert!(doc.req_usize(key).is_err(), "{key}");
+        }
+        assert!(whole_number(f64::NAN, 10.0, "nan").is_err());
+        assert!(whole_number(f64::INFINITY, f64::INFINITY, "inf").is_err());
     }
 
     #[test]

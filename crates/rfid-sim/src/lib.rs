@@ -93,10 +93,10 @@ impl rf_core::json::FromJson for TagReport {
         })?;
         Ok(TagReport {
             t: v.req_f64("t")?,
-            antenna: v.req_f64("antenna")? as usize,
+            antenna: v.req_usize("antenna")?,
             rssi_dbm: v.req_f64("rssi_dbm")?,
             phase_rad: v.req_f64("phase_rad")?,
-            channel: v.req_f64("channel")? as usize,
+            channel: v.req_usize("channel")?,
             epc,
         })
     }

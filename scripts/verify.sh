@@ -87,8 +87,10 @@ echo "== verify: decode kernel equivalence =="
 # viterbi_reference is the naive oracle both files hold it to:
 # - tests/kernel_equivalence.rs pins the two precision contracts: the
 #   f64 SoA path bit-identical to viterbi_reference (random scenarios,
-#   plus steps whose bounds land exactly on stencil distances, where
-#   scores and DecodeStats are pinned per step), and the f32 fast path
+#   plus steps whose bounds land exactly on stencil distances, and
+#   still-heavy streams whose stencil radius grows mid-decode on boards
+#   with differing centre-difference classes — both pinning scores and
+#   DecodeStats per step; the latter gated by name), and the f32 fast path
 #   inside the quantitative tolerance oracle (per-step best scores,
 #   glyph-trail Procrustes < 1 cm, fig13 reduced-config letter-accuracy
 #   parity), and holds the adaptive beam's decodes (three exact-kernel
@@ -101,6 +103,7 @@ echo "== verify: decode kernel equivalence =="
 #   beams under the `max(8)` clamp, each gated by name.
 ran kernel_equivalence
 ran kernel_equivalence adaptive_beam_decodes_match_the_pinned_bits
+ran kernel_equivalence exact_kernel_distance_memo_is_bit_identical_on_still_heavy_streams
 ran decoder_equivalence
 ran decoder_equivalence carry_through_steps_stay_equivalent
 ran decoder_equivalence tiny_beam_widths_stay_equivalent

@@ -205,12 +205,16 @@ fn restore_rejects_negative_and_fractional_counts() {
     let tracker = warmed_tracker();
     let sealed = seal_checkpoint(&tracker, 3);
     // Each of these once cast to a valid value (cell 0, prev 2, lag 0
-    // clamped to 1, 0 reads) and restored a state no tracker wrote.
-    let cases: [(&[&str], f64); 4] = [
+    // clamped to 1, 0 reads, a pending report on port 0 or channel 0)
+    // and restored a state no tracker wrote.
+    let cases: [(&[&str], f64); 7] = [
         (&["decoder", "frontier", "0", "0"], -1.0),
         (&["decoder", "frames", "0", "prevs", "0"], 2.5),
         (&["options", "lag"], -3.0),
         (&["windows", "0", "reads", "0"], 0.5),
+        (&["stream", "pending", "0", "antenna"], -1.0),
+        (&["stream", "pending", "0", "antenna"], 0.5),
+        (&["stream", "pending", "0", "channel"], -7.0),
     ];
     for (path, value) in cases {
         let hostile = reseal_with(&sealed, path, value);

@@ -324,6 +324,72 @@ fn replay_against_reference(
     }
 }
 
+/// A still-heavy stream (two steps in three have no direction, so every
+/// candidate reads its actual centre distance) whose stencil radius
+/// grows from 2 to 7 cells halfway through, so the kernel's distance
+/// memo is first built narrow and must then widen.
+fn still_heavy_growing_steps(
+    grid: &Grid,
+    antennas: [Vec3; 2],
+    wavelength_m: f64,
+) -> Vec<StepObservation> {
+    let cell = grid.cell_m;
+    let meas = expected_dtheta21(grid.center(grid.len() / 2 + 3), antennas, wavelength_m);
+    (0..18)
+        .map(|k| {
+            let (min_dist, max_dist) =
+                if k < 9 { (0.0, 1.7 * cell) } else { (2.5 * cell, 6.6 * cell) };
+            StepObservation {
+                region: FeasibleRegion { min_dist, max_dist },
+                direction: (k % 3 == 1).then(|| Vec2::from_angle(0.4 * k as f64)),
+                dtheta21: (k % 2 == 0).then_some(meas),
+                target_dist: max_dist * [0.2, 0.55, 0.9][k % 3],
+            }
+        })
+        .collect()
+}
+
+/// Pins the exact kernel's centre-distance memo: on
+/// [`still_heavy_growing_steps`], batch tracks bit-for-bit against
+/// `viterbi_reference`, and a `FixedLagDecoder` at infinite lag replayed
+/// step by step against [`replay_against_reference`] — every frontier
+/// score and every `DecodeStats` counter — with its tracks and counters
+/// equal to the batch decode's. The boards give each axis and offset
+/// its own count of distinct centre differences: one straddles the
+/// origin (coordinates near zero carry finer ULPs), one sits metres
+/// away, one has an odd 2.3 mm cell, and one is far enough out that
+/// no offset settles even on directional steps.
+#[test]
+fn exact_kernel_distance_memo_is_bit_identical_on_still_heavy_streams() {
+    let antennas = [Vec3::new(-0.25, 0.1, 0.6), Vec3::new(0.25, 0.1, 0.6)];
+    let boards = [
+        (Vec2::new(-0.0413, -0.0327), 0.0025),
+        (Vec2::new(4.3719, 3.0511), 0.0025),
+        (Vec2::new(-0.2, 0.4101), 0.0023),
+        (Vec2::new(1.0e5 + 0.37, -2.0e5 - 0.11), 0.0023),
+    ];
+    for (min, cell) in boards {
+        let grid = Grid::covering(min, min + Vec2::new(36.0 * cell, 28.0 * cell), cell);
+        let config = HmmConfig { cell_m: cell, ..HmmConfig::default() };
+        let steps = still_heavy_growing_steps(&grid, antennas, config.wavelength_m);
+        let corner = grid.center(grid.len() - 1);
+        for start in [grid.center(grid.len() / 2 + grid.nx / 3), grid.min, corner] {
+            for beam in [8usize, 2500] {
+                let want = viterbi_reference(&grid, antennas, start, &steps, &config, beam);
+                let ctx = format!("board {min:?} cell {cell} start {start:?} beam {beam}");
+                let kernel = KernelOptions::exact();
+                let (got, stats) = decode(&grid, antennas, start, &steps, &config, beam, kernel);
+                assert_tracks_identical(&got, &want, &format!("{ctx} batch"));
+                let mut dec = FixedLagDecoder::new(grid, antennas, start, config, beam, usize::MAX);
+                dec.set_kernel(kernel);
+                replay_against_reference(&mut dec, &grid, antennas, &config, &steps, &ctx);
+                assert_eq!(dec.stats(), stats, "{ctx}: fixed-lag vs batch stats");
+                assert_tracks_identical(&dec.finish(), &want, &format!("{ctx} fixed-lag"));
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // 2. The f32 path: per-step best-frontier score deltas stay within the
 //    rounding-accumulation tolerance.
