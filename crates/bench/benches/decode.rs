@@ -187,10 +187,14 @@ fn main() {
     }
 
     // Work counters for the headline workload: what the decode did, not
-    // just how long it took.
+    // just how long it took. Each counter decode runs only when a row it
+    // describes is selected.
     {
         let grid = Grid::covering(cfg.board_min, cfg.board_max, 0.0025);
         for (label, steps) in [("steps100", make_steps(100)), ("mixed100", make_mixed_steps(100))] {
+            if !bench.selects(&format!("decode/exact/cell2.5mm/beam2500/{label}")) {
+                continue;
+            }
             let (_, stats) = decode(
                 &grid,
                 cfg.antennas,
@@ -214,26 +218,28 @@ fn main() {
                 stats.steps,
             ));
         }
-        let (_, fstats) = decode(
-            &grid,
-            cfg.antennas,
-            cfg.start_hint,
-            &steps100,
-            &hmm,
-            2500,
-            fast,
-        );
-        bench.note(format!(
-            "decode/opt (fast kernel) work: {} expansions, {} touched cells, {} beam-pruned, \
-             mean frontier {:.0}, max frontier {}, adaptive shrank {} of {} steps",
-            fstats.expansions,
-            fstats.touched_cells,
-            fstats.pruned_beam,
-            fstats.mean_frontier(),
-            fstats.max_frontier,
-            fstats.adaptive_shrunk_steps,
-            fstats.steps,
-        ));
+        if bench.selects("decode/opt/cell2.5mm/beam2500/steps100") {
+            let (_, fstats) = decode(
+                &grid,
+                cfg.antennas,
+                cfg.start_hint,
+                &steps100,
+                &hmm,
+                2500,
+                fast,
+            );
+            bench.note(format!(
+                "decode/opt (fast kernel) work: {} expansions, {} touched cells, {} beam-pruned, \
+                 mean frontier {:.0}, max frontier {}, adaptive shrank {} of {} steps",
+                fstats.expansions,
+                fstats.touched_cells,
+                fstats.pruned_beam,
+                fstats.mean_frontier(),
+                fstats.max_frontier,
+                fstats.adaptive_shrunk_steps,
+                fstats.steps,
+            ));
+        }
         bench.note(format!(
             "grid {}x{} = {} cells; board {:?}..{:?}",
             grid.nx,

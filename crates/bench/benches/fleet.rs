@@ -201,6 +201,10 @@ fn main() {
     // bench_check can gate on it by name.
     let mut throughput_lines = Vec::new();
     for &n in &[64usize, 256, 1024] {
+        let row = format!("fleet/step/sessions{n}");
+        if !bench.selects(&row) && !bench.selects(&format!("{row}/p99")) {
+            continue;
+        }
         let mut run = RoundLoop::new(n, usize::MAX / 2);
         run.warm(warm_depth); // artifact cache, queue capacity, frontier plateau
         let mut samples = Vec::with_capacity(rounds);
@@ -213,22 +217,26 @@ fn main() {
         }
         samples.sort_by(|a, b| a.total_cmp(b));
         let p99 = samples[((samples.len() - 1) as f64 * 0.99).round() as usize];
-        bench.record_ns(&format!("fleet/step/sessions{n}"), &samples);
-        bench.record_ns(&format!("fleet/step/sessions{n}/p99"), &[p99]);
+        bench.record_ns(&row, &samples);
+        bench.record_ns(&format!("{row}/p99"), &[p99]);
         throughput_lines
             .push(format!("{n}: {:.0} reports/s", total_reports as f64 / (total_ns * 1e-9)));
     }
-    bench.note(format!(
-        "sustained aggregate drain throughput by fleet size ({CHUNK} reports/session/round, \
-         {rounds} rounds, {COARSEN}x-coarsened grid, 8 shards): {}",
-        throughput_lines.join(", ")
-    ));
+    if !throughput_lines.is_empty() {
+        bench.note(format!(
+            "sustained aggregate drain throughput by fleet size ({CHUNK} reports/session/round, \
+             {rounds} rounds, {COARSEN}x-coarsened grid, 8 shards): {}",
+            throughput_lines.join(", ")
+        ));
+    }
 
     // Overload: 256 sessions offered 8x the shard queue capacity per
     // round. Admission is bounded (the rest is deferred to the next
     // round's offer), the controller walks the degradation ladder, and
     // per-report cost *drops* as rungs engage — that is the
     // no-collapse contract the committed gate checks.
+    if bench.selects("fleet/step/sessions256/overload8x")
+        || bench.selects("fleet/step/sessions256/overload8x/p99")
     {
         let queue_cap = 2048;
         let mut run = RoundLoop::new(256, queue_cap);
@@ -262,9 +270,9 @@ fn main() {
     }
 
     // Live migration cost: ping-pong one warmed session between two
-    // shards. Each iteration is a full drain → checkpoint → restore →
-    // re-adopt round trip.
-    {
+    // shards. Each iteration is a full checkpoint → restore → move
+    // round trip.
+    if bench.selects("fleet/migrate/warm") {
         let cfg = rig();
         let mut fleet = FleetRouter::new(FleetConfig {
             shards: 2,
@@ -290,7 +298,7 @@ fn main() {
 
     // Seal cost, warm and cold, on the same sessions in the same state
     // (see the module docs).
-    {
+    if bench.selects("fleet/seal/session/cold") || bench.selects("fleet/seal/session/warm") {
         use polardraw_core::durability::{open_checkpoint, seal_checkpoint};
         let sessions = 16usize;
         let iters = if quick { 4 } else { 24 };
@@ -344,7 +352,7 @@ fn main() {
     // checkpoint policy seals every drain) keep the escrow tail empty,
     // so the sample isolates restore cost — parse + CRC verify +
     // decoder rebuild — not replay decode work.
-    {
+    if bench.selects("fleet/recover/session") {
         use polardraw_core::durability::CheckpointStore;
         use polardraw_core::fleet::CheckpointPolicy;
         let cfg = rig();

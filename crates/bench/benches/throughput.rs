@@ -1,23 +1,24 @@
-//! Multi-session serving throughput: the `ServePool` drain matrix
-//! (sessions × threads), steady-state contended step latency, and the
-//! first-session cold-start (emission-table build) before/after
-//! row-parallelization.
+//! Multi-session serving throughput: the drain matrix of a one-shard
+//! `FleetRouter` (sessions × threads per shard), steady-state contended
+//! step latency, and the first-session cold-start (emission-table
+//! build) before/after row-parallelization.
 //!
 //! Three row families, all at paper fidelity (2.5 mm cells, the
 //! default rig):
 //!
 //! * `serve/drain/sessions{S}/threads{T}` — one iteration is a full
-//!   session lifecycle: a fresh pool, S sessions on one rig fed
-//!   simulated letter streams (150 reports each) in interleaved
-//!   chunks, drained to completion, finalized. The committed
+//!   session lifecycle: a fresh one-shard router whose queue bound
+//!   never bites, S sessions on one rig fed simulated letter streams
+//!   (150 reports each) in interleaved chunks, drained to completion,
+//!   finalized in parallel by `FleetRouter::finish`. The committed
 //!   `BENCH_throughput.json` carries the aggregate reports/sec derived
 //!   from these medians in its notes; `scripts/bench.sh` gates
 //!   `sessions8/threads1` vs `sessions8/threads8` with a
 //!   core-count-aware floor (this is honest wall-clock — on a 1-core
-//!   host the pool cannot beat sequential, and the gate only requires
+//!   host the router cannot beat sequential, and the gate only requires
 //!   it not collapse).
 //! * `serve/step/sessions8/threads8` — the contended regime: a
-//!   long-lived pool with 8 sessions; one iteration enqueues one
+//!   long-lived router with 8 sessions; one iteration offers one
 //!   pre-processing window's worth of stream (5 reports at the 50 ms
 //!   window, 10 ms report spacing) to EVERY session and drains, so the
 //!   drain performs ~8 fixed-lag decode steps. `scripts/bench.sh`
@@ -33,7 +34,7 @@
 use experiments::setup::{polardraw_config_for, simulate_reports, TrialSetup};
 use polardraw_bench::harness::Bench;
 use polardraw_core::hmm::{EmissionTable, Grid};
-use polardraw_core::serve::ServePool;
+use polardraw_core::fleet::{FleetConfig, FleetRouter};
 use polardraw_core::{OnlineOptions, PolarDrawConfig};
 use rf_core::rng::derive_seed_indexed;
 use rfid_sim::TagReport;
@@ -59,28 +60,41 @@ fn fleet_streams(n: usize) -> Vec<Vec<TagReport>> {
         .collect()
 }
 
-/// One full serving lifecycle: fresh pool, enqueue in interleaved
+/// A one-shard router on `threads` workers whose queue bound never
+/// bites, so every offer is admitted whole and the load controller
+/// never degrades a session.
+fn one_shard(threads: usize) -> FleetRouter {
+    FleetRouter::new(FleetConfig {
+        shards: 1,
+        threads_per_shard: threads,
+        queue_cap: usize::MAX,
+        soft_session_cap: usize::MAX,
+        ..FleetConfig::default()
+    })
+}
+
+/// One full serving lifecycle: fresh router, offer in interleaved
 /// chunks (so drains wake several sessions per round), drain to
 /// completion, finalize. Returns total reports processed.
 fn drain_once(cfg: PolarDrawConfig, streams: &[Vec<TagReport>], threads: usize) -> usize {
-    let mut pool = ServePool::new(threads);
+    let mut fleet = one_shard(threads);
     let ids: Vec<_> = (0..streams.len())
-        .map(|_| pool.add_session(cfg, OnlineOptions::default()))
+        .map(|_| fleet.add_session(cfg, OnlineOptions::default()))
         .collect();
     let chunk = 32;
     let longest = streams.iter().map(|s| s.len()).max().unwrap_or(0);
+    let mut processed = 0;
     let mut at = 0;
     while at < longest {
         for (i, reports) in streams.iter().enumerate() {
             let lo = at.min(reports.len());
             let hi = (at + chunk).min(reports.len());
-            pool.enqueue_batch(ids[i], &reports[lo..hi]);
+            fleet.offer(ids[i], &reports[lo..hi]);
         }
-        pool.drain();
+        processed += fleet.drain().reports;
         at += chunk;
     }
-    let processed = pool.stats().reports;
-    drop(pool.finish());
+    drop(fleet.finish());
     processed
 }
 
@@ -118,18 +132,17 @@ fn main() {
     // Contended steady state: 8 long-lived sessions, one window of
     // stream to every session per iteration, drained at 8 threads.
     {
-        let mut pool = ServePool::new(8);
+        let mut fleet = one_shard(8);
         let ids: Vec<_> =
-            (0..8).map(|_| pool.add_session(cfg, OnlineOptions::default())).collect();
+            (0..8).map(|_| fleet.add_session(cfg, OnlineOptions::default())).collect();
         let mut window = 0usize;
         bench.bench("serve/step/sessions8/threads8", || {
+            let batch: [TagReport; 5] = std::array::from_fn(|k| synthetic_report(window * 5 + k));
             for &id in &ids {
-                for k in 0..5 {
-                    pool.enqueue(id, synthetic_report(window * 5 + k));
-                }
+                fleet.offer(id, &batch);
             }
             window += 1;
-            pool.drain().reports
+            fleet.drain().reports
         });
     }
 

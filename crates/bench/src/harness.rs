@@ -139,12 +139,19 @@ impl Bench {
         Bench::with_config(suite, config)
     }
 
+    /// Whether the name filter selects the row `name` (every row, when
+    /// there is no filter). [`bench`](Self::bench) and
+    /// [`record_ns`](Self::record_ns) skip unselected rows; a suite
+    /// asks here before paying for work, or printing a note, that only
+    /// describes such a row.
+    pub fn selects(&self, name: &str) -> bool {
+        self.config.filter.as_deref().is_none_or(|filter| name.contains(filter))
+    }
+
     /// Register and run one benchmark closure.
     pub fn bench<T, F: FnMut() -> T>(&mut self, name: &str, mut f: F) {
-        if let Some(filter) = &self.config.filter {
-            if !name.contains(filter.as_str()) {
-                return;
-            }
+        if !self.selects(name) {
+            return;
         }
 
         // Warmup + calibration.
@@ -206,12 +213,7 @@ impl Bench {
     ///
     /// [`bench`]: Bench::bench
     pub fn record_ns(&mut self, name: &str, samples_ns: &[f64]) {
-        if let Some(filter) = &self.config.filter {
-            if !name.contains(filter.as_str()) {
-                return;
-            }
-        }
-        if samples_ns.is_empty() {
+        if !self.selects(name) || samples_ns.is_empty() {
             return;
         }
         let mut per_iter_ns = samples_ns.to_vec();
@@ -364,6 +366,17 @@ mod tests {
         b.bench("drop_me", || 2u64);
         assert_eq!(b.stats().len(), 1);
         assert_eq!(b.stats()[0].name, "keep_me");
+    }
+
+    #[test]
+    fn selects_matches_the_filter_substring() {
+        assert!(quick_bench().selects("anything"), "no filter selects every row");
+        let mut config = BenchConfig::quick();
+        config.filter = Some("migrate/warm".to_string());
+        let b = Bench::with_config("filtered", config);
+        assert!(b.selects("fleet/migrate/warm"));
+        assert!(!b.selects("fleet/seal/session/warm"));
+        assert!(!b.selects("migrate"), "the filter is a substring of the row, not the reverse");
     }
 
     #[test]

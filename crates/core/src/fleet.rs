@@ -1,19 +1,27 @@
-//! Sharded fleet front door: the layer above [`ServePool`].
+//! The serving layer: many pens, one process, one front door.
 //!
-//! One [`ServePool`] is one rig's worker pool; a deployment serving
-//! thousands of pens needs a front door that routes sessions across
-//! many pools and *keeps serving under overload*. [`FleetRouter`]
-//! provides three mechanisms (see DESIGN.md "Fleet serving & overload
+//! The paper's §3.5 real-time claim covers one pen on one reader;
+//! [`FleetRouter`] scales that to a fleet. It owns every session's
+//! [`OnlineTracker`] in one session table indexed by [`FleetSessionId`],
+//! groups the sessions into shards, and keeps serving under overload
+//! (see DESIGN.md "Multi-session serving" and "Fleet serving & overload
 //! control"):
 //!
+//! * **Wake-on-work drains.** Reports are *offered* per session at any
+//!   time and queued; a [`drain`](FleetRouter::drain) round wakes only
+//!   the sessions that have queued reports and pushes each one its
+//!   queue, on up to [`FleetConfig::threads_per_shard`] workers through
+//!   the workspace fan-out primitive
+//!   ([`rf_core::par::parallel_for_each_mut`]). Idle pens cost nothing
+//!   per round.
 //! * **Shard routing with rig affinity.** Sessions are keyed by
 //!   [`ShardKey`] — the exact rig fingerprint
 //!   [`hmm::artifacts_for`](crate::hmm::artifacts_for) keys its
 //!   process-wide cache on (board extent, grid cell, antennas,
 //!   wavelength, as f64 bit patterns). Sessions sharing a key land on
 //!   the same shard until it fills past a soft cap, so every shard
-//!   resolves its rigs' `Arc<DecodeArtifacts>` once and cache hits are
-//!   maximized.
+//!   resolves its rigs' `Arc<DecodeArtifacts>` once: one emission table
+//!   per rig, however many pens write.
 //! * **Bounded ingest with backpressure, never drops.**
 //!   [`offer`](FleetRouter::offer) admits reports up to a per-shard
 //!   queue bound and returns how many it accepted; the rest stay with
@@ -28,14 +36,26 @@
 //!   only — never wall-clock — so fleet runs are deterministic and
 //!   testable.
 //!
+//! ## Why served output is bitwise-identical to sequential
+//!
+//! Parallelism is *across* sessions, never within one. A drain visits
+//! each woken session exactly once, on exactly one worker, and feeds it
+//! its own queue in admit order — so every session observes precisely
+//! the `push` sequence it would observe running alone, and
+//! [`OnlineTracker`] is deterministic given its input sequence (every
+//! kernel, the f32 one included: it trades f64-exactness, not
+//! reproducibility). Thread count and wake order change *when* a
+//! session advances relative to the others, never *what* it computes.
+//! `tests/serve.rs` enforces this bit for bit at threads 1/2/8 across
+//! mixed fault presets and mixed kernels.
+//!
 //! Live sessions migrate between shards with
-//! [`migrate`](FleetRouter::migrate): release from the source pool
-//! (tracker + un-drained queue), round-trip through the bitwise
-//! `polardraw.online.checkpoint.v1` format, adopt into the target, and
-//! carry the queued reports over in order. When no rung change happens
-//! in flight, the migrated session's output is bit-identical to never
-//! having moved — `tests/fleet.rs` proves this at every cut point and
-//! at thread counts 1/2/8.
+//! [`migrate`](FleetRouter::migrate): the tracker round-trips through
+//! the bitwise checkpoint format in place and its queued reports move
+//! with it in order. When no rung change happens in flight, the
+//! migrated session's output is bit-identical to never having moved —
+//! `tests/fleet.rs` proves this at every cut point and at thread counts
+//! 1/2/8.
 //!
 //! ## Crash safety (see DESIGN.md "Durability & crash recovery")
 //!
@@ -54,23 +74,26 @@
 //!   a report is either still the producer's (deferred), in escrow,
 //!   or covered by a durable checkpoint.
 //! * **Kill + recover.** [`kill_shard`](FleetRouter::kill_shard)
-//!   simulates a process crash (the pool and its in-memory controller
-//!   state vanish); [`recover`](FleetRouter::recover) rebuilds each
-//!   lost session from the newest good generation (walking back over
-//!   corrupted ones) and re-queues its escrowed tail. The recovered
-//!   session observes exactly the push sequence of an uncrashed run,
-//!   so its output is bit-identical — `tests/chaos.rs` proves this at
-//!   swept kill points under a deterministic chaos plan.
-//! * **Quarantine.** A session whose `push` panics mid-drain
-//!   (poisoned — see [`ServePool`]) or whose restore fails at every
-//!   retained generation is isolated with its escrowed reports instead
-//!   of taking the shard down, surfaced via [`FleetStats::quarantined`].
+//!   simulates a process crash (the shard's trackers, queues and
+//!   in-memory controller state vanish);
+//!   [`recover`](FleetRouter::recover) rebuilds each lost session from
+//!   the newest good generation (walking back over corrupted ones) and
+//!   re-queues its escrowed tail. The recovered session observes
+//!   exactly the push sequence of an uncrashed run, so its output is
+//!   bit-identical — `tests/chaos.rs` proves this at swept kill points
+//!   under a deterministic chaos plan.
+//! * **Quarantine.** A session whose `push` panics mid-drain (caught
+//!   per session, so the round and every other session carry on) or
+//!   whose restore fails at every retained generation is isolated with
+//!   its escrowed reports instead of taking the shard down, surfaced
+//!   via [`FleetStats::quarantined`] and
+//!   [`quarantine_context`](FleetRouter::quarantine_context).
 
 use crate::durability::{CheckpointStore, RestoreError};
 use crate::hmm::{AdaptiveBeam, KernelPrecision};
 use crate::online::{OnlineOptions, OnlineTracker};
-use crate::serve::{DrainReport, PoolStats, ServePool, SessionId};
 use crate::{PolarDrawConfig, TrackOutput};
+use rf_core::par::parallel_for_each_mut;
 use rfid_sim::TagReport;
 
 /// Handle to one session behind the fleet front door (stable for the
@@ -205,10 +228,12 @@ impl Default for CheckpointPolicy {
 /// Front-door configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
-    /// Number of [`ServePool`] shards.
+    /// Number of shards: session groups, each with its own ingest
+    /// bound and degradation controller.
     pub shards: usize,
-    /// Worker threads per shard drain (thread count never changes any
-    /// session's output — the `serve` bitwise contract).
+    /// Worker threads per shard drain, and for [`FleetRouter::finish`]
+    /// (thread count never changes any session's output — see the
+    /// module docs).
     pub threads_per_shard: usize,
     /// Per-shard ingest bound: the most queued-but-undrained reports a
     /// shard accepts, summed over its sessions. [`FleetRouter::offer`]
@@ -236,15 +261,24 @@ impl Default for FleetConfig {
     }
 }
 
-/// Where one fleet session currently lives and what it asked for.
-#[derive(Debug, Clone, Copy)]
-struct Route {
+/// One session's row in the router's table: where it lives, what it
+/// asked for, its tracker and ingest queue, and its durable state.
+#[derive(Debug)]
+struct Session {
+    /// The shard hosting it (the last one, once it is no longer live).
     shard: usize,
-    local: SessionId,
     key: ShardKey,
+    /// Kept so a crashed session can be rebuilt without a live tracker
+    /// to ask.
+    config: PolarDrawConfig,
     requested: OnlineOptions,
-    /// Degradation level currently applied to the session's tracker.
+    /// Degradation level currently applied to the tracker.
     applied_level: usize,
+    /// `Some` exactly while a shard hosts the session: `None` once it
+    /// is finished or quarantined, and while its shard is crashed.
+    tracker: Option<OnlineTracker>,
+    /// Admitted reports not yet pushed, in admit order.
+    queue: Vec<TagReport>,
     live: bool,
     /// Its hosting shard crashed and it has not been recovered yet
     /// (offers are deferred wholesale until then).
@@ -252,8 +286,23 @@ struct Route {
     /// Isolated: its push panicked, or its restore failed at every
     /// retained generation. Escrowed reports are kept for inspection.
     quarantined: bool,
+    /// Panic text of the push that blew up mid-drain. `Some` on a
+    /// session a shard still hosts means it was poisoned this round:
+    /// its tracker is in an unknown state and its queue is intact.
+    poison: Option<String>,
+    /// (reports consumed, trail points committed) by this round's
+    /// visit; folded into the round report right after it.
+    drained: (usize, usize),
     offered: usize,
     admitted: usize,
+    escrow: Escrow,
+}
+
+impl Session {
+    /// Hosted with queued reports: the next drain wakes it.
+    fn awake(&self) -> bool {
+        self.tracker.is_some() && !self.queue.is_empty()
+    }
 }
 
 /// Per-session escrow ledger: every admitted report since the oldest
@@ -267,10 +316,9 @@ struct Escrow {
     marks: Vec<(u64, usize)>,
 }
 
-/// One shard: a pool plus its controller state.
-#[derive(Debug)]
+/// One shard: the sessions it hosts plus its controller state.
+#[derive(Debug, Default)]
 struct Shard {
-    pool: ServePool,
     /// Fleet session ids currently hosted here (live only).
     sessions: Vec<FleetSessionId>,
     /// Reports admitted since the last drain (the ingest occupancy
@@ -282,6 +330,42 @@ struct Shard {
     calm_rounds: usize,
     degrade_steps: usize,
     recover_steps: usize,
+}
+
+/// Push a woken session its whole queue. Pushed by index (not drained)
+/// under `catch_unwind`, so a panic part-way through leaves the queue
+/// intact and poisons only this session: the round, and every other
+/// session in it, carries on, and the router quarantines the session
+/// with its reports. The queue is cleared only on success.
+fn visit(s: &mut Session) {
+    let Some(tracker) = s.tracker.as_mut() else {
+        return;
+    };
+    let queue = &s.queue;
+    if queue.is_empty() {
+        return;
+    }
+    let before = tracker.committed().len();
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        for r in queue {
+            tracker.push(*r);
+        }
+    }));
+    match outcome {
+        Ok(()) => {
+            s.drained = (queue.len(), tracker.committed().len() - before);
+            s.queue.clear();
+        }
+        Err(payload) => {
+            s.poison = Some(
+                payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_string()),
+            );
+        }
+    }
 }
 
 /// What one [`FleetRouter::drain`] round did, summed over shards.
@@ -382,13 +466,8 @@ pub struct FleetStats {
 pub struct FleetRouter {
     config: FleetConfig,
     shards: Vec<Shard>,
-    routes: Vec<Route>,
-    /// Parallel to `routes`: each session's configuration, kept so a
-    /// crashed session can be rebuilt without a live tracker to ask.
-    configs: Vec<PolarDrawConfig>,
-    /// Parallel to `routes`: the escrow ledgers (empty when no store
-    /// is attached, except for quarantined sessions' rescued queues).
-    escrows: Vec<Escrow>,
+    /// The session table, indexed by [`FleetSessionId`].
+    sessions: Vec<Session>,
     store: Option<CheckpointStore>,
     migrations: usize,
     peak_level: usize,
@@ -401,28 +480,13 @@ pub struct FleetRouter {
 }
 
 impl FleetRouter {
-    /// Empty router with `config.shards` pools (clamped to ≥ 1).
+    /// Empty router with `config.shards` shards (clamped to ≥ 1).
     pub fn new(config: FleetConfig) -> FleetRouter {
         let n = config.shards.max(1);
-        let shards = (0..n)
-            .map(|_| Shard {
-                pool: ServePool::new(config.threads_per_shard),
-                sessions: Vec::new(),
-                pending: 0,
-                peak_pending: 0,
-                level: 0,
-                pressured_rounds: 0,
-                calm_rounds: 0,
-                degrade_steps: 0,
-                recover_steps: 0,
-            })
-            .collect();
         FleetRouter {
             config,
-            shards,
-            routes: Vec::new(),
-            configs: Vec::new(),
-            escrows: Vec::new(),
+            shards: (0..n).map(|_| Shard::default()).collect(),
+            sessions: Vec::new(),
             store: None,
             migrations: 0,
             peak_level: 0,
@@ -474,7 +538,7 @@ impl FleetRouter {
             if shard.sessions.len() >= self.config.soft_session_cap {
                 continue;
             }
-            if shard.sessions.iter().any(|&id| self.routes[id].key == key) {
+            if shard.sessions.iter().any(|&id| self.sessions[id].key == key) {
                 let better = affinity
                     .map(|b| shard.sessions.len() < self.shards[b].sessions.len())
                     .unwrap_or(true);
@@ -499,7 +563,7 @@ impl FleetRouter {
         options: OnlineOptions,
     ) -> FleetSessionId {
         let key = ShardKey::of(&config);
-        if !self.routes.iter().any(|r| r.key == key) {
+        if !self.sessions.iter().any(|s| s.key == key) {
             // First session on a never-seen rig fingerprint: build the
             // shared decode artifacts now, at admission, so the
             // emission-table cold start happens off the session's first
@@ -514,22 +578,24 @@ impl FleetRouter {
             crate::hmm::artifacts_for(&grid, config.antennas, config.hmm.wavelength_m).prewarm();
         }
         let shard = self.place(key);
-        let local = self.shards[shard].pool.add_session(config, options);
-        let id = self.routes.len();
-        self.routes.push(Route {
+        let id = self.sessions.len();
+        self.sessions.push(Session {
             shard,
-            local,
             key,
+            config,
             requested: options,
             applied_level: 0,
+            tracker: Some(OnlineTracker::new(config, options)),
+            queue: Vec::new(),
             live: true,
             crashed: false,
             quarantined: false,
+            poison: None,
+            drained: (0, 0),
             offered: 0,
             admitted: 0,
+            escrow: Escrow::default(),
         });
-        self.configs.push(config);
-        self.escrows.push(Escrow::default());
         self.shards[shard].sessions.push(id);
         self.apply_level(id);
         id
@@ -541,30 +607,24 @@ impl FleetRouter {
     /// re-offers after the next drain. Nothing is ever dropped here —
     /// a deferred report is still the producer's.
     pub fn offer(&mut self, id: FleetSessionId, reports: &[TagReport]) -> usize {
-        let route = self.routes[id];
-        if route.quarantined {
-            // A quarantined session admits nothing; the producer keeps
-            // every report (its escrow stays frozen for inspection).
-            self.routes[id].offered += reports.len();
+        let s = &mut self.sessions[id];
+        assert!(s.live || s.quarantined, "session {id} already finished");
+        s.offered += reports.len();
+        if s.quarantined || s.crashed {
+            // A quarantined session admits nothing (its escrow stays
+            // frozen for inspection); a crashed one defers wholesale
+            // until `recover` runs. The producer keeps every report.
             return 0;
         }
-        assert!(route.live, "session {id} already finished");
-        if route.crashed {
-            // Its shard is down: defer wholesale until `recover` runs.
-            self.routes[id].offered += reports.len();
-            return 0;
-        }
-        let shard = &mut self.shards[route.shard];
-        let budget = self.config.queue_cap.saturating_sub(shard.pending);
-        let take = reports.len().min(budget);
-        self.routes[id].offered += reports.len();
+        let shard = &mut self.shards[s.shard];
+        let take = reports.len().min(self.config.queue_cap.saturating_sub(shard.pending));
         if take > 0 {
-            shard.pool.enqueue_batch(route.local, &reports[..take]);
+            s.queue.extend_from_slice(&reports[..take]);
             shard.pending += take;
             shard.peak_pending = shard.peak_pending.max(shard.pending);
-            self.routes[id].admitted += take;
+            s.admitted += take;
             if self.store.is_some() {
-                self.escrows[id].reports.extend_from_slice(&reports[..take]);
+                s.escrow.reports.extend_from_slice(&reports[..take]);
             }
         }
         take
@@ -573,14 +633,21 @@ impl FleetRouter {
     /// Remaining ingest budget of the shard hosting `id` — how many
     /// reports the next [`offer`](Self::offer) for it would accept.
     pub fn budget_for(&self, id: FleetSessionId) -> usize {
-        let shard = &self.shards[self.routes[id].shard];
+        let shard = &self.shards[self.sessions[id].shard];
         self.config.queue_cap.saturating_sub(shard.pending)
     }
 
     /// One serving round over every shard: run the load controller on
     /// the occupancy entering the round (the backlog this drain is
     /// about to face), apply any rung change to the shard's live
-    /// sessions, then drain the shard's pool.
+    /// sessions, then push every woken session its queue. Output is
+    /// independent of thread count (see the module docs for why).
+    ///
+    /// With one thread per shard, or at most one session woken, a shard
+    /// walks its live sessions in place and a warm store-less round
+    /// allocates nothing (asserted by `tests/serve_alloc.rs`); otherwise
+    /// it fans out over the session table, whose only per-round
+    /// allocations are inside the fan-out primitive itself.
     pub fn drain(&mut self) -> FleetDrainReport {
         self.drains += 1;
         let mut report = FleetDrainReport::default();
@@ -592,12 +659,9 @@ impl FleetRouter {
                     self.apply_level(id);
                 }
             }
+            self.drain_shard(si, &mut report);
             let shard = &mut self.shards[si];
-            let round: DrainReport = shard.pool.drain();
             shard.pending = 0;
-            report.woken += round.woken;
-            report.reports += round.reports;
-            report.newly_committed += round.newly_committed;
             report.max_level = report.max_level.max(shard.level);
             // Isolate any session whose push panicked mid-drain before
             // a checkpoint could seal its (now suspect) state. Only the
@@ -607,10 +671,10 @@ impl FleetRouter {
                 .sessions
                 .iter()
                 .copied()
-                .filter(|&id| self.shards[si].pool.poisoned(self.routes[id].local))
+                .filter(|&id| self.sessions[id].poison.is_some())
                 .collect();
             for id in poisoned {
-                self.quarantine_session(id);
+                self.quarantine(id);
                 report.quarantined += 1;
             }
             // Durability: this is a post-drain boundary (every queue
@@ -631,6 +695,34 @@ impl FleetRouter {
         report
     }
 
+    /// Visit every woken session of shard `si` once (see [`visit`]) and
+    /// fold the round's wakes, reports and commits into `report`.
+    fn drain_shard(&mut self, si: usize, report: &mut FleetDrainReport) {
+        let threads = self.config.threads_per_shard;
+        let (ids, sessions) = (&self.shards[si].sessions, &mut self.sessions);
+        let woken = ids.iter().filter(|&&id| sessions[id].awake()).count();
+        if threads <= 1 || woken <= 1 {
+            for &id in ids {
+                visit(&mut sessions[id]);
+            }
+        } else {
+            // Fan out over the whole table and let workers skip other
+            // shards' and sleeping sessions (one branch each): same
+            // visits, same per-session push order.
+            parallel_for_each_mut(sessions, threads, |s| {
+                if s.shard == si {
+                    visit(s);
+                }
+            });
+        }
+        report.woken += woken;
+        for &id in ids {
+            let (reports, committed) = std::mem::take(&mut sessions[id].drained);
+            report.reports += reports;
+            report.newly_committed += committed;
+        }
+    }
+
     /// Seal one live session into the attached store and advance its
     /// escrow marks: the new generation covers everything admitted
     /// except what is still queued un-drained, and reports older than
@@ -639,13 +731,14 @@ impl FleetRouter {
         let Some(store) = self.store.as_mut() else {
             return;
         };
-        let route = self.routes[id];
-        let generation =
-            store.save(id as u64, self.shards[route.shard].pool.tracker(route.local));
+        let s = &mut self.sessions[id];
+        let Some(tracker) = s.tracker.as_ref() else {
+            return;
+        };
+        let generation = store.save(id as u64, tracker);
         let oldest = store.oldest(id as u64).unwrap_or(generation);
-        let queued = self.shards[route.shard].pool.pending(route.local);
-        let escrow = &mut self.escrows[id];
-        let covered = escrow.reports.len().saturating_sub(queued);
+        let escrow = &mut s.escrow;
+        let covered = escrow.reports.len().saturating_sub(s.queue.len());
         escrow.marks.push((generation, covered));
         escrow.marks.retain(|&(g, _)| g >= oldest);
         let base = escrow.marks.iter().map(|&(_, c)| c).min().unwrap_or(0);
@@ -656,25 +749,27 @@ impl FleetRouter {
         self.checkpoints += 1;
     }
 
-    /// Isolate a poisoned session: pull its intact queue out of the
-    /// pool, drop it from its shard, and freeze its escrow for
-    /// inspection. The shard keeps serving everyone else.
-    fn quarantine_session(&mut self, id: FleetSessionId) {
-        let route = self.routes[id];
-        let rescued = self.shards[route.shard].pool.discard(route.local);
-        self.shards[route.shard].sessions.retain(|&s| s != id);
+    /// Isolate a session: drop its tracker, take it off its shard, and
+    /// freeze its escrow for inspection. The shard keeps serving
+    /// everyone else.
+    fn quarantine(&mut self, id: FleetSessionId) {
+        let s = &mut self.sessions[id];
+        s.tracker = None;
+        let rescued = std::mem::take(&mut s.queue);
         if self.store.is_none() {
             // No escrow ledger was running; keep the rescued queue so
             // inspection still sees what the session never consumed.
-            self.escrows[id].reports = rescued;
+            s.escrow.reports = rescued;
         }
-        self.routes[id].live = false;
-        self.routes[id].quarantined = true;
+        s.live = false;
+        s.crashed = false;
+        s.quarantined = true;
+        self.shards[s.shard].sessions.retain(|&x| x != id);
         self.quarantined += 1;
     }
 
-    /// Simulate a process crash of one shard: its pool (trackers,
-    /// queues) and in-memory controller state vanish; only the
+    /// Simulate a process crash of one shard: its sessions' trackers
+    /// and queues and its in-memory controller state vanish; only the
     /// router's durable state (store + escrow) survives. Every hosted
     /// session is marked crashed — offers for it defer wholesale until
     /// [`recover`](Self::recover). Returns how many sessions were
@@ -683,14 +778,16 @@ impl FleetRouter {
     pub fn kill_shard(&mut self, si: usize) -> usize {
         assert!(si < self.shards.len(), "no shard {si}");
         let shard = &mut self.shards[si];
-        shard.pool = ServePool::new(self.config.threads_per_shard);
         shard.pending = 0;
         shard.level = 0;
         shard.pressured_rounds = 0;
         shard.calm_rounds = 0;
         let lost = std::mem::take(&mut shard.sessions);
         for &id in &lost {
-            self.routes[id].crashed = true;
+            let s = &mut self.sessions[id];
+            s.tracker = None;
+            s.queue = Vec::new();
+            s.crashed = true;
         }
         self.shard_kills += 1;
         lost.len()
@@ -714,15 +811,14 @@ impl FleetRouter {
     pub fn recover(&mut self, si: usize) -> RecoverReport {
         assert!(si < self.shards.len(), "no shard {si}");
         let mut out = RecoverReport::default();
-        let crashed: Vec<FleetSessionId> = (0..self.routes.len())
+        let crashed: Vec<FleetSessionId> = (0..self.sessions.len())
             .filter(|&id| {
-                let r = &self.routes[id];
-                r.live && r.crashed && r.shard == si
+                let s = &self.sessions[id];
+                s.live && s.crashed && s.shard == si
             })
             .collect();
         for id in crashed {
-            let config = self.configs[id];
-            let requested = self.routes[id].requested;
+            let (config, requested) = (self.sessions[id].config, self.sessions[id].requested);
             let attempt = self.store.as_ref().map(|s| s.recover(id as u64, config));
             let (tracker, replay_from) = match attempt {
                 None | Some(Err(RestoreError::Missing)) => {
@@ -733,7 +829,8 @@ impl FleetRouter {
                     out.restored += 1;
                     out.fallbacks += rec.fallbacks;
                     self.restore_fallbacks += rec.fallbacks;
-                    let from = self.escrows[id]
+                    let from = self.sessions[id]
+                        .escrow
                         .marks
                         .iter()
                         .find(|&&(g, _)| g == rec.generation)
@@ -742,31 +839,26 @@ impl FleetRouter {
                     (rec.tracker, from)
                 }
                 Some(Err(_)) => {
-                    self.routes[id].live = false;
-                    self.routes[id].crashed = false;
-                    self.routes[id].quarantined = true;
-                    self.quarantined += 1;
+                    self.quarantine(id);
                     out.quarantined += 1;
                     continue;
                 }
             };
-            let local = self.shards[si].pool.adopt(tracker);
-            let tail = &self.escrows[id].reports[replay_from..];
-            if !tail.is_empty() {
-                self.shards[si].pool.enqueue_batch(local, tail);
-                self.shards[si].pending += tail.len();
-                self.shards[si].peak_pending =
-                    self.shards[si].peak_pending.max(self.shards[si].pending);
-                out.requeued_reports += tail.len();
-            }
-            self.shards[si].sessions.push(id);
-            self.routes[id].local = local;
-            self.routes[id].crashed = false;
-            self.recoveries += 1;
+            let s = &mut self.sessions[id];
+            let tail = &s.escrow.reports[replay_from..];
+            s.queue.extend_from_slice(tail);
+            out.requeued_reports += tail.len();
+            s.tracker = Some(tracker);
+            s.crashed = false;
             // Resync to the (freshly reset) shard rung whatever
             // options the checkpoint carried; the sentinel defeats the
             // applied-level short-circuit.
-            self.routes[id].applied_level = usize::MAX;
+            s.applied_level = usize::MAX;
+            let shard = &mut self.shards[si];
+            shard.pending += s.queue.len();
+            shard.peak_pending = shard.peak_pending.max(shard.pending);
+            shard.sessions.push(id);
+            self.recoveries += 1;
             self.apply_level(id);
         }
         out
@@ -775,20 +867,26 @@ impl FleetRouter {
     /// Whether a session's shard crashed and it awaits
     /// [`recover`](Self::recover).
     pub fn crashed(&self, id: FleetSessionId) -> bool {
-        self.routes[id].crashed
+        self.sessions[id].crashed
     }
 
     /// Whether a session has been quarantined (poisoned push, or no
     /// retained generation would restore).
     pub fn quarantined(&self, id: FleetSessionId) -> bool {
-        self.routes[id].quarantined
+        self.sessions[id].quarantined
     }
 
     /// A quarantined session's escrowed reports — what it admitted but
     /// never durably consumed, kept for inspection or re-driving.
     pub fn quarantined_reports(&self, id: FleetSessionId) -> &[TagReport] {
-        assert!(self.routes[id].quarantined, "session {id} is not quarantined");
-        &self.escrows[id].reports
+        assert!(self.sessions[id].quarantined, "session {id} is not quarantined");
+        &self.sessions[id].escrow.reports
+    }
+
+    /// Panic text of the push that got a session quarantined mid-drain
+    /// (`None` if its push never panicked).
+    pub fn quarantine_context(&self, id: FleetSessionId) -> Option<&str> {
+        self.sessions[id].poison.as_deref()
     }
 
     /// The watermark/hysteresis controller for one shard. Returns
@@ -824,79 +922,71 @@ impl FleetRouter {
         false
     }
 
-    /// Sync one session's tracker to its hosting shard's current rung.
+    /// Sync one hosted session's tracker to its shard's current rung.
     fn apply_level(&mut self, id: FleetSessionId) {
-        let (shard_idx, local, requested, applied) = {
-            let r = &self.routes[id];
-            (r.shard, r.local, r.requested, r.applied_level)
-        };
-        let level = self.shards[shard_idx].level;
-        if applied == level {
+        let s = &mut self.sessions[id];
+        let level = self.shards[s.shard].level;
+        if s.applied_level == level {
             return;
         }
-        let eff = options_at(requested, level);
-        let tracker = self.shards[shard_idx].pool.tracker_mut(local);
+        let Some(tracker) = s.tracker.as_mut() else {
+            return;
+        };
+        let eff = options_at(s.requested, level);
         tracker.set_kernel(eff.kernel);
         let _ = tracker.set_lag(eff.lag);
-        self.routes[id].applied_level = level;
+        s.applied_level = level;
     }
 
     /// Live-migrate a session to `to_shard` through the bitwise
-    /// `checkpoint.v1` round trip: release it from the source pool
-    /// (tracker + un-drained queue), checkpoint, restore, adopt into
-    /// the target, and carry the queued reports over in enqueue order.
-    /// The migrated session observes exactly the push sequence it would
-    /// have observed staying put, so when no rung change intervenes its
-    /// output is bit-identical to never having moved (`tests/fleet.rs`
-    /// proves this at every cut point). Carried reports bypass the
-    /// target's ingest budget — migration must not lose what was
-    /// already admitted. Afterwards the session runs the *target*
-    /// shard's rung.
+    /// checkpoint round trip: checkpoint its tracker, swap in the
+    /// restored copy, and move it with its un-drained queue, in admit
+    /// order. The migrated session observes exactly the push sequence
+    /// it would have observed staying put, so when no rung change
+    /// intervenes its output is bit-identical to never having moved
+    /// (`tests/fleet.rs` proves this at every cut point). Carried
+    /// reports bypass the target's ingest budget — migration must not
+    /// lose what was already admitted. Afterwards the session runs the
+    /// *target* shard's rung.
     ///
     /// Returns the checkpoint document's length in bytes (the migration
     /// payload). Migrating a session onto its own shard is a no-op
     /// returning 0.
     pub fn migrate(&mut self, id: FleetSessionId, to_shard: usize) -> usize {
         assert!(to_shard < self.shards.len(), "no shard {to_shard}");
-        let route = self.routes[id];
-        assert!(route.live, "session {id} already finished");
-        if route.shard == to_shard {
+        let s = &mut self.sessions[id];
+        assert!(s.live, "session {id} already finished");
+        let from = s.shard;
+        if from == to_shard {
             return 0;
         }
-        let (tracker, queued) = self.shards[route.shard].pool.release(route.local);
-        let config = *tracker.config();
-        let text = tracker.checkpoint_string();
-        // Restore BEFORE letting go of the original: if the round trip
-        // ever failed, migration falls back to moving the live tracker
-        // itself — loss-free either way, never a panic.
-        let moved = match OnlineTracker::restore_from_str(config, &text) {
-            Ok(restored) => restored,
-            Err(_) => tracker,
+        let Some(tracker) = s.tracker.as_mut() else {
+            panic!("session {id} crashed; recover its shard first");
         };
-        let local = self.shards[to_shard].pool.adopt(moved);
-        if !queued.is_empty() {
-            self.shards[route.shard].pending -= queued.len();
-            self.shards[to_shard].pool.enqueue_batch(local, &queued);
-            self.shards[to_shard].pending += queued.len();
-            self.shards[to_shard].peak_pending =
-                self.shards[to_shard].peak_pending.max(self.shards[to_shard].pending);
+        let text = tracker.checkpoint_string();
+        // If the round trip ever failed, migration moves the live
+        // tracker itself — loss-free either way, never a panic.
+        if let Ok(restored) = OnlineTracker::restore_from_str(*tracker.config(), &text) {
+            *tracker = restored;
         }
-        self.shards[route.shard].sessions.retain(|&s| s != id);
-        self.shards[to_shard].sessions.push(id);
-        self.routes[id].shard = to_shard;
-        self.routes[id].local = local;
+        s.shard = to_shard;
+        let queued = s.queue.len();
+        self.shards[from].pending -= queued;
+        self.shards[from].sessions.retain(|&x| x != id);
+        let target = &mut self.shards[to_shard];
+        target.pending += queued;
+        target.peak_pending = target.peak_pending.max(target.pending);
+        target.sessions.push(id);
         self.migrations += 1;
         // The target may run a different rung than the source did.
         self.apply_level(id);
-        if self.store.is_some() {
-            self.checkpoint_session(id);
-        }
+        self.checkpoint_session(id);
         text.len()
     }
 
     /// Which shard currently hosts a session.
     pub fn shard_of(&self, id: FleetSessionId) -> usize {
-        self.routes[id].shard
+        self.sessions[id].shard
     }
 
     /// A shard's current degradation level (0 = full fidelity).
@@ -917,34 +1007,31 @@ impl FleetRouter {
     /// The streaming options a session's tracker is currently running
     /// (its request, degraded to the hosting shard's applied rung).
     pub fn effective_options(&self, id: FleetSessionId) -> OnlineOptions {
-        let r = &self.routes[id];
-        options_at(r.requested, r.applied_level)
+        let s = &self.sessions[id];
+        options_at(s.requested, s.applied_level)
     }
 
-    /// Read-only access to a live session's tracker (checkpointing,
+    /// Read-only access to a hosted session's tracker (checkpointing,
     /// committed-trail peeking, artifact-sharing assertions).
+    ///
+    /// # Panics
+    /// If the session is finished, quarantined, or crashed.
     pub fn tracker(&self, id: FleetSessionId) -> &OnlineTracker {
-        let r = &self.routes[id];
-        self.shards[r.shard].pool.tracker(r.local)
+        self.sessions[id].tracker.as_ref().expect("session is not hosted")
     }
 
     /// (offered, admitted) report counts for one session; the
     /// difference was deferred back to the producer, never dropped.
     pub fn session_flow(&self, id: FleetSessionId) -> (usize, usize) {
-        let r = &self.routes[id];
-        (r.offered, r.admitted)
-    }
-
-    /// A shard's pool-lifetime counters.
-    pub fn pool_stats(&self, shard: usize) -> PoolStats {
-        self.shards[shard].pool.stats()
+        let s = &self.sessions[id];
+        (s.offered, s.admitted)
     }
 
     /// Router-lifetime counters.
     pub fn stats(&self) -> FleetStats {
         let mut s = FleetStats {
-            sessions: self.routes.len(),
-            live: self.routes.iter().filter(|r| r.live).count(),
+            sessions: self.sessions.len(),
+            live: self.sessions.iter().filter(|s| s.live).count(),
             migrations: self.migrations,
             peak_level: self.peak_level,
             drains: self.drains,
@@ -955,7 +1042,7 @@ impl FleetRouter {
             checkpoints: self.checkpoints,
             ..FleetStats::default()
         };
-        for r in &self.routes {
+        for r in &self.sessions {
             s.offered += r.offered;
             s.admitted += r.admitted;
         }
@@ -967,38 +1054,59 @@ impl FleetRouter {
         s
     }
 
-    /// Finish one session now: drain its remaining queue and finalize
-    /// its trail. The handle stays allocated, but its durable state
-    /// goes: every retained generation is purged from the attached
-    /// store and its escrow ledger is released, so the store holds
-    /// live sessions only. (A quarantined session is never finished;
-    /// its escrow stays for inspection.)
-    pub fn finish_session(&mut self, id: FleetSessionId) -> TrackOutput {
-        let route = self.routes[id];
-        assert!(route.live, "session {id} already finished");
-        assert!(!route.crashed, "session {id} crashed; recover its shard first");
-        let shard = &mut self.shards[route.shard];
-        shard.pending = shard.pending.saturating_sub(shard.pool.pending(route.local));
-        shard.sessions.retain(|&s| s != id);
-        self.routes[id].live = false;
+    /// Take a hosted session out of service for finalizing: off its
+    /// shard, every retained generation purged from the attached store
+    /// and its escrow ledger released, so the store holds live sessions
+    /// only. Returns its tracker and still-queued reports, or `None`
+    /// (and changes nothing) if no shard hosts it.
+    fn retire(&mut self, id: FleetSessionId) -> Option<(OnlineTracker, Vec<TagReport>)> {
+        let s = &mut self.sessions[id];
+        let tracker = s.tracker.take()?;
+        let shard = &mut self.shards[s.shard];
+        shard.pending = shard.pending.saturating_sub(s.queue.len());
+        shard.sessions.retain(|&x| x != id);
+        s.live = false;
+        s.escrow = Escrow::default();
         if let Some(store) = self.store.as_mut() {
             store.purge(id as u64);
         }
-        self.escrows[id] = Escrow::default();
-        self.shards[route.shard].pool.finish_session(route.local)
+        Some((tracker, std::mem::take(&mut s.queue)))
     }
 
-    /// Finalize every live session; trails in fleet-id order, paired
-    /// with their ids (sessions finished earlier, quarantined, or
-    /// still crashed-unrecovered are omitted).
-    pub fn finish(mut self) -> Vec<(FleetSessionId, TrackOutput)> {
-        let mut out = Vec::new();
-        for id in 0..self.routes.len() {
-            if self.routes[id].live && !self.routes[id].crashed {
-                out.push((id, self.finish_session(id)));
+    /// Finish one session now: push its remaining queue and finalize
+    /// its trail. The handle stays allocated, but its durable state
+    /// goes: every retained generation is purged from the attached
+    /// store and its escrow ledger is released. (A quarantined session
+    /// is never finished; its escrow stays for inspection.)
+    pub fn finish_session(&mut self, id: FleetSessionId) -> TrackOutput {
+        assert!(!self.sessions[id].crashed, "session {id} crashed; recover its shard first");
+        match self.retire(id) {
+            Some((mut tracker, queue)) => {
+                tracker.extend(&queue);
+                tracker.finalize()
             }
+            None => panic!("session {id} already finished"),
         }
-        out
+    }
+
+    /// Finish every hosted session, finalizing them in parallel on
+    /// [`FleetConfig::threads_per_shard`] workers; trails in fleet-id
+    /// order, paired with their ids (sessions finished earlier,
+    /// quarantined, or still crashed-unrecovered are omitted). Each
+    /// session's durable state goes as in
+    /// [`finish_session`](Self::finish_session).
+    pub fn finish(mut self) -> Vec<(FleetSessionId, TrackOutput)> {
+        type Cell = (FleetSessionId, Option<(OnlineTracker, Vec<TagReport>)>, Option<TrackOutput>);
+        let mut cells: Vec<Cell> = (0..self.sessions.len())
+            .filter_map(|id| Some((id, Some(self.retire(id)?), None)))
+            .collect();
+        parallel_for_each_mut(&mut cells, self.config.threads_per_shard, |cell| {
+            if let Some((mut tracker, queue)) = cell.1.take() {
+                tracker.extend(&queue);
+                cell.2 = Some(tracker.finalize());
+            }
+        });
+        cells.into_iter().filter_map(|(id, _, out)| Some((id, out?))).collect()
     }
 }
 
@@ -1256,32 +1364,89 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_session_is_quarantined_and_the_fleet_keeps_serving() {
+    fn empty_queues_stay_asleep() {
         let mut fleet = FleetRouter::new(FleetConfig {
             shards: 1,
-            queue_cap: 100_000,
+            threads_per_shard: 4,
             ..FleetConfig::default()
         });
-        let healthy = fleet.add_session(coarse_config(), OnlineOptions::default());
-        let mut bad_cfg = coarse_config();
-        bad_cfg.preprocess.window_s = 0.0; // first push panics
-        let bad = fleet.add_session(bad_cfg, OnlineOptions::default());
-        fleet.offer(healthy, &stream(40, 0.0));
-        fleet.offer(bad, &stream(25, 0.0));
+        let a = fleet.add_session(coarse_config(), OnlineOptions::default());
+        fleet.add_session(coarse_config(), OnlineOptions::default());
+        fleet.offer(a, &stream(40, 0.0));
         let round = fleet.drain();
-        assert_eq!(round.quarantined, 1);
-        assert!(fleet.quarantined(bad));
-        assert_eq!(fleet.quarantined_reports(bad).len(), 25, "escrowed, not lost");
-        assert_eq!(fleet.offer(bad, &stream(5, 9.0)), 0, "quarantined admits nothing");
-        // The healthy session is unaffected and the fleet still serves.
-        fleet.offer(healthy, &stream(40, 0.4));
-        fleet.drain();
-        let stats = fleet.stats();
-        assert_eq!(stats.quarantined, 1);
-        assert_eq!(stats.live, 1);
-        let trails = fleet.finish();
-        assert_eq!(trails.len(), 1);
-        assert_eq!(trails[0].0, healthy);
+        assert_eq!(round.woken, 1, "only the session with reports wakes");
+        assert_eq!(round.reports, 40);
+        assert_eq!(fleet.pending(0), 0, "queue consumed");
+        let round2 = fleet.drain();
+        assert_eq!((round2.woken, round2.reports), (0, 0), "nothing pending → no wakes");
+    }
+
+    /// Panic isolation on both drain paths: one thread walks the
+    /// shard's sessions in place, two fan out over the session table.
+    #[test]
+    fn poisoned_session_is_quarantined_and_the_fleet_keeps_serving() {
+        for threads in [1, 2] {
+            let mut fleet = FleetRouter::new(FleetConfig {
+                shards: 1,
+                threads_per_shard: threads,
+                queue_cap: 100_000,
+                ..FleetConfig::default()
+            });
+            let healthy = fleet.add_session(coarse_config(), OnlineOptions::default());
+            // `window_s = 0` trips the tracker's first-push assertion —
+            // a deterministic stand-in for any mid-stream panic.
+            let mut bad_cfg = coarse_config();
+            bad_cfg.preprocess.window_s = 0.0;
+            let bad = fleet.add_session(bad_cfg, OnlineOptions::default());
+            fleet.offer(healthy, &stream(40, 0.0));
+            fleet.offer(bad, &stream(25, 0.0));
+            let round = fleet.drain();
+            assert_eq!(round.woken, 2, "threads {threads}: both woke, one blew up in isolation");
+            assert_eq!(round.reports, 40, "threads {threads}: the healthy queue was consumed");
+            assert_eq!(round.quarantined, 1);
+            assert!(fleet.quarantined(bad));
+            assert!(!fleet.quarantined(healthy));
+            assert_eq!(fleet.quarantine_context(healthy), None);
+            assert!(
+                fleet.quarantine_context(bad).is_some_and(|c| c.contains("window length")),
+                "threads {threads}: the panic text is kept"
+            );
+            assert_eq!(fleet.quarantined_reports(bad).len(), 25, "escrowed, not lost");
+            assert_eq!(fleet.offer(bad, &stream(5, 9.0)), 0, "quarantined admits nothing");
+            // The healthy session is unaffected and the fleet still
+            // serves; the quarantined one never wakes again.
+            fleet.offer(healthy, &stream(40, 0.4));
+            assert_eq!(fleet.drain().woken, 1);
+            let stats = fleet.stats();
+            assert_eq!(stats.quarantined, 1);
+            assert_eq!(stats.live, 1);
+            let trails = fleet.finish();
+            assert_eq!(trails.len(), 1);
+            assert_eq!(trails[0].0, healthy);
+        }
+    }
+
+    #[test]
+    fn finish_session_removes_the_session_and_finish_skips_it() {
+        let mut fleet = FleetRouter::new(FleetConfig {
+            shards: 1,
+            threads_per_shard: 2,
+            ..FleetConfig::default()
+        });
+        let ids: Vec<FleetSessionId> = (0..3)
+            .map(|_| fleet.add_session(coarse_config(), OnlineOptions::default()))
+            .collect();
+        for &id in &ids {
+            fleet.offer(id, &stream(60, 0.0));
+        }
+        let first = fleet.finish_session(ids[1]);
+        assert_eq!(fleet.sessions_on(0), 2);
+        assert_eq!(fleet.pending(0), 120, "its queue left with it");
+        let rest = fleet.finish();
+        assert_eq!(rest.iter().map(|r| r.0).collect::<Vec<_>>(), vec![ids[0], ids[2]]);
+        for (_, out) in &rest {
+            assert_eq!(first.trail.points, out.trail.points, "same stream, same trail");
+        }
     }
 
     #[test]
@@ -1313,16 +1478,16 @@ mod tests {
         let store = fleet.store().expect("store attached");
         let before: Vec<Vec<u64>> = ids.iter().map(|&id| store.generations(id as u64)).collect();
         assert!(before.iter().all(|g| g.len() == 3), "every session retains keep=3");
-        assert!(!fleet.escrows[ids[1]].reports.is_empty());
+        assert!(!fleet.sessions[ids[1]].escrow.reports.is_empty());
 
         fleet.finish_session(ids[1]);
         let store = fleet.store().expect("store attached");
         assert_eq!(store.generations(ids[1] as u64), Vec::<u64>::new(), "purged on finish");
         assert_eq!(store.generations(ids[0] as u64), before[0], "neighbour untouched");
         assert_eq!(store.generations(ids[2] as u64), before[2], "neighbour untouched");
-        assert!(fleet.escrows[ids[1]].reports.is_empty(), "escrow released");
-        assert!(fleet.escrows[ids[1]].marks.is_empty(), "escrow marks released");
-        assert!(!fleet.escrows[ids[0]].reports.is_empty(), "neighbour escrow kept");
+        assert!(fleet.sessions[ids[1]].escrow.reports.is_empty(), "escrow released");
+        assert!(fleet.sessions[ids[1]].escrow.marks.is_empty(), "escrow marks released");
+        assert!(!fleet.sessions[ids[0]].escrow.reports.is_empty(), "neighbour escrow kept");
         assert_eq!(fleet.quarantined_reports(bad).len(), 25, "quarantined escrow kept");
 
         // The survivors still recover from their own generations.

@@ -516,7 +516,7 @@ fn artifact_cache() -> &'static Mutex<Vec<Arc<DecodeArtifacts>>> {
 
 /// The process-wide [`DecodeArtifacts`] entry for a rig, creating it on
 /// first sight. Every [`FixedLagDecoder`] (so every batch [`decode`]
-/// and every serve-pool session) resolves its rig through here, so all of
+/// and every served fleet session) resolves its rig through here, so all of
 /// them end up holding the *same* `Arc` — `Arc::strong_count` on the
 /// returned entry counts the sessions sharing it (plus the cache's own
 /// reference), which is what `tests/serve.rs` asserts for the

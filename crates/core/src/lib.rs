@@ -46,7 +46,6 @@ pub mod model;
 pub mod online;
 pub mod preprocess;
 pub mod rotation;
-pub mod serve;
 pub mod smoother;
 pub mod translation;
 
@@ -55,5 +54,4 @@ mod pipeline;
 pub use durability::{open_checkpoint, seal_checkpoint, CheckpointStore, RestoreError};
 pub use fleet::{FleetConfig, FleetRouter, ShardKey};
 pub use online::{OnlineOptions, OnlineTracker};
-pub use serve::ServePool;
 pub use pipeline::{DegradationReport, PolarDraw, PolarDrawConfig, StepEstimate, StepKind, TrackOutput};

@@ -1,5 +1,5 @@
-//! Multi-session serving sweep: a fleet of pens on one rig through
-//! `polardraw_core::serve::ServePool` (not in the paper).
+//! Multi-session serving sweep: a fleet of pens on one rig through a
+//! one-shard `polardraw_core::fleet::FleetRouter` (not in the paper).
 //!
 //! The paper's §3.5 real-time claim covers one pen; the ROADMAP's
 //! north star is many concurrent sessions. This experiment sweeps the
@@ -15,7 +15,7 @@
 use crate::report::Report;
 use crate::runner::RunOpts;
 use crate::setup::{polardraw_config_for, simulate_reports, TrialSetup};
-use polardraw_core::serve::ServePool;
+use polardraw_core::fleet::{FleetConfig, FleetRouter};
 use polardraw_core::{OnlineOptions, OnlineTracker, TrackOutput};
 use rfid_sim::faults::FaultPlan;
 use rfid_sim::TagReport;
@@ -70,7 +70,7 @@ pub fn run(opts: &RunOpts) -> Vec<Report> {
         "Bitwise == sequential".to_string(),
     ]);
 
-    let mut pool_secs = Vec::new();
+    let mut served_secs = Vec::new();
     let mut seq_secs = Vec::new();
     for &n in &SESSIONS {
         let setup0 = {
@@ -94,44 +94,54 @@ pub fn run(opts: &RunOpts) -> Vec<Report> {
             .collect();
         seq_secs.push(t0.elapsed().as_secs_f64());
 
-        // Pool run, chunked enqueues so drains interleave sessions.
+        // Router run: one shard whose queue bound never bites, chunked
+        // offers so drains interleave sessions.
         let t1 = Instant::now();
-        let mut pool = ServePool::new(opts.threads);
-        let ids: Vec<_> = (0..n).map(|_| pool.add_session(cfg, options)).collect();
+        let mut fleet = FleetRouter::new(FleetConfig {
+            shards: 1,
+            threads_per_shard: opts.threads,
+            queue_cap: usize::MAX,
+            soft_session_cap: usize::MAX,
+            ..FleetConfig::default()
+        });
+        let ids: Vec<_> = (0..n).map(|_| fleet.add_session(cfg, options)).collect();
         let chunk = 64;
         let longest = streams.iter().map(|s| s.len()).max().unwrap_or(0);
+        let (mut drains, mut wakes, mut points) = (0, 0, 0);
         let mut at = 0;
         while at < longest {
             for (i, reports) in streams.iter().enumerate() {
                 let lo = at.min(reports.len());
                 let hi = (at + chunk).min(reports.len());
-                pool.enqueue_batch(ids[i], &reports[lo..hi]);
+                fleet.offer(ids[i], &reports[lo..hi]);
             }
-            pool.drain();
+            let round = fleet.drain();
+            drains += 1;
+            wakes += round.woken;
+            points += round.newly_committed;
             at += chunk;
         }
-        let stats = pool.stats();
         let shared = {
             let mut handles = ids
                 .iter()
-                .filter_map(|&id| pool.tracker(id).decoder().artifacts().cloned());
+                .filter_map(|&id| fleet.tracker(id).decoder().artifacts().cloned());
             match handles.next() {
                 Some(first) => handles.all(|h| Arc::ptr_eq(&h, &first)),
                 None => false,
             }
         };
-        let got = pool.finish();
-        pool_secs.push(t1.elapsed().as_secs_f64());
+        let got: Vec<TrackOutput> = fleet.finish().into_iter().map(|(_, out)| out).collect();
+        served_secs.push(t1.elapsed().as_secs_f64());
 
         let bitwise = got.len() == want.len()
             && got.iter().zip(&want).all(|(g, w)| outputs_equal(g, w));
         report.push_row(vec![
             n.to_string(),
             streams.iter().map(|s| s.len()).sum::<usize>().to_string(),
-            stats.drains.to_string(),
-            stats.wakes.to_string(),
-            (stats.drains * n - stats.wakes).to_string(),
-            stats.committed.to_string(),
+            drains.to_string(),
+            wakes.to_string(),
+            (drains * n - wakes).to_string(),
+            points.to_string(),
             if shared { "yes" } else { "no" }.to_string(),
             if bitwise { "yes" } else { "no" }.to_string(),
         ]);
@@ -145,11 +155,11 @@ pub fn run(opts: &RunOpts) -> Vec<Report> {
     );
     report.push_note(format!(
         "host-dependent wall times this run (not committed as columns): \
-         sequential {:?} s, pool@{} threads {:?} s per fleet size {:?}; the \
+         sequential {:?} s, router@{} threads {:?} s per fleet size {:?}; the \
          committed throughput baseline is BENCH_throughput.json",
         seq_secs.iter().map(|s| (s * 1e3).round() / 1e3).collect::<Vec<_>>(),
         opts.threads,
-        pool_secs.iter().map(|s| (s * 1e3).round() / 1e3).collect::<Vec<_>>(),
+        served_secs.iter().map(|s| (s * 1e3).round() / 1e3).collect::<Vec<_>>(),
         SESSIONS,
     ));
     vec![report]

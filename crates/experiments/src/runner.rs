@@ -63,7 +63,7 @@ fn apply_opts(setup: &TrialSetup, opts: &RunOpts) -> TrialSetup {
 /// The workspace fan-out primitive, re-exported from `rf_core::par` so
 /// existing experiment code (and external callers) keep their import
 /// path. One implementation serves trial sweeps, the emission-table
-/// row build, and the serve pool alike.
+/// row build, and the fleet router's drains alike.
 pub use rf_core::par::parallel_map;
 
 /// Result of one recognition trial.

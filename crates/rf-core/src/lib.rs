@@ -20,7 +20,7 @@
 //! * [`par`] — the workspace's scoped-thread fan-out primitives
 //!   ([`parallel_map`] and [`par::parallel_for_each_mut`]), shared by
 //!   experiment trial sweeps, the emission-table row build, and the
-//!   multi-session serve pool.
+//!   multi-session fleet router's drains and finish.
 //! * [`json`] — a minimal JSON writer/parser so result dumps and
 //!   scenario configs need no external serialization crate.
 //! * [`crc`] — CRC-32 (IEEE) for checksummed checkpoint envelopes.

@@ -1,8 +1,8 @@
 //! The workspace's one scoped-thread fan-out primitive.
 //!
 //! Everything in the repo that wants data parallelism — experiment
-//! trial sweeps, the emission-table row build, the multi-session serve
-//! pool — goes through [`parallel_map`] (pure fan-out producing new
+//! trial sweeps, the emission-table row build, the multi-session fleet
+//! router — goes through [`parallel_map`] (pure fan-out producing new
 //! values) or [`parallel_for_each_mut`] (in-place visits over long-lived
 //! slots) so there is a single place where work claiming, buffering,
 //! and order restoration are reasoned about. The primitives are
@@ -112,8 +112,8 @@ pub fn chunk_bounds(n: usize, chunks: usize, i: usize) -> (usize, usize) {
 ///
 /// This is the substrate for stateful fan-out: each slot is a long-lived
 /// session (or any `&mut` state) that must be visited exactly once per
-/// round, and the visit order across slots must not matter. The serve
-/// pool drains its sessions through this, which is what makes its
+/// round, and the visit order across slots must not matter. The fleet
+/// router drains its sessions through this, which is what makes its
 /// output trivially identical to a sequential drain: parallelism is
 /// *across* slots, never within one, so each slot sees exactly the
 /// mutation sequence it would see single-threaded.

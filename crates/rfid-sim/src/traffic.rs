@@ -1,11 +1,11 @@
 //! Deterministic synthetic fleet traffic.
 //!
-//! The serving layers (`polardraw_core::serve`, `polardraw_core::fleet`)
-//! need realistic *load shapes* — not realistic pen strokes — to be
-//! exercised honestly: arrival rates that swing over a day, flash
-//! crowds that pile sessions onto one rig at once, constant session
-//! churn, and write durations with a heavy tail (most strokes are a
-//! word, a few are a whiteboard lecture). This module generates all of
+//! The serving layer (`polardraw_core::fleet`) needs realistic *load
+//! shapes* — not realistic pen strokes — to be exercised honestly:
+//! arrival rates that swing over a day, flash crowds that pile
+//! sessions onto one rig at once, constant session churn, and write
+//! durations with a heavy tail (most strokes are a word, a few are a
+//! whiteboard lecture). This module generates all of
 //! that from one seed via `rf_core::rng` derived seeds, so every
 //! scenario is bit-identical run to run and across machines:
 //!

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Measure performance and refresh the committed baselines.
 #
-# Two suites, both run at full methodology (200 ms warmup, 11 samples,
+# Five suites, each run at full methodology (200 ms warmup, 11 samples,
 # median-of-N — see crates/bench/src/harness.rs):
 #
 # * decode — the Viterbi hot path. Copies the report to
@@ -32,13 +32,15 @@
 #     suite, on the 64-session fleet lifecycle at threads 1 vs 8;
 #   - an absolute 20 ms ceiling on per-session crash recovery
 #     (fleet/recover/session).
-# * throughput — the multi-session serving engine. Copies the report
-#   to BENCH_throughput.json and enforces two gates:
+# * throughput — the multi-session serving engine (a one-shard fleet
+#   router). Like the fleet suite, runs both of its gates against the
+#   fresh report and prints each result; only if both pass does it
+#   copy the report to BENCH_throughput.json:
 #   - a core-count-aware scaling floor on the 8-session drain,
 #     threads1 vs threads8: ≥ 4.0× with 8+ hardware threads, ≥ 1.5×
 #     with 2+, and ≥ 0.8× on a single core (thread scaling is honest
 #     wall-clock — one core cannot speed up CPU-bound work, so there
-#     the gate only proves the pool doesn't collapse under its own
+#     the gate only proves the drain doesn't collapse under its own
 #     overhead);
 #   - an absolute 80 ms ceiling on the contended step row
 #     (serve/step/sessions8/threads8): one drain advancing all 8
@@ -78,9 +80,38 @@ case "$SUITE" in
     *) echo "unknown suite: $SUITE (want decode|throughput|fleet|components|channel|all)" >&2; exit 2 ;;
 esac
 
-# Gates that fail without stopping the run (the fleet suite's); the
-# script exits non-zero at the end if any did.
+# Gates that fail without stopping the run (the throughput and fleet
+# suites'); the script exits non-zero at the end if any did.
 FAILED_GATES=()
+
+# gate REPORT NAME ARGS...: run one bench_check gate against the fresh
+# REPORT and print its result. A failure is remembered in suite_failed,
+# so one failed gate does not hide the others.
+gate() {
+    local report="$1" name="$2"
+    shift 2
+    echo "== bench: $name =="
+    if cargo run --release --offline -p polardraw-bench --bin bench_check -- "$report" "$@"; then
+        echo "== bench: PASS: $name =="
+    else
+        echo "== bench: FAIL: $name ==" >&2
+        suite_failed+=("$name")
+    fi
+}
+
+# commit_baseline REPORT BASELINE: refresh the committed BASELINE from
+# REPORT only if every gate of the suite passed; otherwise leave it as
+# committed and make the script exit non-zero at the end.
+commit_baseline() {
+    local report="$1" baseline="$2"
+    if [ ${#suite_failed[@]} -eq 0 ]; then
+        cp "$report" "$baseline"
+        echo "== bench: every gate passed; wrote $baseline =="
+    else
+        echo "== bench: ${#suite_failed[@]} gate(s) failed; $baseline left as committed ==" >&2
+        FAILED_GATES+=("${suite_failed[@]}")
+    fi
+}
 
 # The thread-scaling floor is a property of the host's core count; the
 # measurement is honest wall-clock either way.
@@ -120,48 +151,34 @@ if [ "$SUITE" = throughput ] || [ "$SUITE" = all ]; then
     echo "== bench: throughput suite (full methodology) =="
     cargo bench --offline -p polardraw-bench --bench throughput
 
-    cp results/bench_throughput.json BENCH_throughput.json
-    echo "== bench: wrote BENCH_throughput.json =="
-
-    echo "== bench: scaling gate at ${SCALE_FLOOR}x (host has ${NPROC} hardware thread(s)) =="
-    cargo run --release --offline -p polardraw-bench --bin bench_check -- \
-        BENCH_throughput.json \
+    suite_failed=()
+    gate results/bench_throughput.json \
+        "throughput scaling gate at ${SCALE_FLOOR}x (host has ${NPROC} hardware thread(s))" \
         --min-speedup "$SCALE_FLOOR" \
         --ref serve/drain/sessions8/threads1 \
-        --opt serve/drain/sessions8/threads8 \
+        --opt serve/drain/sessions8/threads8
+    gate results/bench_throughput.json \
+        "contended step ceiling (serve/step/sessions8/threads8 <= 80 ms)" \
         --max-median "serve/step/sessions8/threads8=80000000"
+    commit_baseline results/bench_throughput.json BENCH_throughput.json
 fi
 
 if [ "$SUITE" = fleet ] || [ "$SUITE" = all ]; then
     echo "== bench: fleet suite (full methodology) =="
     cargo bench --offline -p polardraw-bench --bench fleet
 
-    # Every fleet gate runs and reports, so one failure does not hide
-    # the others; the baseline is refreshed only when all of them pass.
-    fleet_failed=()
-    fleet_gate() {
-        local name="$1"
-        shift
-        echo "== bench: $name =="
-        if cargo run --release --offline -p polardraw-bench --bin bench_check -- \
-            results/bench_fleet.json "$@"; then
-            echo "== bench: PASS: $name =="
-        else
-            echo "== bench: FAIL: $name ==" >&2
-            fleet_failed+=("$name")
-        fi
-    }
+    suite_failed=()
 
     # No-collapse floor: under 8x overload the p99 per-report step
     # latency must stay within 10x the unloaded fleet's p50. bench_check
     # asserts median(ref)/median(opt) >= floor, so with ref = unloaded
     # p50 and opt = overloaded p99 the 0.1 floor is exactly that bound.
-    fleet_gate "fleet no-collapse gate (overload8x p99 <= 10x unloaded p50)" \
+    gate results/bench_fleet.json "fleet no-collapse gate (overload8x p99 <= 10x unloaded p50)" \
         --min-speedup 0.1 \
         --ref fleet/step/sessions256 \
         --opt fleet/step/sessions256/overload8x/p99
 
-    fleet_gate "fleet scaling gate at ${SCALE_FLOOR}x (host has ${NPROC} hardware thread(s))" \
+    gate results/bench_fleet.json "fleet scaling gate at ${SCALE_FLOOR}x (host has ${NPROC} hardware thread(s))" \
         --min-speedup "$SCALE_FLOOR" \
         --ref fleet/lifecycle/sessions64/threads1 \
         --opt fleet/lifecycle/sessions64/threads8
@@ -170,16 +187,10 @@ if [ "$SUITE" = fleet ] || [ "$SUITE" = all ]; then
     # CRC verify + tracker rebuild for a 128-report warm session):
     # 20 ms. Recovery must stay interactive — a shard restart serving
     # hundreds of sessions has to come back in seconds, not minutes.
-    fleet_gate "fleet recovery ceiling (recover() <= 20 ms/session)" \
+    gate results/bench_fleet.json "fleet recovery ceiling (recover() <= 20 ms/session)" \
         --max-median "fleet/recover/session=20000000"
 
-    if [ ${#fleet_failed[@]} -eq 0 ]; then
-        cp results/bench_fleet.json BENCH_fleet.json
-        echo "== bench: every fleet gate passed; wrote BENCH_fleet.json =="
-    else
-        echo "== bench: ${#fleet_failed[@]} fleet gate(s) failed; BENCH_fleet.json left as committed ==" >&2
-        FAILED_GATES+=("${fleet_failed[@]}")
-    fi
+    commit_baseline results/bench_fleet.json BENCH_fleet.json
 fi
 
 if [ "$SUITE" = components ] || [ "$SUITE" = all ]; then

@@ -159,16 +159,20 @@ ran session
 ran rfid_sim session
 
 echo "== verify: multi-session serving =="
-# Explicit tier-1 gates for the serving layer:
-# - tests/serve.rs pins pool == sequential bit-for-bit (32 mixed-fault
-#   sessions at threads 1/2/8), the 2-thread single-report stress run,
-#   checkpoint/restore through the pool at swept cuts, and the
+# Explicit tier-1 gates for the serving layer, on a one-shard router:
+# - tests/serve.rs pins served == sequential bit-for-bit (32
+#   mixed-fault sessions at threads 1/2/8, and mixed kernels), the
+#   2-thread single-report stress run, checkpoint/restore through the
+#   router (seal, shard kill, recover) at swept cuts, and the
 #   shared-decode-artifact memory gate (one emission table per rig,
 #   however many sessions),
-# - the pool/fan-in unit tests live in polardraw-core (serve), the
-#   claim-order fan-out primitives in rf-core (par).
+# - the wake-on-work, panic-isolation (on both drain paths) and
+#   finish unit tests live in polardraw-core (fleet), each gated by
+#   name; the claim-order fan-out primitives in rf-core (par).
 ran serve
-ran polardraw_core serve
+ran polardraw_core empty_queues_stay_asleep
+ran polardraw_core poisoned_session_is_quarantined_and_the_fleet_keeps_serving
+ran polardraw_core finish_session_removes_the_session_and_finish_skips_it
 ran rf_core par
 
 echo "== verify: fleet front door =="
@@ -177,9 +181,9 @@ echo "== verify: fleet front door =="
 #   moving (swept cuts, queued reports carried, threads 1/2/8) and the
 #   overload contract (bounded queues, deferral never drops, monotone
 #   degradation, hysteretic recovery),
-# - tests/serve_alloc.rs proves a warm single-thread drain round, and a
-#   warm store-less one-shard fleet offer + drain round, allocate
-#   nothing (counting global allocator),
+# - tests/serve_alloc.rs proves a warm store-less one-shard
+#   single-thread offer + drain round allocates nothing (counting
+#   global allocator),
 # - the router/controller unit tests live in polardraw-core (fleet),
 #   the traffic-model unit tests in rfid-sim (traffic).
 ran fleet
@@ -244,7 +248,7 @@ lint_unwraps crates/rf-core/src/store.rs 0
 lint_unwraps crates/rfid-sim/src/chaos.rs 0
 lint_unwraps crates/core/src/online.rs 0
 lint_unwraps crates/core/src/preprocess.rs 1
-lint_unwraps crates/core/src/fleet.rs 1
+lint_unwraps crates/core/src/fleet.rs 2
 lint_unwraps crates/rfid-sim/src/llrp.rs 2
 
 echo "== verify: dependency graph is workspace-only =="
@@ -289,7 +293,7 @@ if [ "$QUICK_BENCH" = 1 ]; then
         --max-median "decode/online/cycle100/cell2.5mm/beam2500/lag64=1000000000"
 
     echo "== verify: contended serve step gate =="
-    # The serving pool's contended regime, measured for real: one drain
+    # The router's contended regime, measured for real: one drain
     # advancing 8 paper-fidelity sessions one pre-processing window
     # each, gated at an absolute 80 ms — 8 × the single-session 10 ms
     # guarantee above, so no session falls behind its reader even when

@@ -1,10 +1,11 @@
 //! Fleet front-door gates (tier-1, named in scripts/verify.sh).
 //!
-//! Pins the `FleetRouter` contracts on top of the serve-pool ones:
+//! Pins the multi-shard `FleetRouter` contracts on top of the one-shard
+//! ones in tests/serve.rs:
 //!
 //! 1. **Migration equivalence** — a live session migrated between
-//!    shards (drain → bitwise checkpoint → re-adopt, queued reports
-//!    carried over) produces output bit-for-bit identical to never
+//!    shards (bitwise checkpoint round trip, queued reports carried
+//!    over) produces output bit-for-bit identical to never
 //!    having moved, at every swept cut point and at thread counts
 //!    1/2/8.
 //! 2. **No-collapse overload** — under offered load beyond the ingest

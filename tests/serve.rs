@@ -1,9 +1,10 @@
 //! Multi-session serving gates (tier-1, named in scripts/verify.sh).
 //!
-//! Pins the serving engine's two contracts:
+//! Pins the serving engine's two contracts, on a one-shard
+//! `FleetRouter` whose queue bound never bites:
 //!
-//! 1. **Determinism** — a [`ServePool`] drains N sessions in parallel,
-//!    yet every session's output is bit-for-bit what a lone
+//! 1. **Determinism** — the router drains N sessions in parallel, yet
+//!    every session's output is bit-for-bit what a lone
 //!    `OnlineTracker` fed the same stream produces, at every tested
 //!    thread count and under every fault preset. Parallelism is across
 //!    sessions, never within one, so this is structural — these tests
@@ -15,8 +16,8 @@
 
 use experiments::setup::{polardraw_config_for, simulate_reports, TrialSetup};
 use polardraw_core::hmm::KernelOptions;
-use polardraw_core::serve::ServePool;
-use polardraw_core::{OnlineOptions, OnlineTracker, PolarDrawConfig, TrackOutput};
+use polardraw_core::fleet::{CheckpointPolicy, FleetConfig, FleetRouter};
+use polardraw_core::{CheckpointStore, OnlineOptions, OnlineTracker, PolarDrawConfig, TrackOutput};
 use rf_core::rng::derive_seed_indexed;
 use rfid_sim::faults::FaultPlan;
 use rfid_sim::TagReport;
@@ -50,8 +51,29 @@ fn fleet_streams(n: usize) -> Vec<Vec<TagReport>> {
         .collect()
 }
 
+/// One shard on `threads` workers whose queue bound never bites, so
+/// every offer is admitted whole and no session is ever degraded.
+fn one_shard_config(threads: usize) -> FleetConfig {
+    FleetConfig {
+        shards: 1,
+        threads_per_shard: threads,
+        queue_cap: usize::MAX,
+        soft_session_cap: usize::MAX,
+        ..FleetConfig::default()
+    }
+}
+
+fn one_shard(threads: usize) -> FleetRouter {
+    FleetRouter::new(one_shard_config(threads))
+}
+
+/// Trails of [`FleetRouter::finish`] in session order, without the ids.
+fn finish_outputs(fleet: FleetRouter) -> Vec<TrackOutput> {
+    fleet.finish().into_iter().map(|(_, out)| out).collect()
+}
+
 fn options_for(i: usize) -> OnlineOptions {
-    // Mixed lags exercise different commit cadences inside one pool.
+    // Mixed lags exercise different commit cadences inside one shard.
     OnlineOptions { lag: 8 + 4 * (i % 3), hold: 2, ..OnlineOptions::default() }
 }
 
@@ -92,18 +114,20 @@ fn sequential_outputs(
         .collect()
 }
 
-/// Feed the streams through a pool in interleaved, per-session-skewed
-/// chunks (sessions run out of reports at different rounds, so later
-/// drains exercise the wake-only-pending path), then finish.
-fn pool_outputs(
+/// Feed the streams through a one-shard router in interleaved,
+/// per-session-skewed chunks (sessions run out of reports at different
+/// rounds, so later drains exercise the wake-only-pending path), then
+/// finish.
+fn served_outputs(
     cfg: PolarDrawConfig,
     streams: &[Vec<TagReport>],
     threads: usize,
 ) -> Vec<TrackOutput> {
-    let mut pool = ServePool::new(threads);
+    let mut fleet = one_shard(threads);
     let ids: Vec<_> =
-        (0..streams.len()).map(|i| pool.add_session(cfg, options_for(i))).collect();
+        (0..streams.len()).map(|i| fleet.add_session(cfg, options_for(i))).collect();
     let mut cursors = vec![0usize; streams.len()];
+    let mut consumed = 0;
     loop {
         let mut any = false;
         for (i, reports) in streams.iter().enumerate() {
@@ -114,31 +138,31 @@ fn pool_outputs(
             // Skewed chunk sizes desynchronize the queues.
             let chunk = 29 + 11 * (i % 5);
             let hi = (at + chunk).min(reports.len());
-            pool.enqueue_batch(ids[i], &reports[at..hi]);
+            assert_eq!(fleet.offer(ids[i], &reports[at..hi]), hi - at);
             cursors[i] = hi;
             any = true;
         }
-        let round = pool.drain();
+        let round = fleet.drain();
+        consumed += round.reports;
         if !any {
             assert_eq!((round.woken, round.reports), (0, 0), "no queues → no wakes");
             break;
         }
     }
-    let stats = pool.stats();
     let total: usize = streams.iter().map(|s| s.len()).sum();
-    assert_eq!(stats.reports, total, "every enqueued report was consumed");
-    pool.finish()
+    assert_eq!(consumed, total, "every admitted report was consumed");
+    finish_outputs(fleet)
 }
 
-/// The tentpole determinism gate: 32 mixed-fault sessions, pool output
-/// bitwise-identical to sequential at threads ∈ {1, 2, 8}.
+/// The tentpole determinism gate: 32 mixed-fault sessions, served
+/// output bitwise-identical to sequential at threads ∈ {1, 2, 8}.
 #[test]
 fn pool_is_bitwise_identical_to_sequential_across_threads() {
     let cfg = fleet_config();
     let streams = fleet_streams(32);
     let want = sequential_outputs(cfg, &streams);
     for threads in [1usize, 2, 8] {
-        let got = pool_outputs(cfg, &streams, threads);
+        let got = served_outputs(cfg, &streams, threads);
         assert_eq!(got.len(), want.len());
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_outputs_bitwise_equal(g, w, &format!("session {i}, threads {threads}"));
@@ -146,12 +170,12 @@ fn pool_is_bitwise_identical_to_sequential_across_threads() {
     }
 }
 
-/// Kernel plumbing through the pool: sessions carrying mixed
+/// Kernel plumbing through the router: sessions carrying mixed
 /// `KernelOptions` (exact f64, fast f32+adaptive, f32-only) keep the
-/// pool's bitwise-vs-sequential contract at every pool width. The
-/// f32 kernels trade f64-exactness for speed but stay run-to-run
-/// deterministic, and pool parallelism is across sessions only — so
-/// the pool must reproduce each solo tracker bit-for-bit regardless
+/// bitwise-vs-sequential contract at every drain width. The f32
+/// kernels trade f64-exactness for speed but stay run-to-run
+/// deterministic, and drain parallelism is across sessions only — so
+/// the router must reproduce each solo tracker bit-for-bit regardless
 /// of which kernel the session chose.
 #[test]
 fn mixed_kernel_sessions_stay_bitwise_across_pool_widths() {
@@ -173,15 +197,15 @@ fn mixed_kernel_sessions_stay_bitwise_across_pool_widths() {
         })
         .collect();
     for threads in [1usize, 2, 8] {
-        let mut pool = ServePool::new(threads);
+        let mut fleet = one_shard(threads);
         let ids: Vec<_> = (0..streams.len())
-            .map(|i| pool.add_session(cfg, options_for(i).with_kernel(kernel_for(i))))
+            .map(|i| fleet.add_session(cfg, options_for(i).with_kernel(kernel_for(i))))
             .collect();
         for (i, reports) in streams.iter().enumerate() {
-            pool.enqueue_batch(ids[i], reports);
+            fleet.offer(ids[i], reports);
         }
-        pool.drain();
-        let got = pool.finish();
+        fleet.drain();
+        let got = finish_outputs(fleet);
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_outputs_bitwise_equal(
                 g,
@@ -193,75 +217,73 @@ fn mixed_kernel_sessions_stay_bitwise_across_pool_widths() {
 }
 
 /// The 2-thread stress run scripts/verify.sh names: repeated
-/// single-report enqueues and drains after every report round, so the
-/// pool's wake bookkeeping and per-drain deltas are exercised thousands
-/// of times rather than a handful.
+/// single-report offers and drains after every report round, so the
+/// router's wake bookkeeping and per-drain deltas are exercised
+/// thousands of times rather than a handful.
 #[test]
 fn two_thread_stress_single_report_drains() {
     let cfg = fleet_config();
     let streams = fleet_streams(6);
     let want = sequential_outputs(cfg, &streams);
 
-    let mut pool = ServePool::new(2);
+    let mut fleet = one_shard(2);
     let ids: Vec<_> =
-        (0..streams.len()).map(|i| pool.add_session(cfg, options_for(i))).collect();
+        (0..streams.len()).map(|i| fleet.add_session(cfg, options_for(i))).collect();
     let longest = streams.iter().map(|s| s.len()).max().unwrap_or(0);
+    let mut consumed = 0;
     for k in 0..longest {
         for (i, reports) in streams.iter().enumerate() {
-            if let Some(&r) = reports.get(k) {
-                pool.enqueue(ids[i], r);
+            if let Some(r) = reports.get(k) {
+                fleet.offer(ids[i], std::slice::from_ref(r));
             }
         }
-        pool.drain();
+        consumed += fleet.drain().reports;
     }
-    let stats = pool.stats();
-    assert_eq!(stats.drains, longest);
-    assert_eq!(stats.reports, streams.iter().map(|s| s.len()).sum::<usize>());
-    let got = pool.finish();
+    assert_eq!(fleet.stats().drains, longest);
+    assert_eq!(consumed, streams.iter().map(|s| s.len()).sum::<usize>());
+    let got = finish_outputs(fleet);
     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_outputs_bitwise_equal(g, w, &format!("stress session {i}"));
     }
 }
 
-/// Checkpoint/restore *through the pool*: cut every session at a swept
-/// point, checkpoint via the wire format, adopt the restored trackers
-/// into a fresh pool, feed the remainders — bitwise the uncut pool run.
+/// Checkpoint/restore *through the router*: cut every session at a
+/// swept point, seal it into a checkpoint store at the drain boundary,
+/// crash the shard and recover every session from its sealed
+/// generation, feed the remainders — bitwise the uncut run.
 #[test]
 fn checkpoint_restore_through_the_pool_is_bitwise_at_swept_cuts() {
     let cfg = fleet_config();
     let streams = fleet_streams(4);
-    let reference = pool_outputs(cfg, &streams, 2);
+    let reference = served_outputs(cfg, &streams, 2);
     let longest = streams.iter().map(|s| s.len()).max().unwrap_or(0);
 
     let stride = longest / 5 + 1;
     for cut in (0..=longest).step_by(stride) {
-        // First half through a pool…
-        let mut first = ServePool::new(2);
+        let mut fleet = FleetRouter::new(FleetConfig {
+            checkpoint: CheckpointPolicy { every_drains: 1 },
+            ..one_shard_config(2)
+        });
+        fleet.attach_store(CheckpointStore::in_memory(2));
         let ids: Vec<_> =
-            (0..streams.len()).map(|i| first.add_session(cfg, options_for(i))).collect();
+            (0..streams.len()).map(|i| fleet.add_session(cfg, options_for(i))).collect();
+        // First half through the router, sealed at the drain boundary…
         for (i, reports) in streams.iter().enumerate() {
-            first.enqueue_batch(ids[i], &reports[..cut.min(reports.len())]);
+            fleet.offer(ids[i], &reports[..cut.min(reports.len())]);
         }
-        first.drain();
-        // …checkpoint every session over the wire format…
-        let texts: Vec<String> =
-            ids.iter().map(|&id| first.tracker(id).checkpoint_string()).collect();
-        drop(first);
-        // …adopt the restores into a fresh pool and feed the rest.
-        let mut second = ServePool::new(2);
-        let new_ids: Vec<_> = texts
-            .iter()
-            .map(|text| {
-                let tracker = OnlineTracker::restore_from_str(cfg, text)
-                    .unwrap_or_else(|e| panic!("restore at cut {cut}: {e}"));
-                second.adopt(tracker)
-            })
-            .collect();
+        fleet.drain();
+        // …the shard crashes and every session comes back from its
+        // sealed generation over the checkpoint wire format…
+        assert_eq!(fleet.kill_shard(0), ids.len());
+        let rec = fleet.recover(0);
+        assert_eq!(rec.restored, ids.len(), "restore at cut {cut}");
+        assert_eq!(rec.requeued_reports, 0, "the seal covered every admitted report");
+        // …and the rest of each stream is fed to the restored trackers.
         for (i, reports) in streams.iter().enumerate() {
-            second.enqueue_batch(new_ids[i], &reports[cut.min(reports.len())..]);
+            fleet.offer(ids[i], &reports[cut.min(reports.len())..]);
         }
-        second.drain();
-        let got = second.finish();
+        fleet.drain();
+        let got = finish_outputs(fleet);
         for (i, (g, w)) in got.iter().zip(&reference).enumerate() {
             assert_outputs_bitwise_equal(g, w, &format!("session {i}, cut {cut}"));
         }
@@ -276,15 +298,15 @@ fn checkpoint_restore_through_the_pool_is_bitwise_at_swept_cuts() {
 fn sessions_share_one_decode_artifact_entry() {
     let cfg = fleet_config();
     let streams = fleet_streams(8);
-    let mut pool = ServePool::new(4);
+    let mut fleet = one_shard(4);
     let ids: Vec<_> =
-        (0..streams.len()).map(|i| pool.add_session(cfg, options_for(i))).collect();
+        (0..streams.len()).map(|i| fleet.add_session(cfg, options_for(i))).collect();
     for (i, reports) in streams.iter().enumerate() {
-        pool.enqueue_batch(ids[i], reports);
+        fleet.offer(ids[i], reports);
     }
-    pool.drain();
+    fleet.drain();
 
-    let first = pool
+    let first = fleet
         .tracker(ids[0])
         .decoder()
         .artifacts()
@@ -292,7 +314,7 @@ fn sessions_share_one_decode_artifact_entry() {
         .clone();
     let mut sharers = 0;
     for &id in &ids {
-        let decoder = pool.tracker(id).decoder();
+        let decoder = fleet.tracker(id).decoder();
         if let Some(a) = decoder.artifacts() {
             assert!(Arc::ptr_eq(a, &first), "session {id} resolved a different entry");
             sharers += 1;
@@ -316,5 +338,5 @@ fn sessions_share_one_decode_artifact_entry() {
     let one_table_bytes = table.len() * std::mem::size_of::<f64>();
     assert!(one_table_bytes > 0, "table is real");
     // And finishing the fleet must release the sessions' holds.
-    drop(pool.finish());
+    drop(fleet.finish());
 }

@@ -1,20 +1,17 @@
 //! Steady-state allocation gate for the serve drain path.
 //!
-//! `ServePool::drain` reuses its wake-list buffer across rounds and the
-//! per-session ingest queues keep their capacity, so once a pool is
-//! warm a single-threaded drain round allocates NOTHING: enqueue writes
-//! into retained queue capacity, the wake scan fills the reused index
-//! buffer, and late reports are dropped inside `OnlineTracker::push`
-//! with a counter bump. The same holds one layer up, for a store-less
-//! one-shard `FleetRouter`: `offer` forwards into the shard's pool and
-//! `drain` walks the shard's sessions by index. This binary installs a
+//! A store-less one-shard `FleetRouter` on one thread keeps its
+//! per-session ingest queues' capacity and walks the shard's sessions
+//! in place, so once it is warm an `offer` + `drain` round allocates
+//! NOTHING: `offer` writes into retained queue capacity, `drain` counts
+//! and visits the woken sessions by index, and late reports are dropped
+//! inside `OnlineTracker::push` with a counter bump. This binary installs a
 //! counting global allocator to prove it (which needs `unsafe`, so the
 //! test lives in the workspace-root test crate rather than under the
 //! core crate's `#![forbid(unsafe_code)]`), and keeps exactly one
 //! `#[test]` so no sibling test thread allocates concurrently.
 
 use experiments::setup::{polardraw_config_for, TrialSetup};
-use polardraw_core::serve::ServePool;
 use polardraw_core::{FleetConfig, FleetRouter, OnlineOptions};
 use rfid_sim::TagReport;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -72,44 +69,10 @@ fn warm_single_thread_drain_rounds_allocate_nothing() {
 
     // Warm up: real stream past several closed windows (so late
     // reports below hit the drop path), queue capacity established at
-    // the steady-state chunk size, wake buffer filled once.
+    // the steady-state chunk size.
     let cfg = polardraw_config_for(&TrialSetup::letter('L').with_cell_scale(8.0));
-    let mut pool = ServePool::new(1);
-    let id = pool.add_session(cfg, OnlineOptions::default());
     let warm: Vec<TagReport> = (0..256).map(in_order_report).collect();
-    for chunk in warm.chunks(ROUND) {
-        pool.enqueue_batch(id, chunk);
-        pool.drain();
-    }
     let late: Vec<TagReport> = (0..ROUND).map(late_report).collect();
-    pool.enqueue_batch(id, &late);
-    pool.drain();
-    let dropped_before = pool.tracker(id).late_reports_dropped();
-
-    // Steady state: every round must be allocation-free.
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..100 {
-        pool.enqueue_batch(id, &late);
-        let round = pool.drain();
-        assert_eq!(round.woken, 1);
-        assert_eq!(round.reports, ROUND);
-    }
-    let after = ALLOCS.load(Ordering::Relaxed);
-
-    assert_eq!(
-        after - before,
-        0,
-        "warm threads=1 enqueue+drain rounds must not allocate"
-    );
-    assert_eq!(
-        pool.tracker(id).late_reports_dropped(),
-        dropped_before + 100 * ROUND,
-        "every steady-state report took the late-drop path"
-    );
-    drop(pool.finish());
-
-    // The fleet front door over one such shard: same warm-up, then
-    // every `offer` + `drain` round must be allocation-free too.
     let mut fleet =
         FleetRouter::new(FleetConfig { shards: 1, threads_per_shard: 1, ..FleetConfig::default() });
     let id = fleet.add_session(cfg, OnlineOptions::default());
