@@ -946,12 +946,16 @@ struct KernelScratch {
     scores: Vec<f64>,
     /// Dense per-cell best score this step (`F32Tolerance`).
     scores32: Vec<f32>,
-    /// Dense per-cell best predecessor this step.
+    /// Dense per-cell best predecessor this step, written when a cell
+    /// is first scored; read only for beam cells, so it needs no reset.
     preds: Vec<u32>,
     /// Dense per-cell hyperbola term this step (`F64Exact`), written
     /// when a cell is first scored; valid exactly where `scores` is not
     /// `NEG_INFINITY`, so the `scores` reset retires it too.
     hyper: Vec<f64>,
+    /// The same memo for `F32Tolerance`, valid where `scores32` is not
+    /// `NEG_INFINITY`.
+    hyper32: Vec<f32>,
     /// Cells written this step (the reset list).
     touched: Vec<u32>,
     /// Stencil offsets trimmed to the current step's radius and
@@ -970,9 +974,10 @@ struct KernelScratch {
     /// Offsets inside the annulus hard lower bound (f32 plan), kept so
     /// the work counters keep the exact kernel's meaning.
     rejected32: Vec<(i32, i32)>,
-    /// Next beam under construction — cells only; their scores stay in
-    /// the dense map until the beam is final (the SoA shape).
-    next_cells: Vec<u32>,
+    /// Packed beam keys of the scored cells ([`ScoreLane::key`]), one
+    /// buffer per lane width: the beam cut sorts these plain integers.
+    keys32: Vec<u64>,
+    keys64: Vec<u128>,
     /// Radius-keyed local memo of [`shared_stencil`] handles — the hot
     /// loop resolves a radius without touching the global mutex.
     stencils: Vec<Arc<AnnulusStencil>>,
@@ -1235,12 +1240,17 @@ fn build_f32_plan(
 }
 
 /// The fused `f32` expansion of the frontier: per candidate, a bounds
-/// check, one table load, one add, and (for hyperbola steps) a
-/// cast-table lookup with the cheap `f32` wrap — no `hypot`, no
-/// division, no per-candidate geometry. The rejected-offset pass keeps
-/// `expansions`/`pruned_below_min` meaning what they mean in the exact
-/// kernel: in-bounds candidates seen, in-bounds candidates under the
-/// hard annulus bound.
+/// check, one add of the offset's fused transition score, and (for
+/// hyperbola steps) one subtraction of the target's hyperbola term —
+/// no `hypot`, no division, no per-candidate geometry. Like the exact
+/// kernel's, the term `w·|wrap_pi_f32(meas − expected(to))|/π` depends
+/// on the target alone: it is evaluated from the cast table, with the
+/// cheap `f32` wrap, when `to` is first scored this step, into the
+/// `hyper32` lane, and every later candidate for `to` subtracts the
+/// stored product, so each score keeps its bits. The rejected-offset
+/// pass keeps `expansions`/`pruned_below_min` meaning what they mean in
+/// the exact kernel: in-bounds candidates seen, in-bounds candidates
+/// under the hard annulus bound.
 #[inline(never)]
 fn expand_f32(
     grid: &Grid,
@@ -1250,8 +1260,8 @@ fn expand_f32(
     frontier_scores: &[f64],
     stats: &mut DecodeStats,
 ) {
-    let KernelScratch { scores32, preds, touched, trans32, rejected32, .. } = ks;
-    let (scores32, preds) = (&mut scores32[..], &mut preds[..]);
+    let KernelScratch { scores32, preds, hyper32, touched, trans32, rejected32, .. } = ks;
+    let (scores32, preds, hyper32) = (&mut scores32[..], &mut preds[..], &mut hyper32[..]);
     let (trans32, rejected32) = (&trans32[..], &rejected32[..]);
     let nx = grid.nx as i64;
     let ny = grid.ny as i64;
@@ -1270,15 +1280,18 @@ fn expand_f32(
             }
             seen += 1;
             let to = iy as usize * nxu + ix as usize;
-            let mut s = s_from + t.trans;
-            if let Some((meas, weight, table)) = hyper {
-                let err = wrap_pi_f32(meas - table.expected(to)).abs()
-                    * std::f32::consts::FRAC_1_PI;
-                s -= weight * err;
-            }
             let best = &mut scores32[to];
             if *best == f32::NEG_INFINITY {
                 touched.push(to as u32);
+                if let Some((meas, weight, table)) = hyper {
+                    let err = wrap_pi_f32(meas - table.expected(to)).abs()
+                        * std::f32::consts::FRAC_1_PI;
+                    hyper32[to] = weight * err;
+                }
+            }
+            let mut s = s_from + t.trans;
+            if hyper.is_some() {
+                s -= hyper32[to];
             }
             if s > *best {
                 *best = s;
@@ -1297,12 +1310,13 @@ fn expand_f32(
     }
 }
 
-/// Grow a hyperbola-memo lane to `n` cells. An entry is only read after
-/// the same step wrote it, so the lane needs no initial value: a fresh
-/// zeroed allocation leaves its pages untouched until cells are scored.
-fn grow_hyper_lane(lane: &mut Vec<f64>, n: usize) {
+/// Grow a first-touch lane (the hyperbola memos, `preds`) to `n` cells.
+/// An entry is only read after the same step wrote it, so the lane
+/// needs no initial value: a fresh zeroed allocation leaves its pages
+/// untouched until cells are scored.
+fn grow_memo_lane<T: Copy + Default>(lane: &mut Vec<T>, n: usize) {
     if lane.len() < n {
-        *lane = vec![0.0; n];
+        *lane = vec![T::default(); n];
     }
 }
 
@@ -1328,31 +1342,40 @@ enum StepEmission<'a> {
 /// once over this trait, and every comparison and subtraction in it
 /// runs at the lane's own type.
 trait ScoreLane: Copy + PartialOrd {
+    /// The packed beam key: an unsigned integer one lane width plus 32
+    /// bits wide.
+    type Key: Copy + Ord;
     /// The "not scored this step" marker; real scores are finite.
     const UNSCORED: Self;
     fn max(self, other: Self) -> Self;
-    fn total_cmp(&self, other: &Self) -> Ordering;
     /// `self − margin`, the margin cast to the lane type first.
     fn minus(self, margin: f64) -> Self;
     /// The exact `f64` embedding the frontier stores.
     fn widen(self) -> f64;
+    /// `(self, cell)` packed so that ascending keys are exactly
+    /// [`beam_order`]: the score's order-preserving bits (the order
+    /// `total_cmp` uses), inverted so higher scores come first, above
+    /// the cell index.
+    fn key(self, cell: u32) -> Self::Key;
+    /// The cell index of a packed key.
+    fn key_cell(key: Self::Key) -> u32;
     /// This lane's dense score map in `ks`, alongside the predecessor
-    /// map, the touched list and the next-beam buffer.
+    /// map, the touched list and the lane's key buffer.
     #[allow(clippy::type_complexity)]
-    fn split(ks: &mut KernelScratch) -> (&mut [Self], &mut [u32], &mut Vec<u32>, &mut Vec<u32>);
+    fn split(
+        ks: &mut KernelScratch,
+    ) -> (&mut [Self], &mut [u32], &mut Vec<u32>, &mut Vec<Self::Key>);
 }
 
 // One body for both lanes: `margin as $t` and `self as f64` are the
 // identity on `f64`, so each lane does exactly its kernel's arithmetic.
 macro_rules! score_lane {
-    ($($t:ty => $field:ident),*) => {$(
+    ($($t:ty => $field:ident, $keys:ident: $k:ty),*) => {$(
         impl ScoreLane for $t {
+            type Key = $k;
             const UNSCORED: $t = <$t>::NEG_INFINITY;
             fn max(self, other: $t) -> $t {
                 <$t>::max(self, other)
-            }
-            fn total_cmp(&self, other: &$t) -> Ordering {
-                <$t>::total_cmp(self, other)
             }
             fn minus(self, margin: f64) -> $t {
                 self - margin as $t
@@ -1360,15 +1383,27 @@ macro_rules! score_lane {
             fn widen(self) -> f64 {
                 self as f64
             }
+            fn key(self, cell: u32) -> $k {
+                // −0.0 is the sign bit alone. Flipping every bit of a
+                // negative and setting the sign bit of a positive orders
+                // the bits as unsigned integers the way `total_cmp`
+                // orders the floats.
+                let (bits, sign) = (self.to_bits(), <$t>::to_bits(-0.0));
+                let ordered = if bits & sign != 0 { !bits } else { bits | sign };
+                ((!ordered as $k) << 32) | cell as $k
+            }
+            fn key_cell(key: $k) -> u32 {
+                key as u32
+            }
             fn split(
                 ks: &mut KernelScratch,
-            ) -> (&mut [$t], &mut [u32], &mut Vec<u32>, &mut Vec<u32>) {
-                (&mut ks.$field, &mut ks.preds, &mut ks.touched, &mut ks.next_cells)
+            ) -> (&mut [$t], &mut [u32], &mut Vec<u32>, &mut Vec<$k>) {
+                (&mut ks.$field, &mut ks.preds, &mut ks.touched, &mut ks.$keys)
             }
         }
     )*};
 }
-score_lane!(f32 => scores32, f64 => scores);
+score_lane!(f32 => scores32, keys32: u64, f64 => scores, keys64: u128);
 
 /// One Viterbi step over the sparse beam frontier: scores every
 /// (frontier × stencil) candidate at the step's precision, truncates
@@ -1425,7 +1460,7 @@ fn advance_frontier(
     let (stencil, offsets) = (&ks.stencils[si], &mut ks.step_offsets);
     classify_offsets(stencil, prefilter_reach, exact_reach, hard_min, settle, offsets);
 
-    grow_lane(&mut ks.preds, n, u32::MAX);
+    grow_memo_lane(&mut ks.preds, n);
     match emission {
         StepEmission::F64(emission) => {
             ks.xs.clear();
@@ -1440,7 +1475,7 @@ fn advance_frontier(
             }
             grow_lane(&mut ks.scores, n, f64::NEG_INFINITY);
             if emission.is_some() {
-                grow_hyper_lane(&mut ks.hyper, n);
+                grow_memo_lane(&mut ks.hyper, n);
             }
             let ctx = StepCtx { grid, obs, emission, exact_reach, hard_min, target, dmax };
             expand_f64(&ctx, ks, frontier_cells, frontier_scores, stats);
@@ -1453,6 +1488,9 @@ fn advance_frontier(
             let cell_m = grid.cell_m;
             build_f32_plan(obs, cell_m, step_offsets, target, dmax, trans32, rejected32);
             grow_lane(&mut ks.scores32, n, f32::NEG_INFINITY);
+            if hyper.is_some() {
+                grow_memo_lane(&mut ks.hyper32, n);
+            }
             expand_f32(grid, hyper, ks, frontier_cells, frontier_scores, stats);
             select_beam::<f32>(
                 ks, beam_width, adaptive, frontier_cells, frontier_scores, frame, stats,
@@ -1467,7 +1505,7 @@ fn advance_frontier(
 /// configured width, shrunk to the within-margin set when the adaptive
 /// beam is on and the score mass concentrates. Writes them with their
 /// predecessors into `frame`, installs them as the new SoA frontier,
-/// and resets the lane and `preds` through `touched`. A step that
+/// and resets the score lane through `touched`. A step that
 /// scored nothing carries the frontier through unchanged.
 fn select_beam<L: ScoreLane>(
     ks: &mut KernelScratch,
@@ -1478,7 +1516,7 @@ fn select_beam<L: ScoreLane>(
     frame: &mut BeamFrame,
     stats: &mut DecodeStats,
 ) {
-    let (lane, preds, touched, next_cells) = L::split(ks);
+    let (lane, preds, touched, keys) = L::split(ks);
     if touched.is_empty() {
         // Inconsistent step: carry the frontier through unchanged.
         stats.carried_steps += 1;
@@ -1488,51 +1526,44 @@ fn select_beam<L: ScoreLane>(
     }
     stats.touched_cells += touched.len() as u64;
 
-    next_cells.clear();
-    next_cells.extend_from_slice(touched);
-
     let mut eff_beam = beam_width;
     if let Some(adaptive) = adaptive {
-        let best = next_cells.iter().map(|&c| lane[c as usize]).fold(L::UNSCORED, L::max);
+        let best = touched.iter().map(|&c| lane[c as usize]).fold(L::UNSCORED, L::max);
         let floor = best.minus(adaptive.margin);
-        let within = next_cells.iter().filter(|&&c| lane[c as usize] >= floor).count();
+        let within = touched.iter().filter(|&&c| lane[c as usize] >= floor).count();
         let kept = within.max(adaptive.min_keep).min(beam_width);
-        if kept < next_cells.len().min(beam_width) {
+        if kept < touched.len().min(beam_width) {
             stats.adaptive_shrunk_steps += 1;
         }
         eff_beam = kept;
     }
 
-    // An O(n) partition plus a sort of the kept beam. For f32 the
-    // compare happens on the f32 lane (`total_cmp` over the cast scores
-    // orders identically to comparing their exact f64 embeddings).
-    let ro: &[L] = lane;
-    let cmp = |a: &u32, b: &u32| {
-        ro[*b as usize].total_cmp(&ro[*a as usize]).then_with(|| a.cmp(b))
-    };
-    if next_cells.len() > eff_beam {
-        stats.pruned_beam += (next_cells.len() - eff_beam) as u64;
-        next_cells.select_nth_unstable_by(eff_beam - 1, cmp);
-        next_cells.truncate(eff_beam);
+    // An O(n) partition plus a sort of the kept beam, both on packed
+    // keys, whose integer order is the canonical order. For f32 the keys
+    // carry the f32 lane's bits (`total_cmp` over the cast scores orders
+    // identically to comparing their exact f64 embeddings).
+    keys.clear();
+    keys.extend(touched.iter().map(|&c| lane[c as usize].key(c)));
+    if keys.len() > eff_beam {
+        stats.pruned_beam += (keys.len() - eff_beam) as u64;
+        keys.select_nth_unstable(eff_beam - 1);
+        keys.truncate(eff_beam);
     }
-    next_cells.sort_unstable_by(cmp);
+    keys.sort_unstable();
 
     // Backpointer frame in canonical beam order (sized exactly: a batch
     // decode retains every frame); install the new SoA frontier from the
-    // dense lanes, then reset the lanes.
-    frame.cells.extend_from_slice(next_cells);
-    frame.prevs.extend(next_cells.iter().map(|&c| preds[c as usize]));
+    // dense lanes, then reset the score lane.
+    frame.cells.extend(keys.iter().map(|&k| L::key_cell(k)));
+    frame.prevs.extend(frame.cells.iter().map(|&c| preds[c as usize]));
     frontier_cells.clear();
-    frontier_cells.extend_from_slice(next_cells);
+    frontier_cells.extend_from_slice(&frame.cells);
     frontier_scores.clear();
-    frontier_scores.extend(next_cells.iter().map(|&c| lane[c as usize].widen()));
+    frontier_scores.extend(frame.cells.iter().map(|&c| lane[c as usize].widen()));
     for &c in touched.iter() {
-        let cu = c as usize;
-        lane[cu] = L::UNSCORED;
-        preds[cu] = u32::MAX;
+        lane[c as usize] = L::UNSCORED;
     }
     touched.clear();
-    next_cells.clear();
 }
 
 /// One retained backpointer frame of a [`FixedLagDecoder`]: the beam
@@ -2406,6 +2437,82 @@ mod tests {
         // The committed prefix is frozen: finish() must not rewrite it.
         let (batch, _) = decode(&g, rig(), start, &steps, &cfg, 64, KernelOptions::exact());
         assert_eq!(track.len(), batch.len());
+    }
+
+    /// A score from one of four families: the edge values, any bit
+    /// pattern, an `f32` widened to the `f64` the frontier stores, or a
+    /// plain log-likelihood-sized value.
+    fn edge_case_score(rng: &mut rf_core::rng::Rng64, specials: &[f64]) -> f64 {
+        match rng.gen_index(4) {
+            0 => specials[rng.gen_index(specials.len())],
+            1 => f64::from_bits(rng.next_u64()),
+            2 => f32::from_bits(rng.next_u64() as u32) as f64,
+            _ => rng.gaussian(50.0),
+        }
+    }
+
+    /// The packed beam key orders `(cell, score)` exactly as
+    /// `beam_order` does, on both lanes: random bit patterns, ±0,
+    /// subnormals, ±∞, f32 scores widened to f64, and scores drawn from a
+    /// small pool so ties are broken by cell. NaN never reaches a lane
+    /// (scores are finite) but the f64 key still agrees with
+    /// `total_cmp` there; the f32 comparison against the widened order
+    /// skips it, because widening quiets a signalling NaN.
+    #[test]
+    fn packed_beam_keys_order_exactly_like_beam_order() {
+        let mut rng = rf_core::rng::Rng64::from_seed(0x6b65_7973);
+        let tiny64 = f64::from_bits(1);
+        let tiny32 = f32::from_bits(1);
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            tiny64,
+            -tiny64,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE - tiny64,
+            f64::MAX,
+            f64::MIN,
+            tiny32 as f64,
+            -(tiny32 as f64),
+            f32::MIN_POSITIVE as f64,
+            f32::MAX as f64,
+            f32::MIN as f64,
+            1.0,
+            -1.0,
+        ];
+        let cells = |rng: &mut rf_core::rng::Rng64| match rng.gen_index(4) {
+            0 => 0,
+            1 => u32::MAX,
+            2 => rng.gen_index(64) as u32,
+            _ => rng.next_u64() as u32,
+        };
+        for _ in 0..200 {
+            let pool: Vec<f64> = (0..12).map(|_| edge_case_score(&mut rng, &specials)).collect();
+            let pairs: Vec<(u32, f64)> =
+                (0..48).map(|_| (cells(&mut rng), pool[rng.gen_index(pool.len())])).collect();
+            for a in &pairs {
+                let a32 = (a.0, a.1 as f32);
+                assert_eq!(f64::key_cell(a.1.key(a.0)), a.0);
+                assert_eq!(f32::key_cell(a32.1.key(a32.0)), a32.0);
+                for b in &pairs {
+                    let want = beam_order(a, b);
+                    let got = a.1.key(a.0).cmp(&b.1.key(b.0));
+                    assert_eq!(got, want, "f64 lane: {a:?} vs {b:?}");
+
+                    let b32 = (b.0, b.1 as f32);
+                    let got = a32.1.key(a32.0).cmp(&b32.1.key(b32.0));
+                    let want = b32.1.total_cmp(&a32.1).then(a32.0.cmp(&b32.0));
+                    assert_eq!(got, want, "f32 lane: {a32:?} vs {b32:?}");
+                    if !a32.1.is_nan() && !b32.1.is_nan() {
+                        let widened = beam_order(&(a32.0, a32.1 as f64), &(b32.0, b32.1 as f64));
+                        assert_eq!(got, widened, "f32 lane, widened: {a32:?} vs {b32:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

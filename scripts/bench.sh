@@ -4,9 +4,10 @@
 # Five suites, each run at full methodology (200 ms warmup, 11 samples,
 # median-of-N — see crates/bench/src/harness.rs):
 #
-# * decode — the Viterbi hot path. Copies the report to
-#   BENCH_decode.json and enforces three gates at the paper-fidelity
-#   workload (cell 2.5 mm, beam 2500, 100 steps):
+# * decode — the Viterbi hot path. Runs its three gates against the
+#   fresh report at the paper-fidelity workload (cell 2.5 mm, beam
+#   2500, 100 steps) and prints each result; only if all pass does it
+#   copy the report to BENCH_decode.json:
 #   - the headline fast-kernel-vs-reference speedup floor
 #     (decode/opt vs decode/ref, default 8×: f32 tables + adaptive
 #     beam compound well past the old exact-path floor of 3×);
@@ -17,11 +18,12 @@
 #     reference on its own (decode/exact vs decode/ref ≥ 6×: the
 #     per-step hyperbola memo and stencil-settled distance tests
 #     measured 7.7×).
-# * fleet — the sharded fleet front door. Runs every one of its three
-#   gates against the fresh report and prints each result; only if all
-#   pass does it copy the report to BENCH_fleet.json (a failed gate
-#   leaves the committed baseline alone and makes the script exit
-#   non-zero once every suite asked for has run):
+# * fleet — the sharded fleet front door. Like the decode suite, runs
+#   every one of its three gates against the fresh report and prints
+#   each result; only if all pass does it copy the report to
+#   BENCH_fleet.json (a failed gate leaves the committed baseline alone
+#   and makes the script exit non-zero once every suite asked for has
+#   run):
 #   - the no-collapse floor: p99 per-report step latency under 8×
 #     overload (fleet/step/sessions256/overload8x/p99) must stay
 #     within 10× the unloaded fleet's p50
@@ -80,8 +82,8 @@ case "$SUITE" in
     *) echo "unknown suite: $SUITE (want decode|throughput|fleet|components|channel|all)" >&2; exit 2 ;;
 esac
 
-# Gates that fail without stopping the run (the throughput and fleet
-# suites'); the script exits non-zero at the end if any did.
+# Gates that fail without stopping the run (the decode, throughput and
+# fleet suites'); the script exits non-zero at the end if any did.
 FAILED_GATES=()
 
 # gate REPORT NAME ARGS...: run one bench_check gate against the fresh
@@ -128,23 +130,22 @@ if [ "$SUITE" = decode ] || [ "$SUITE" = all ]; then
     echo "== bench: decode suite (full methodology; takes a few minutes) =="
     cargo bench --offline -p polardraw-bench --bench decode
 
-    cp results/bench_decode.json BENCH_decode.json
-    echo "== bench: wrote BENCH_decode.json =="
-
-    cargo run --release --offline -p polardraw-bench --bin bench_check -- \
-        BENCH_decode.json --min-speedup "$MIN_SPEEDUP"
+    suite_failed=()
+    gate results/bench_decode.json "decode headline gate (opt vs ref >= ${MIN_SPEEDUP}x)" \
+        --min-speedup "$MIN_SPEEDUP"
 
     # Kernel-layer gates (see crates/bench/benches/decode.rs): the
     # adaptive beam on top of the f32 tables, and the exact f64 SoA
     # path on its own.
-    cargo run --release --offline -p polardraw-bench --bin bench_check -- \
-        BENCH_decode.json --min-speedup 1.5 \
+    gate results/bench_decode.json "decode adaptive gate (opt vs f32 >= 1.5x)" \
+        --min-speedup 1.5 \
         --ref decode/f32/cell2.5mm/beam2500/steps100 \
         --opt decode/opt/cell2.5mm/beam2500/steps100
-    cargo run --release --offline -p polardraw-bench --bin bench_check -- \
-        BENCH_decode.json --min-speedup 6.0 \
+    gate results/bench_decode.json "decode exact gate (exact vs ref >= 6x)" \
+        --min-speedup 6.0 \
         --ref decode/ref/cell2.5mm/beam2500/steps100 \
         --opt decode/exact/cell2.5mm/beam2500/steps100
+    commit_baseline results/bench_decode.json BENCH_decode.json
 fi
 
 if [ "$SUITE" = throughput ] || [ "$SUITE" = all ]; then

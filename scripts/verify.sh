@@ -100,13 +100,17 @@ echo "== verify: decode kernel equivalence =="
 # - tests/decoder_equivalence.rs holds hmm::decode to viterbi_reference
 #   bit for bit over randomized scenarios and through the degenerate
 #   paths: carry-through and collapse steps (beams 8 to 2500) and tiny
-#   beams under the `max(8)` clamp, each gated by name.
+#   beams under the `max(8)` clamp, each gated by name,
+# - the beam cut sorts packed integer keys; a unit test in hmm.rs holds
+#   their order to the canonical beam order on both lanes (gated by
+#   name).
 ran kernel_equivalence
 ran kernel_equivalence adaptive_beam_decodes_match_the_pinned_bits
 ran kernel_equivalence exact_kernel_distance_memo_is_bit_identical_on_still_heavy_streams
 ran decoder_equivalence
 ran decoder_equivalence carry_through_steps_stay_equivalent
 ran decoder_equivalence tiny_beam_widths_stay_equivalent
+ran polardraw_core packed_beam_keys_order_exactly_like_beam_order
 
 echo "== verify: polarimetric channel =="
 # Explicit tier-1 gates for the Jones channel layer:
